@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -289,37 +290,41 @@ def _gate_to_obj(g: Gate):
     raise CodecError(f"cannot serialize gate {type(g).__name__}")
 
 
+def _indices(seq) -> tuple[int, ...]:
+    return tuple(operator.index(v) for v in seq)
+
+
 def _gate_from_obj(obj, path: str) -> Gate:
     kind = obj.get("kind")
     if kind == "ControlledComputational":
         return controlled(
-            tuple(obj["controls"]),
-            tuple(obj["targets"]),
+            _indices(obj["controls"]),
+            _indices(obj["targets"]),
             {
-                tuple(br["control"]): _obj_to_matrix(br["matrix"], path)
+                _indices(br["control"]): _obj_to_matrix(br["matrix"], path)
                 for br in obj["branches"]
             },
         )
     if kind == "Local":
-        return local(tuple(obj["axes"]), _obj_to_matrix(obj["matrix"], path))
+        return local(_indices(obj["axes"]), _obj_to_matrix(obj["matrix"], path))
     if kind == "TwoLevelStandard":
         return two_level(
-            int(obj["axis_a"]),
-            tuple(obj["pair_a"]),
-            int(obj["axis_b"]),
-            tuple(obj["pair_b"]),
+            operator.index(obj["axis_a"]),
+            _indices(obj["pair_a"]),
+            operator.index(obj["axis_b"]),
+            _indices(obj["pair_b"]),
             _obj_to_matrix(obj["matrix"], path),
         )
     if kind == "CNOT":
         return cnot(
-            int(obj["control_axis"]),
-            tuple(obj["control_pair"]),
-            int(obj["target_axis"]),
-            tuple(obj["target_pair"]),
+            operator.index(obj["control_axis"]),
+            _indices(obj["control_pair"]),
+            operator.index(obj["target_axis"]),
+            _indices(obj["target_pair"]),
         )
     if kind == "GenericBipartite":
         return generic(
-            tuple(obj["axes"]), _obj_to_matrix(obj["matrix"], path), int(obj["cut"])
+            _indices(obj["axes"]), _obj_to_matrix(obj["matrix"], path), int(obj["cut"])
         )
     raise CodecError(f"{path}: unknown gate kind {kind!r}")
 
@@ -343,9 +348,11 @@ def save_circuit_file(path: str, c: Circuit) -> None:
     atomic_write(path, dumps_canonical(circuit_to_obj(c)))
 
 
-def load_circuit_file(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        obj = _loads(fh.read(), path)
+def _circuit_from_obj(obj, path: str) -> Circuit:
+    if obj.get("gate_order") != "product":
+        raise CodecError(f"{path}: gate_order must be 'product', got {obj.get('gate_order')!r}")
+    if not isinstance(obj["gates"], list):
+        raise CodecError(f"{path}: 'gates' must be a list")
     space = _space_from_obj(obj["space"])
     gates = tuple(_gate_from_obj(g, path) for g in obj["gates"])
     met_obj = obj.get("metrics") or {}
@@ -353,3 +360,14 @@ def load_circuit_file(path: str) -> Circuit:
     counts = tuple((k, int(v)) for k, v in met_obj.get("gate_counts", {}).items())
     metrics = Metrics(counts, int(met_obj.get("nonlocal_cnot", 0)), ebit)
     return Circuit(space, gates, metrics)
+
+
+def load_circuit_file(path: str) -> Circuit:
+    with open(path, encoding="utf-8") as fh:
+        obj = _loads(fh.read(), path)
+    try:
+        return _circuit_from_obj(obj, path)
+    except CodecError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CodecError(f"{path}: malformed circuit: {type(exc).__name__}: {exc}") from exc

@@ -10,16 +10,25 @@ factor, so it is applied **last**.  ``apply_circuit`` returns
 ``M(gates[0]) @ M(gates[1]) @ ... @ M(gates[-1])``.  This matches the usual
 product notation U = U_1 U_2 ... U_k and is the classic place for reversal
 bugs; the JSON format documents it as well.
+
+Every gate kind is a computational-basis controlled gate, so each record is
+lowered to one form, ``(controls, targets, stack)``: ``stack[i]`` is the
+branch on the target axes for the i-th control tuple in row-major order.
+Lowering is also where a gate's structure is checked.  One kernel applies a
+lowered gate to a block of state columns by a batched matmul over the
+(controls, targets, rest) regrouping of the state; dense simulation, gate
+embedding, classification and the exact permutation tables all use it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import DEFAULT_EPS, RECON_TOL, as_matrix, is_unitary, max_abs
+from .matcore import DEFAULT_EPS, RECON_TOL, as_matrix, is_unitary, max_abs, perm_matrix
 
 
 class CircuitError(ValueError):
@@ -220,16 +229,6 @@ Gate = ControlledGate | LocalGate | TwoLevelGate | CnotGate | GenericGate
 GATE_KINDS = ("ControlledComputational", "Local", "TwoLevelStandard", "CNOT", "GenericBipartite")
 
 
-def gate_axes(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, ControlledGate):
-        return tuple(sorted(g.controls + g.targets))
-    if isinstance(g, (LocalGate, GenericGate)):
-        return g.axes
-    if isinstance(g, TwoLevelGate):
-        return tuple(sorted((g.axis_a, g.axis_b)))
-    return tuple(sorted((g.control_axis, g.target_axis)))
-
-
 # ---------------------------------------------------------------------------
 # circuits and metrics
 
@@ -279,119 +278,152 @@ def recompute_metrics(c: Circuit) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
-# dense simulation
+# lowered form: every gate as a uniformly controlled gate
 
 
-def _controlled_matrix(dims, controls, targets, branch_items) -> np.ndarray:
-    n_axes = len(dims)
-    total = math.prod(dims)
-    idx = np.arange(total).reshape(dims)
-    out = np.zeros((total, total), dtype=complex)
-    remaining = [ax for ax in range(n_axes) if ax not in controls]
-    tpos = [remaining.index(ax) for ax in targets]
-    dt = math.prod(dims[ax] for ax in targets) if targets else 1
-    for ctrl, branch in branch_items:
-        if branch.shape != (dt, dt):
-            raise CircuitError(
-                f"branch for control {ctrl} has shape {branch.shape}, expected {(dt, dt)}"
-            )
-        sl: list = [slice(None)] * n_axes
-        for ax, v in zip(controls, ctrl):
+def _checked_axes(dims, controls, targets):
+    controls, targets = tuple(controls), tuple(targets)
+    axes = controls + targets
+    for ax in axes:
+        if not 0 <= ax < len(dims):
+            raise CircuitError(f"gate references axis {ax} outside the space")
+    if len(set(axes)) != len(axes):
+        raise CircuitError(f"gate axes {axes} repeat an axis")
+    return controls, targets
+
+
+def _checked_pair(d: int, pair) -> tuple[int, int]:
+    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= v < d for v in pair):
+        raise CircuitError(f"level pair {tuple(pair)} is not two distinct levels below {d}")
+    return tuple(pair)
+
+
+def _branch_stack(dims, controls, targets, items) -> np.ndarray:
+    """Stack ``(control-tuple, branch)`` items in row-major control order.
+
+    The items must hold every control tuple exactly once, each with a square
+    branch on the target axes.
+    """
+    dt = math.prod(dims[ax] for ax in targets)
+    for key, m in items:
+        if len(key) != len(controls):
+            raise CircuitError(f"control tuple {key} does not match {len(controls)} control axes")
+        for ax, v in zip(controls, key):
             if not 0 <= v < dims[ax]:
                 raise CircuitError(f"control index {v} out of range on axis {ax}")
-            sl[ax] = v
-        sub = idx[tuple(sl)]
-        if targets:
-            sub = np.moveaxis(
-                sub, tpos, range(len(remaining) - len(targets), len(remaining))
-            )
-        sub = sub.reshape(-1, dt)
-        for row in sub:
-            out[np.ix_(row, row)] = branch
-    return out
+        if m.shape != (dt, dt):
+            raise CircuitError(f"branch for control {key} has shape {m.shape}, expected {(dt, dt)}")
+    items = sorted(items, key=lambda item: item[0])
+    every = itertools.product(*(range(dims[ax]) for ax in controls))
+    if [key for key, _ in items] != list(every):
+        raise CircuitError("controlled gate does not cover every control tuple exactly once")
+    return np.stack([m for _, m in items])
+
+
+def _lower(dims, g: Gate):
+    """Lower a gate record to ``(controls, targets, stack)`` on a space of ``dims``.
+
+    Every kind is a uniformly controlled gate: ``stack[i]`` is the branch on
+    the target axes (row-major over them, in the order given) applied when
+    the control axes hold the i-th control tuple in row-major order.  Local,
+    generic and two-level gates have no controls; a CNOT has one, and its
+    ``control_pair[1]`` branch swaps ``target_pair``.  This is the one place
+    that reads the kind of a gate for simulation and checks its structure.
+    """
+    if isinstance(g, ControlledGate):
+        controls, targets = _checked_axes(dims, g.controls, g.targets)
+        items = g.branches
+    elif isinstance(g, (LocalGate, GenericGate)):
+        controls, targets = _checked_axes(dims, (), g.axes)
+        items = (((), g.matrix),)
+    elif isinstance(g, TwoLevelGate):
+        controls, targets = _checked_axes(dims, (), (g.axis_a, g.axis_b))
+        if g.matrix.shape != (4, 4):
+            raise CircuitError(f"two-level payload has shape {g.matrix.shape}, expected (4, 4)")
+        da, db = dims[g.axis_a], dims[g.axis_b]
+        pa, pb = _checked_pair(da, g.pair_a), _checked_pair(db, g.pair_b)
+        quad = [a * db + b for a in pa for b in pb]
+        branch = np.eye(da * db, dtype=complex)
+        branch[np.ix_(quad, quad)] = g.matrix
+        items = (((), branch),)
+    elif isinstance(g, CnotGate):
+        controls, targets = _checked_axes(dims, (g.control_axis,), (g.target_axis,))
+        dc, dt = dims[g.control_axis], dims[g.target_axis]
+        fire = _checked_pair(dc, g.control_pair)[1]
+        k0, k1 = _checked_pair(dt, g.target_pair)
+        swap = np.arange(dt)
+        swap[[k0, k1]] = k1, k0
+        items = tuple(((v,), perm_matrix(swap if v == fire else np.arange(dt))) for v in range(dc))
+    else:
+        raise CircuitError(f"unknown gate record {type(g).__name__}")
+    return controls, targets, _branch_stack(dims, controls, targets, items)
+
+
+# ---------------------------------------------------------------------------
+# the kernel: dense simulation and exact permutation tables
+
+
+def _grouped(dims, controls, targets, a: np.ndarray):
+    """View ``a`` (leading shape ``dims``) as (controls, targets, rest).
+
+    Returns the regrouped ``(n_controls, d_targets, -1)`` array and the axis
+    order used, so a result can be put back with ``np.argsort(order)``.
+    """
+    rest = [ax for ax in range(a.ndim) if ax not in controls and ax not in targets]
+    order = [*controls, *targets, *rest]
+    nc = math.prod(dims[ax] for ax in controls)
+    dt = math.prod(dims[ax] for ax in targets)
+    return a.transpose(order).reshape(nc, dt, -1), order
+
+
+def _apply(dims, lowered, state: np.ndarray) -> np.ndarray:
+    """Apply a lowered gate to every column of ``state`` (shape (prod(dims), k))."""
+    controls, targets, stack = lowered
+    x, order = _grouped(dims, controls, targets, state.reshape(*dims, -1))
+    x = np.matmul(stack, x)
+    shape = [dims[ax] for ax in order[:-1]] + [-1]
+    return x.reshape(shape).transpose(np.argsort(order)).reshape(state.shape)
 
 
 def gate_matrix(space: PartySpace, g: Gate) -> np.ndarray:
     """Embed a gate record into the full space as a dense matrix."""
-    dims = space.dims
-    total = math.prod(dims)
-    for ax in gate_axes(g):
-        if not 0 <= ax < len(dims):
-            raise CircuitError(f"gate references axis {ax} outside the space")
-    if isinstance(g, ControlledGate):
-        expected = math.prod(dims[ax] for ax in g.controls) if g.controls else 1
-        if len(g.branches) != expected:
-            raise CircuitError("controlled gate does not cover every control tuple once")
-        seen = {k for k, _ in g.branches}
-        if len(seen) != len(g.branches):
-            raise CircuitError("duplicate control tuple in controlled gate")
-        return _controlled_matrix(dims, g.controls, g.targets, g.branches)
-    if isinstance(g, (LocalGate, GenericGate)):
-        return _controlled_matrix(dims, (), g.axes, (((), g.matrix),))
-    if isinstance(g, TwoLevelGate):
-        out = np.eye(total, dtype=complex)
-        idx = np.arange(total).reshape(dims)
-        (a1, a2), (b1, b2) = g.pair_a, g.pair_b
-        quads = []
-        for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)):
-            sl: list = [slice(None)] * len(dims)
-            sl[g.axis_a] = a
-            sl[g.axis_b] = b
-            quads.append(idx[tuple(sl)].reshape(-1))
-        for r in range(quads[0].size):
-            four = [q[r] for q in quads]
-            out[np.ix_(four, four)] = g.matrix
-        return out
-    if isinstance(g, CnotGate):
-        coords = list(np.unravel_index(np.arange(total), dims))
-        c = coords[g.control_axis]
-        t = coords[g.target_axis]
-        k0, k1 = g.target_pair
-        fire = c == g.control_pair[1]
-        coords[g.target_axis] = np.where(
-            fire & (t == k0), k1, np.where(fire & (t == k1), k0, t)
-        )
-        dest = np.ravel_multi_index(coords, dims)
-        out = np.zeros((total, total), dtype=complex)
-        out[dest, np.arange(total)] = 1.0
-        return out
-    raise CircuitError(f"unknown gate record {type(g).__name__}")
+    eye = np.eye(space.total_dim, dtype=complex)
+    return _apply(space.dims, _lower(space.dims, g), eye)
 
 
 def apply_circuit(c: Circuit) -> np.ndarray:
-    """Ordered matrix product of all gates embedded into the full space."""
-    total = c.space.total_dim
-    out = np.eye(total, dtype=complex)
-    for i, g in enumerate(c.gates):
+    """Ordered matrix product of all gates embedded into the full space.
+
+    The gates act on the identity from the last to the first, one kernel
+    call each, so no gate is embedded as a full matrix.
+    """
+    dims = c.space.dims
+    out = np.eye(c.space.total_dim, dtype=complex)
+    for i in reversed(range(len(c.gates))):
         try:
-            out = out @ gate_matrix(c.space, g)
+            out = _apply(dims, _lower(dims, c.gates[i]), out)
         except CircuitError as exc:
             raise CircuitError(f"gate {i}: {exc}") from exc
     return out
 
 
-# ---------------------------------------------------------------------------
-# exact permutation simulation (integer tables)
-
-
-def _matrix_to_perm(m: np.ndarray):
-    """Decode a complex-permutation matrix into (targets, phases); None if not one."""
-    n = m.shape[0]
-    targets = np.full(n, -1, dtype=np.int64)
-    phases = np.zeros(n, dtype=complex)
-    rows_used = np.zeros(n, dtype=bool)
-    for col in range(n):
-        nz = np.flatnonzero(m[:, col])
-        if nz.size != 1:
-            return None
-        r = int(nz[0])
-        v = m[r, col]
-        if abs(abs(v) - 1.0) > 1e-12 or rows_used[r]:
-            return None
-        targets[col] = r
-        phases[col] = v
-        rows_used[r] = True
-    return targets, phases
+def _permutation_table(dims, lowered):
+    """(targets, phases) of a lowered gate whose branches are complex permutations."""
+    controls, targets, stack = lowered
+    nonzero = stack != 0
+    if (nonzero.sum(axis=1) != 1).any() or (nonzero.sum(axis=2) != 1).any():
+        raise CircuitError("gate is not a complex permutation")
+    rows = nonzero.argmax(axis=1)  # rows[c, j]: image level of target level j
+    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
+    if (np.abs(np.abs(vals) - 1.0) > 1e-12).any():
+        raise CircuitError("gate is not a complex permutation")
+    total = math.prod(dims)
+    idx, _ = _grouped(dims, controls, targets, np.arange(total).reshape(dims))
+    out_t = np.empty(total, dtype=np.int64)
+    out_p = np.empty(total, dtype=complex)
+    out_t[idx] = idx[np.arange(len(stack))[:, None], rows]
+    out_p[idx] = vals[:, :, None]
+    return out_t, out_p
 
 
 def circuit_permutation(c: Circuit):
@@ -401,70 +433,19 @@ def circuit_permutation(c: Circuit):
     accumulated phase, computed with integer arithmetic and exact phase
     products.  Raises CircuitError if some gate is not a complex permutation.
     """
+    dims = c.space.dims
     total = c.space.total_dim
     targets = np.arange(total, dtype=np.int64)
     phases = np.ones(total, dtype=complex)
     for i, g in enumerate(c.gates):
-        dec = _gate_permutation(c.space, g)
-        if dec is None:
-            raise CircuitError(f"gate {i} is not a complex permutation")
-        gt, gp = dec
+        try:
+            gt, gp = _permutation_table(dims, _lower(dims, g))
+        except CircuitError as exc:
+            raise CircuitError(f"gate {i}: {exc}") from exc
         # product order: current result is applied after g
         targets = targets[gt]
         phases = phases[gt] * gp
     return targets, phases
-
-
-def _controlled_permutation(dims, controls, targets, branch_items):
-    """Table form of a controlled gate whose branches are complex permutations."""
-    n_axes = len(dims)
-    total = math.prod(dims)
-    idx = np.arange(total).reshape(dims)
-    out_t = np.arange(total, dtype=np.int64)
-    out_p = np.ones(total, dtype=complex)
-    remaining = [ax for ax in range(n_axes) if ax not in controls]
-    tpos = [remaining.index(ax) for ax in targets]
-    dt = math.prod(dims[ax] for ax in targets) if targets else 1
-    for ctrl, branch in branch_items:
-        dec = _matrix_to_perm(branch)
-        if dec is None:
-            return None
-        bt, bp = dec
-        sl: list = [slice(None)] * n_axes
-        for ax, v in zip(controls, ctrl):
-            sl[ax] = v
-        sub = idx[tuple(sl)]
-        if targets:
-            sub = np.moveaxis(
-                sub, tpos, range(len(remaining) - len(targets), len(remaining))
-            )
-        sub = sub.reshape(-1, dt)
-        for row in sub:
-            out_t[row] = row[bt]
-            out_p[row] = bp
-    return out_t, out_p
-
-
-def _gate_permutation(space: PartySpace, g: Gate):
-    dims = space.dims
-    total = math.prod(dims)
-    if isinstance(g, CnotGate):
-        coords = list(np.unravel_index(np.arange(total), dims))
-        c = coords[g.control_axis]
-        t = coords[g.target_axis]
-        k0, k1 = g.target_pair
-        fire = c == g.control_pair[1]
-        coords[g.target_axis] = np.where(
-            fire & (t == k0), k1, np.where(fire & (t == k1), k0, t)
-        )
-        dest = np.ravel_multi_index(coords, dims)
-        return dest.astype(np.int64), np.ones(total, dtype=complex)
-    if isinstance(g, ControlledGate):
-        return _controlled_permutation(dims, g.controls, g.targets, g.branches)
-    if isinstance(g, (LocalGate, GenericGate)):
-        return _controlled_permutation(dims, (), g.axes, (((), g.matrix),))
-    mat = gate_matrix(space, g)
-    return _matrix_to_perm(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -570,43 +551,19 @@ def classify_gate(space: PartySpace, g: Gate, cut: int = 1, eps: float = DEFAULT
     The gate is materialized on its own axes only, reordered so the A-side
     (host in the first ``cut`` parties) comes first.
     """
+    controls, targets, stack = _lower(space.dims, g)
     a_names = {n for n, _ in space.parties[:cut]}
-    axes = gate_axes(g)
+    axes = controls + targets
     a_axes = [ax for ax in axes if space.axis_host(ax) in a_names]
     b_axes = [ax for ax in axes if space.axis_host(ax) not in a_names]
-    sub_dims = tuple(space.dims[ax] for ax in axes)
-    sub_space = PartySpace(parties=tuple((f"x{ax}", space.dims[ax]) for ax in axes))
-    remap = {ax: i for i, ax in enumerate(axes)}
-    mat = gate_matrix(sub_space, _remap_gate(g, remap))
-    order = [remap[ax] for ax in a_axes + b_axes]
-    if order != list(range(len(axes))):
-        k = len(axes)
-        total = math.prod(sub_dims)
-        mat = (
-            mat.reshape(sub_dims + sub_dims)
-            .transpose(order + [o + k for o in order])
-            .reshape(total, total)
-        )
-    da = math.prod(space.dims[ax] for ax in a_axes) if a_axes else 1
-    db = math.prod(space.dims[ax] for ax in b_axes) if b_axes else 1
+    pos = {ax: i for i, ax in enumerate(a_axes + b_axes)}
+    sub_dims = tuple(space.dims[ax] for ax in a_axes + b_axes)
+    lowered = (tuple(pos[ax] for ax in controls), tuple(pos[ax] for ax in targets), stack)
+    mat = _apply(sub_dims, lowered, np.eye(math.prod(sub_dims), dtype=complex))
+    da = math.prod(space.dims[ax] for ax in a_axes)
+    db = math.prod(space.dims[ax] for ax in b_axes)
     from_a, from_b, rank = classify_matrix(mat, da, db, eps)
     return GateClassification(g.kind, from_a, from_b, rank)
-
-
-def _remap_gate(g: Gate, remap: dict[int, int]) -> Gate:
-    if isinstance(g, ControlledGate):
-        return ControlledGate(
-            tuple(remap[a] for a in g.controls),
-            tuple(remap[a] for a in g.targets),
-            g.branches,
-        )
-    if isinstance(g, LocalGate):
-        return LocalGate(tuple(remap[a] for a in g.axes), g.matrix)
-    if isinstance(g, GenericGate):
-        return GenericGate(tuple(remap[a] for a in g.axes), g.matrix, g.cut)
-    if isinstance(g, TwoLevelGate):
-        return TwoLevelGate(remap[g.axis_a], g.pair_a, remap[g.axis_b], g.pair_b, g.matrix)
-    return CnotGate(remap[g.control_axis], g.control_pair, remap[g.target_axis], g.target_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -614,25 +571,18 @@ def _remap_gate(g: Gate, remap: dict[int, int]) -> Gate:
 
 
 def validate_circuit(c: Circuit, eps: float = DEFAULT_EPS) -> None:
-    """Check the IR invariants: unitary payloads, branch coverage, two-level rank."""
+    """Check the IR invariants: gate structure, unitary branches, two-level rank."""
     from .schmidt import operator_schmidt
 
     for i, g in enumerate(c.gates):
-        mats = []
-        if isinstance(g, ControlledGate):
-            expected = math.prod(c.space.dims[ax] for ax in g.controls) if g.controls else 1
-            if len(g.branches) != expected:
-                raise CircuitError(f"gate {i}: branches do not cover every control tuple")
-            mats = [m for _, m in g.branches]
-        elif isinstance(g, (LocalGate, GenericGate)):
-            mats = [g.matrix]
-        elif isinstance(g, TwoLevelGate):
-            mats = [g.matrix]
-            if operator_schmidt(g.matrix, 2, 2).rank > 2:
-                raise CircuitError(f"gate {i}: two-level part has Schmidt rank > 2")
-        for m in mats:
-            if not is_unitary(m, eps):
-                raise CircuitError(f"gate {i}: embedded matrix is not unitary at {eps}")
+        try:
+            _, _, stack = _lower(c.space.dims, g)
+        except CircuitError as exc:
+            raise CircuitError(f"gate {i}: {exc}") from exc
+        if not all(is_unitary(m, eps) for m in stack):
+            raise CircuitError(f"gate {i}: a branch is not unitary at {eps}")
+        if isinstance(g, TwoLevelGate) and operator_schmidt(g.matrix, 2, 2).rank > 2:
+            raise CircuitError(f"gate {i}: two-level part has Schmidt rank > 2")
         if isinstance(g, LocalGate):
             hosts = {c.space.axis_host(ax) for ax in g.axes}
             if len(hosts) != 1:

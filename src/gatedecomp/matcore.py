@@ -61,6 +61,14 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
     )
 
 
+def perm_matrix(perm) -> np.ndarray:
+    """Permutation matrix (complex) that sends basis vector j to ``perm[j]``."""
+    perm = np.asarray(perm)
+    m = np.zeros((perm.size, perm.size), dtype=complex)
+    m[perm, np.arange(perm.size)] = 1.0
+    return m
+
+
 def svd_diagonalize(m):
     """Factor a square matrix as M = E @ D @ F.
 

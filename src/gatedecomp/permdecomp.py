@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gateir import Circuit, bipartite_space, controlled, multiparty_space
-from .matcore import PreconditionError, as_matrix
+from .matcore import PreconditionError, as_matrix, perm_matrix
 
 
 @dataclass(frozen=True)
@@ -245,17 +245,11 @@ def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
 
 def _stage_matrices(sigma1, tau2, sigma3, da: int, db: int, phases=None):
     """Branch matrices for the three stages; phases folded into the last gate."""
-
-    def perm_mat(p):
-        m = np.zeros((p.size, p.size), dtype=complex)
-        m[p, np.arange(p.size)] = 1.0
-        return m
-
-    g1 = {(a,): perm_mat(sigma1[a]) for a in range(da)}
-    g2 = {(b,): perm_mat(tau2[b]) for b in range(db)}
+    g1 = {(a,): perm_matrix(sigma1[a]) for a in range(da)}
+    g2 = {(b,): perm_matrix(tau2[b]) for b in range(db)}
     g3 = {}
     for a in range(da):
-        m = perm_mat(sigma3[a])
+        m = perm_matrix(sigma3[a])
         if phases is not None:
             m = m @ np.diag(phases[a * db : (a + 1) * db])
         g3[(a,)] = m
@@ -420,8 +414,7 @@ def decompose_multiparty_perm(cp: ComplexPermutation) -> Circuit:
         (target_axis,) = tuple(sorted(set(range(n)) - set(controls)))
         mats = {}
         for key, tab in branches.items():
-            m = np.zeros((tab.size, tab.size), dtype=complex)
-            m[tab, np.arange(tab.size)] = 1.0
+            m = perm_matrix(tab)
             if phases is not None and idx == len(gates_spec) - 1:
                 # the final gate targets the last axis; fold the diagonal in
                 head_flat = int(np.ravel_multi_index(key, head_dims))

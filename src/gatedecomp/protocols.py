@@ -24,7 +24,7 @@ from .gateir import (
     controlled,
     generic,
 )
-from .matcore import PreconditionError, as_matrix, is_unitary, max_abs, require_square
+from .matcore import PreconditionError, as_matrix, is_unitary, max_abs, perm_matrix, require_square
 from .schmidt import operator_schmidt
 
 
@@ -203,12 +203,6 @@ def _pp_support(m: np.ndarray):
     return set(mapping), set(mapping.values()), mapping
 
 
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    m = np.zeros((perm.size, perm.size), dtype=complex)
-    m[perm, np.arange(perm.size)] = 1.0
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class BackupProtocolResult:
     """Backup-copy protocol circuits for a bipartite permutation.
@@ -253,7 +247,7 @@ def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_back
         )
 
     pi = _chain_closure(map_a, da)
-    pi_mat = _perm_matrix(pi)
+    pi_mat = perm_matrix(pi)
     in_place = (ins_a == outs_a) and (ins_b == outs_b)
 
     if in_place and not use_backup:
@@ -758,8 +752,6 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
             if exact is not None:
                 value, rects = exact
                 return RankReport("binary", value, value, rects)
-        if lower == upper:
-            return RankReport("binary", lower, upper, tuple(upper_cert))
         return RankReport("binary", lower, upper, tuple(upper_cert))
     if kind == "nonneg":
         a = np.real(np.asarray(arr, dtype=float))

@@ -92,13 +92,6 @@ def _to_record(g) -> ControlledGate:
     return controlled((1,), (0,), {(b,): m for b, m in enumerate(g.branches)})
 
 
-def _gates_matrix(gates, da: int, db: int) -> np.ndarray:
-    out = np.eye(da * db, dtype=complex)
-    for g in gates:
-        out = out @ _gate_matrix(g, da, db)
-    return out
-
-
 def _gate_matrix(g, da: int, db: int) -> np.ndarray:
     out = np.zeros((da * db, da * db), dtype=complex)
     if isinstance(g, _AGate):

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .matcore import as_matrix
 
@@ -62,7 +63,12 @@ def operator_schmidt(u, da: int, db: int, svtol: float = SV_TOL) -> SchmidtDecom
     ``svtol`` relative to the largest one.
     """
     r = realign(u, da, db)
-    w, s, vh = np.linalg.svd(r)
+    try:
+        w, s, vh = np.linalg.svd(r)
+    except np.linalg.LinAlgError:
+        # LAPACK gesdd (divide and conquer) can fail to converge on exact
+        # integer inputs; gesvd (QR iteration) is slower but converges
+        w, s, vh = scipy.linalg.svd(r, lapack_driver="gesvd")
     if s.size == 0 or s[0] == 0.0:
         return SchmidtDecomposition(0, (), ())
     rank = int(np.sum(s > svtol * s[0]))

@@ -26,7 +26,7 @@ from .gateir import (
     local,
     two_level,
 )
-from .matcore import PreconditionError, is_unitary, max_abs, require_square, unitary_eig
+from .matcore import PreconditionError, is_unitary, max_abs, perm_matrix, require_square, unitary_eig
 from .permdecomp import ComplexPermutation, decompose_perm3
 from .sandwich import IDENTITY_TOL, decompose_sandwich
 
@@ -196,12 +196,6 @@ def _cycle_transpositions(perm: np.ndarray):
     return out
 
 
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    m = np.zeros((perm.size, perm.size), dtype=complex)
-    m[perm, np.arange(perm.size)] = 1.0
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class CnotCompilation:
     circuit: Circuit
@@ -244,7 +238,7 @@ def compile_perm_to_cnot_type(cp: ComplexPermutation) -> CnotCompilation:
                 cnot_count += 1
         if (base != np.arange(base.size)).any():
             axis = 1 if side == "A" else 0
-            records.append(local(axis, _perm_matrix(base)))
+            records.append(local(axis, perm_matrix(base)))
             local_transpositions += len(_cycle_transpositions(base))
 
     emit_stage(ps.sigma1, "A")

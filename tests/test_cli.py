@@ -89,6 +89,38 @@ class TestDecomposeVerifyIntegration:
         open("c.json", "w").write(json.dumps(obj))
         assert run("verify", "-u", "u.json", "-c", "c.json") == 2
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "missing_gate_key",
+            "gates_not_a_list",
+            "gate_order_not_product",
+            "control_tuple_too_long",
+            "axis_not_an_integer",
+        ],
+    )
+    def test_verify_malformed_circuit_exits_3(self, in_tmp, capsys, case):
+        run("gen", "--kind", "swap", "--dims", "2", "2", "-o", "u.json")
+        run("decompose", "--method", "perm3", "-i", "u.json", "-o", "c.json")
+        obj = json.load(open("c.json"))
+        if case == "missing_gate_key":
+            del obj["gates"][0]["targets"]
+        elif case == "gates_not_a_list":
+            obj["gates"] = "abc"
+        elif case == "gate_order_not_product":
+            obj["gate_order"] = "application"
+        elif case == "axis_not_an_integer":
+            obj["gates"][0]["controls"] = ["0"]
+        else:
+            obj["gates"][0]["branches"][0]["control"] = [0, 0]
+        open("c.json", "w").write(json.dumps(obj))
+        capsys.readouterr()
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case != "control_tuple_too_long":
+            assert "c.json" in err
+
     def test_aform_wrong_da_exits_3(self, in_tmp):
         run("gen", "--kind", "haar", "--dims", "3", "2", "--seed", "1", "-o", "u.json")
         assert run("decompose", "--method", "aform", "-i", "u.json", "-o", "c.json") == 3

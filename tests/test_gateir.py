@@ -1,10 +1,18 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedecomp import (
     Ancilla,
     Circuit,
+    CnotGate,
+    ControlledGate,
     PartySpace,
+    TwoLevelGate,
     apply_circuit,
     bipartite_space,
     circuit_permutation,
@@ -14,6 +22,7 @@ from gatedecomp import (
     controlled,
     generic,
     local,
+    multiparty_space,
     two_level,
     validate_circuit,
     verify_decomposition,
@@ -226,3 +235,134 @@ class TestExactPermutationSimulation:
         c = Circuit(bipartite_space(2, 2), (local(0, haar_unitary(2, 3)),))
         with pytest.raises(CircuitError):
             circuit_permutation(c)
+
+
+# ---------------------------------------------------------------------------
+# properties of the single lowered path, against a reference built per basis state
+
+PHASES = (1, 1j, -1, -1j)  # closed under multiplication, so phase products are exact
+
+
+def _basis_image(dims, g, x):
+    """(coordinates, amplitude) terms of gate ``g`` applied to basis state ``x``."""
+    if isinstance(g, CnotGate):
+        y = list(x)
+        k0, k1 = g.target_pair
+        if x[g.control_axis] == g.control_pair[1] and x[g.target_axis] in (k0, k1):
+            y[g.target_axis] = k1 if x[g.target_axis] == k0 else k0
+        return [(y, 1.0)]
+    if isinstance(g, TwoLevelGate):
+        a, b = g.axis_a, g.axis_b
+        if x[a] not in g.pair_a or x[b] not in g.pair_b:
+            return [(list(x), 1.0)]
+        col = 2 * g.pair_a.index(x[a]) + g.pair_b.index(x[b])
+        terms = []
+        for row in range(4):
+            y = list(x)
+            y[a], y[b] = g.pair_a[row // 2], g.pair_b[row % 2]
+            terms.append((y, g.matrix[row, col]))
+        return terms
+    if isinstance(g, ControlledGate):
+        branch, targets = g.branch(tuple(x[ax] for ax in g.controls)), g.targets
+    else:
+        branch, targets = g.matrix, g.axes
+    tdims = [dims[ax] for ax in targets]
+    col = np.ravel_multi_index([x[ax] for ax in targets], tdims)
+    terms = []
+    for row in range(branch.shape[0]):
+        y = list(x)
+        for ax, v in zip(targets, np.unravel_index(row, tdims)):
+            y[ax] = int(v)
+        terms.append((y, branch[row, col]))
+    return terms
+
+
+def reference_gate(dims, g) -> np.ndarray:
+    """Full-space matrix of one gate, built column by column from basis states."""
+    n = math.prod(dims)
+    m = np.zeros((n, n), dtype=complex)
+    for col in range(n):
+        x = [int(v) for v in np.unravel_index(col, dims)]
+        for y, amp in _basis_image(dims, g, x):
+            m[np.ravel_multi_index(y, dims), col] += amp
+    return m
+
+
+def _payload(draw, k, perm_only):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if not perm_only:
+        return haar_unitary(k, seed)
+    rng = np.random.default_rng(seed)
+    m = np.zeros((k, k), dtype=complex)
+    m[rng.permutation(k), np.arange(k)] = rng.choice(PHASES, size=k)
+    return m
+
+
+def _pair(draw, d):
+    return tuple(draw(st.permutations(range(d)))[:2])
+
+
+@st.composite
+def gates(draw, dims, perm_only):
+    n = len(dims)
+    kind = draw(st.sampled_from(("controlled", "local", "generic", "two_level", "cnot")))
+    order = draw(st.permutations(range(n)))
+    if kind == "controlled":
+        n_ctrl = draw(st.integers(0, n - 1))
+        n_tgt = draw(st.integers(1, min(2, n - n_ctrl)))
+        controls = sorted(order[:n_ctrl])
+        targets = sorted(order[n_ctrl : n_ctrl + n_tgt])
+        dt = math.prod(dims[ax] for ax in targets)
+        keys = np.ndindex(*(dims[ax] for ax in controls))
+        return controlled(controls, targets, {k: _payload(draw, dt, perm_only) for k in keys})
+    if kind == "local":
+        return local(order[0], _payload(draw, dims[order[0]], perm_only))
+    if kind == "generic":
+        axes = sorted(order[: draw(st.integers(1, 2))])
+        return generic(axes, _payload(draw, math.prod(dims[ax] for ax in axes), perm_only))
+    a, b = order[0], order[1]  # either axis may come first
+    if kind == "two_level":
+        return two_level(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]), _payload(draw, 4, perm_only))
+    return cnot(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]))
+
+
+@st.composite
+def circuits(draw, perm_only=False):
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
+    n_gates = draw(st.integers(1, 4))
+    return Circuit(multiparty_space(dims), tuple(draw(gates(dims, perm_only)) for _ in range(n_gates)))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestSinglePathProperties:
+    @PROPERTY
+    @given(circuits())
+    def test_apply_circuit_matches_basis_state_reference(self, c):
+        dims = c.space.dims
+        expected = reduce(np.matmul, [reference_gate(dims, g) for g in c.gates])
+        assert_close(apply_circuit(c), expected, 1e-12)
+
+    @PROPERTY
+    @given(circuits(perm_only=True))
+    def test_permutation_tables_match_dense_exactly(self, c):
+        t, p = circuit_permutation(c)
+        dense = apply_circuit(c)
+        rebuilt = np.zeros_like(dense)
+        rebuilt[t, np.arange(t.size)] = p
+        assert np.array_equal(rebuilt, dense)
+
+    @PROPERTY
+    @given(circuits())
+    def test_classify_gate_matches_classify_matrix(self, c):
+        # the full-space matrix is the gate on its own axes tensored with the
+        # identity, which changes neither controlledness nor Schmidt rank
+        dims = c.space.dims
+        for g in c.gates:
+            full = reference_gate(dims, g)
+            for cut in range(1, len(dims)):
+                cl = classify_gate(c.space, g, cut)
+                da = math.prod(dims[:cut])
+                expected = classify_matrix(full, da, full.shape[0] // da)
+                assert (cl.controlled_from_a, cl.controlled_from_b, cl.schmidt_rank) == expected

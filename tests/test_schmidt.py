@@ -81,3 +81,17 @@ def test_local_unitary_invariance(seed):
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         operator_schmidt(np.eye(5), 2, 3)
+
+
+def test_svd_falls_back_when_gesdd_does_not_converge(monkeypatch):
+    u = haar_unitary(6, 11)
+    expected = operator_schmidt(u, 2, 3)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    dec = operator_schmidt(u, 2, 3)
+    assert dec.rank == expected.rank == 4
+    assert_close(dec.coefficients, expected.coefficients, 1e-12)
+    assert_close(dec.reconstruct(), u, 1e-12)
