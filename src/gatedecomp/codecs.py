@@ -160,9 +160,26 @@ def save_matrix_file(path: str, m, dims, kind: str) -> None:
     atomic_write(path, dumps_canonical(obj))
 
 
-def load_matrix_file(path: str) -> MatrixFile:
+def _load(path: str, build, what: str):
+    """Parse the JSON file at ``path`` with ``build(obj, path)``.
+
+    Any malformed content ends in a ``CodecError`` that names the path.
+    """
     with open(path, encoding="utf-8") as fh:
         obj = _loads(fh.read(), path)
+    try:
+        return build(obj, path)
+    except CodecError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CodecError(f"{path}: malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def load_matrix_file(path: str) -> MatrixFile:
+    return _load(path, _matrix_file_from_obj, "matrix file")
+
+
+def _matrix_file_from_obj(obj, path: str) -> MatrixFile:
     for key in ("kind", "dims", "matrix"):
         if key not in obj:
             raise CodecError(f"{path}: missing field {key!r}")
@@ -189,8 +206,10 @@ def save_binary_file(path: str, b: BinaryMatrix) -> None:
 
 
 def load_binary_file(path: str) -> BinaryMatrix:
-    with open(path, encoding="utf-8") as fh:
-        obj = _loads(fh.read(), path)
+    return _load(path, _binary_from_obj, "binary matrix")
+
+
+def _binary_from_obj(obj, path: str) -> BinaryMatrix:
     if "bits" in obj:
         bits = tuple(int(c) for c in obj["bits"])
         return BinaryMatrix(int(obj["rows"]), int(obj["cols"]), bits)
@@ -218,8 +237,10 @@ def save_table_file(path: str, cp: ComplexPermutation) -> None:
 
 
 def load_table_file(path: str) -> ComplexPermutation:
-    with open(path, encoding="utf-8") as fh:
-        obj = _loads(fh.read(), path)
+    return _load(path, _table_from_obj, "table")
+
+
+def _table_from_obj(obj, path: str) -> ComplexPermutation:
     da, db = (int(d) for d in obj["dims"])
     targets = [-1] * (da * db)
     for ia, ib, oa, ob in obj["table"]:
@@ -363,11 +384,4 @@ def _circuit_from_obj(obj, path: str) -> Circuit:
 
 
 def load_circuit_file(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        obj = _loads(fh.read(), path)
-    try:
-        return _circuit_from_obj(obj, path)
-    except CodecError:
-        raise
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise CodecError(f"{path}: malformed circuit: {type(exc).__name__}: {exc}") from exc
+    return _load(path, _circuit_from_obj, "circuit")

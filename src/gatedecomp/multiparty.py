@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, ControlledGate, controlled, multiparty_space
-from .matcore import PreconditionError, is_unitary, max_abs, require_square
-from .sandwich import IDENTITY_TOL, _sandwich_gates
+from .gateir import Circuit, multiparty_space
+from .matcore import PreconditionError, is_unitary, require_square
+from .sandwich import _eye_stack, _is_identity, _record, _sandwich_gates
 
 
 def multiparty_bound(dims) -> int:
@@ -50,59 +50,40 @@ class MultipartiteSandwichResult:
 
 
 def _multi_gates(u: np.ndarray, dims: tuple[int, ...]):
-    """(controls, target, branch-dict) triples in product order; fixed schedule."""
+    """(controls, target, stack) triples in product order; fixed schedule.
+
+    ``stack`` has shape ``ctrl_dims + (d, d)``: its leading axes run over the
+    control parties in order and d is the target party's dimension.
+    """
     n = len(dims)
     if n == 1:
-        return [((), 0, {(): u})]
-    d0 = dims[0]
-    rest = math.prod(dims[1:])
+        return [((), 0, u)]
     out = []
-    for pos, g in enumerate(_sandwich_gates(u, d0, rest)):
+    for pos, g in enumerate(_sandwich_gates(u, dims[0], math.prod(dims[1:]))):
         if pos % 2 == 0:
-            subs = [_multi_gates(branch, dims[1:]) for branch in g.branches]
-            for i in range(len(subs[0])):
-                ctrl_rel, tgt_rel, _ = subs[0][i]
-                controls = (0,) + tuple(c + 1 for c in ctrl_rel)
-                target = tgt_rel + 1
-                branches = {}
-                for k in range(d0):
-                    c_i, t_i, table_i = subs[k][i]
-                    if (c_i, t_i) != (ctrl_rel, tgt_rel):
-                        raise AssertionError("branch schedules diverged")
-                    for key, mat in table_i.items():
-                        branches[(k,) + key] = mat
-                out.append((controls, target, branches))
+            # controlled from party 0: lift every branch's sub-schedule
+            subs = [_multi_gates(branch, dims[1:]) for branch in g]
+            for entries in zip(*subs, strict=True):
+                ctrl, tgt, _ = entries[0]
+                if any((c, t) != (ctrl, tgt) for c, t, _ in entries):
+                    raise AssertionError("branch schedules diverged")
+                controls = (0,) + tuple(c + 1 for c in ctrl)
+                out.append((controls, tgt + 1, np.stack([s for _, _, s in entries])))
         else:
-            branches = {}
-            for b, mat in enumerate(g.branches):
-                key = tuple(int(x) for x in np.unravel_index(b, dims[1:]))
-                branches[key] = mat
-            out.append((tuple(range(1, n)), 0, branches))
+            out.append((tuple(range(1, n)), 0, g.reshape(dims[1:] + g.shape[1:])))
     return out
 
 
-def _is_identity_branches(branches: dict) -> bool:
-    return all(max_abs(m - np.eye(m.shape[0])) <= IDENTITY_TOL for m in branches.values())
-
-
-def _finalize(gates_spec, dims, bound: int) -> MultipartiteSandwichResult:
-    records: list[ControlledGate] = []
-    patterns: list[tuple[int, ...]] = []
-    for controls, target, branches in gates_spec:
-        if _is_identity_branches(branches):
-            continue
-        records.append(controlled(controls, (target,), branches))
-        patterns.append(tuple(controls))
-    if not records:
+def _finalize(spec, dims, bound: int) -> MultipartiteSandwichResult:
+    kept = [(c, t, s) for c, t, s in spec if not _is_identity(s)]
+    if not kept:
         n = len(dims)
-        ident = {
-            key: np.eye(dims[-1], dtype=complex)
-            for key in np.ndindex(*dims[:-1])
-        }
-        records.append(controlled(tuple(range(n - 1)), (n - 1,), ident))
-        patterns.append(tuple(range(n - 1)))
-    circuit = Circuit(multiparty_space(dims), tuple(records))
-    return MultipartiteSandwichResult(circuit, bound, tuple(patterns), len(gates_spec))
+        ident = _eye_stack(math.prod(dims[:-1]), dims[-1])
+        kept = [(tuple(range(n - 1)), n - 1, ident.reshape(dims[:-1] + ident.shape[1:]))]
+    records = tuple(_record(c, (t,), s) for c, t, s in kept)
+    patterns = tuple(c for c, _, _ in kept)
+    circuit = Circuit(multiparty_space(dims), records)
+    return MultipartiteSandwichResult(circuit, bound, patterns, len(spec))
 
 
 def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
@@ -141,32 +122,19 @@ def decompose_4party(u, dims) -> MultipartiteSandwichResult:
     spec = []
     for pos, g in enumerate(_sandwich_gates(u, da * db, dc * dd)):
         if pos % 2 == 0:
-            # controlled from the AB pair; re-decompose every CD branch
-            subs = [_sandwich_gates(branch, dc, dd) for branch in g.branches]
-            for i in range(len(subs[0])):
-                branches = {}
-                for k in range(da * db):
-                    ka, kb = divmod(k, db)
-                    sub = subs[k][i]
-                    for v, mat in enumerate(sub.branches):
-                        branches[(ka, kb, v)] = mat
-                if i % 2 == 0:
-                    spec.append(((0, 1, 2), 3, branches))
-                else:
-                    spec.append(((0, 1, 3), 2, branches))
+            # controlled from the AB pair; re-decompose every CD branch, keys (ka, kb, v)
+            subs = [_sandwich_gates(branch, dc, dd) for branch in g]
+            for i, stacks in enumerate(zip(*subs, strict=True)):
+                s = np.stack(stacks)
+                heads = ((0, 1, 2), 3) if i % 2 == 0 else ((0, 1, 3), 2)
+                spec.append(heads + (s.reshape((da, db) + s.shape[1:]),))
         else:
-            subs = [_sandwich_gates(branch, da, db) for branch in g.branches]
-            for i in range(len(subs[0])):
-                branches = {}
-                for k in range(dc * dd):
-                    kc, kd = divmod(k, dd)
-                    sub = subs[k][i]
-                    for v, mat in enumerate(sub.branches):
-                        branches[(v, kc, kd)] = mat
-                if i % 2 == 0:
-                    spec.append(((0, 2, 3), 1, branches))
-                else:
-                    spec.append(((1, 2, 3), 0, branches))
+            # controlled from the CD pair; re-decompose every AB branch, keys (v, kc, kd)
+            subs = [_sandwich_gates(branch, da, db) for branch in g]
+            for i, stacks in enumerate(zip(*subs, strict=True)):
+                s = np.stack(stacks, axis=1)
+                heads = ((0, 2, 3), 1) if i % 2 == 0 else ((1, 2, 3), 0)
+                spec.append(heads + (s.reshape(s.shape[:1] + (dc, dd) + s.shape[2:]),))
     bound = fourparty_bound(da, db, dc, dd)
     if len(spec) > bound:
         raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")

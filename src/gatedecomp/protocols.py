@@ -11,6 +11,7 @@ CNOTs via the flag-ancilla construction (one qubit per side).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +351,7 @@ def _two_term_split(g: ControlledGate):
     """Split a two-valued controlled gate into (value1, value2, active-set)."""
     items = list(g.branches)
     base_val = items[0][1]
-    active = []
+    active = set()
     other_val = None
     for key, mat in items:
         if np.array_equal(mat, base_val):
@@ -359,11 +360,30 @@ def _two_term_split(g: ControlledGate):
             other_val = mat
         elif not np.array_equal(mat, other_val):
             raise PreconditionError("gate has more than two distinct branches")
-        active.append(key)
+        active.add(key)
     return base_val, other_val, active
 
 
-def _expand_two_term_gates(prod_gates, da: int, db: int) -> Circuit:
+def _flag_palindrome(flag_controls, flag_dims, flag_axis, copy_axis, apply_targets, active, v1, v2):
+    """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
+
+    The flag qubit on ``flag_axis`` is flipped where the values of
+    ``flag_controls`` (dimensions ``flag_dims``) are in ``active``; a CNOT
+    copies it to the other side's flag qubit on ``copy_axis``, which applies
+    ``v1`` (flag 0) or ``v2`` (flag 1) on ``apply_targets``; the copy and the
+    flag are then undone.  The list is a palindrome, so product order and
+    application order agree.
+    """
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    eye2 = np.eye(2, dtype=complex)
+    keys = itertools.product(*(range(d) for d in flag_dims))
+    flag = controlled(flag_controls, (flag_axis,), {k: (x if k in active else eye2) for k in keys})
+    copy = cnot(flag_axis, (0, 1), copy_axis, (0, 1))
+    apply_gate = controlled((copy_axis,), apply_targets, {(0,): v1, (1,): v2})
+    return [flag, copy, apply_gate, copy, flag]
+
+
+def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     """Replace each two-term gate with the 2-CNOT flag construction.
 
     Expanded axis order: A=0, B=1, a=2, b=3, c=4; the base gates' (B, c)
@@ -373,8 +393,6 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> Circuit:
         parties=(("A", da), ("B", db)),
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0), Ancilla("c", "B", 2, 0)),
     )
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
     out = []
     n_two_term = 0
     for g in prod_gates:
@@ -387,27 +405,10 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> Circuit:
                 out.append(controlled((1, 4), (0,), {k: v1 for k, _ in g.branches}))
             continue
         n_two_term += 1
-        active_set = set(active)
         if g.controls == (0,):
-            flag = controlled(
-                (0,), (2,), {(a,): (x if (a,) in active_set else eye2) for a in range(da)}
-            )
-            copy = cnot(2, (0, 1), 3, (0, 1))
-            apply_gate = controlled((3,), (1, 4), {(0,): v1, (1,): v2})
+            out.extend(_flag_palindrome((0,), (da,), 2, 3, (1, 4), active, v1, v2))
         else:
-            flag = controlled(
-                (1, 4),
-                (3,),
-                {
-                    (b, c): (x if (b, c) in active_set else eye2)
-                    for b in range(db)
-                    for c in range(2)
-                },
-            )
-            copy = cnot(3, (0, 1), 2, (0, 1))
-            apply_gate = controlled((2,), (0,), {(0,): v1, (1,): v2})
-        # palindrome: flag, copy, apply, copy, flag (product order = app order)
-        out.extend([flag, copy, apply_gate, copy, flag])
+            out.extend(_flag_palindrome((1, 4), (db, 2), 3, 2, (0,), active, v1, v2))
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -849,9 +850,12 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
     """Build the flagged pair-swap family and check its rank relations.
 
     Asserts rank(T) >= Sch(U_od), |Sch(U_od) - Sch(U)| <= 1, and that the
-    binary rank of the flag matrix matches the distinct-block expansion bound
-    of the off-diagonal part (interval membership when binary rank is not
-    computed exactly).
+    binary rank of the flag matrix is at most the distinct-block expansion
+    bound of the off-diagonal part.  Each term of that expansion is one
+    distinct nonzero row (or column) of T and so one all-ones rectangle,
+    disjoint from the others; the bound is the size of a rectangle partition
+    of T and may exceed its binary rank.  When binary rank is not computed
+    exactly, its lower end is checked against the bound.
     """
     f = BinaryMatrix.from_array(flags).array()
     m, db = f.shape
@@ -872,13 +876,10 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
         raise AssertionError("rank(T) >= Sch(U_od) violated")
     if abs(sch_od - sch_u) > 1:
         raise AssertionError("|Sch(U_od) - Sch(U)| <= 1 violated")
-    if binary_t.exact:
-        if binary_t.value != ppr_upper:
-            raise AssertionError(
-                f"binary rank {binary_t.value} != expansion bound {ppr_upper}"
-            )
-    elif not (binary_t.lower <= ppr_upper <= binary_t.upper):
-        raise AssertionError("expansion bound outside the binary-rank interval")
+    if binary_t.lower > ppr_upper:
+        raise AssertionError(
+            f"binary rank {binary_t.lower} exceeds expansion bound {ppr_upper}"
+        )
     return PairSwapFamilyReport(
         f, u, u_od, sch_u, sch_od, ppr_upper, rank_t, xor_t, binary_t
     )
@@ -924,9 +925,9 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         return out
 
     eye_a = np.eye(da, dtype=complex)
+    swaps = [pair_swaps(u_vec) for u_vec, _ in terms]
     base_gates = []
-    for u_vec, v_vec in terms:
-        s = pair_swaps(u_vec)
+    for s, (_, v_vec) in zip(swaps, terms):
         base_gates.append(
             controlled((1,), (0,), {(b,): (s if v_vec[b] else eye_a) for b in range(db)})
         )
@@ -938,14 +939,9 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         parties=(("A", da), ("B", db)),
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
     xgates = []
-    for u_vec, v_vec in terms:
-        s = pair_swaps(u_vec)
-        flag = controlled((1,), (3,), {(b,): (x if v_vec[b] else eye2) for b in range(db)})
-        copy = cnot(3, (0, 1), 2, (0, 1))
-        apply_gate = controlled((2,), (0,), {(0,): eye_a, (1,): s})
-        xgates.extend([flag, copy, apply_gate, copy, flag])
+    for s, (_, v_vec) in zip(swaps, terms):
+        active = {(b,) for b in range(db) if v_vec[b]}
+        xgates.extend(_flag_palindrome((1,), (db,), 3, 2, (0,), active, eye_a, s))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -17,6 +17,7 @@ after identity gates are stripped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,50 +57,49 @@ def sandwich_bound(da: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# internal alternating-gate representation
+# the alternating gate list as branch stacks
 #
-# _AGate.branches[j] is the dB x dB unitary applied when the A side is |j>;
-# _BGate.branches[b] is the dA x dA unitary applied when the B side is |b>.
-# Lists produced by _sandwich_gates always have exactly g(da) entries with
-# A gates at even list positions (position 1, 3, ... in 1-based product order).
+# _sandwich_gates returns a plain list of complex branch stacks, one per gate
+# of the alternating product.  Entry i is controlled from A when i is even
+# and has shape (dA, dB, dB): stack[j] acts on B when A is |j>.  An odd entry
+# is controlled from B and has shape (dB, dA, dA).  Full lists have exactly
+# g(dA) entries, and entry i sits at 1-based product position i + 1.
 
 
-@dataclass
-class _AGate:
-    branches: list[np.ndarray]
+def _eye_stack(n: int, d: int) -> np.ndarray:
+    return np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
 
 
-@dataclass
-class _BGate:
-    branches: list[np.ndarray]
+def _is_identity(stack: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
+    return max_abs(stack - np.eye(stack.shape[-1])) <= tol
 
 
-def _identity_a(da: int, db: int) -> _AGate:
-    return _AGate([np.eye(db, dtype=complex) for _ in range(da)])
+def _record(controls, targets, stack: np.ndarray) -> ControlledGate:
+    """ControlledGate whose branch for control values k is ``stack[k]``.
+
+    The leading axes of ``stack`` run over the control axes in order, so the
+    keys are the row-major control tuples.
+    """
+    d = stack.shape[-1]
+    keys = itertools.product(*(range(n) for n in stack.shape[:-2]))
+    return controlled(controls, targets, dict(zip(keys, stack.reshape(-1, d, d))))
 
 
-def _identity_b(da: int, db: int) -> _BGate:
-    return _BGate([np.eye(da, dtype=complex) for _ in range(db)])
+def _a_matrix(stack: np.ndarray) -> np.ndarray:
+    """Dense matrix of an A-controlled stack: the branches on the diagonal."""
+    n, d, _ = stack.shape
+    out = np.zeros((n * d, n * d), dtype=complex)
+    k = np.arange(n)
+    out.reshape(n, d, n, d)[k, :, k] = stack
+    return out
 
 
-def _gate_is_identity(g, tol: float = IDENTITY_TOL) -> bool:
-    return all(max_abs(b - np.eye(b.shape[0])) <= tol for b in g.branches)
-
-
-def _to_record(g) -> ControlledGate:
-    if isinstance(g, _AGate):
-        return controlled((0,), (1,), {(j,): b for j, b in enumerate(g.branches)})
-    return controlled((1,), (0,), {(b,): m for b, m in enumerate(g.branches)})
-
-
-def _gate_matrix(g, da: int, db: int) -> np.ndarray:
-    out = np.zeros((da * db, da * db), dtype=complex)
-    if isinstance(g, _AGate):
-        for j, b in enumerate(g.branches):
-            out[j * db : (j + 1) * db, j * db : (j + 1) * db] = b
-    else:
-        for b, m in enumerate(g.branches):
-            out[b::db, b::db] = m
+def _b_matrix(stack: np.ndarray) -> np.ndarray:
+    """Dense matrix of a B-controlled stack: branch b on the rows with B = |b>."""
+    n, d, _ = stack.shape
+    out = np.zeros((d * n, d * n), dtype=complex)
+    k = np.arange(n)
+    out.reshape(d, n, d, n)[:, k, :, k] = stack
     return out
 
 
@@ -108,7 +108,7 @@ def _gate_matrix(g, da: int, db: int) -> np.ndarray:
 
 
 def _two_by_d_core(u: np.ndarray, db: int) -> list:
-    """Alternating [A, B, A] gates for a 2 x db unitary.
+    """Alternating [A, B, A] stacks for a 2 x db unitary.
 
     The block form [[U00, U01], [U10, U11]] with U00 diagonalized and the
     off-diagonal blocks rotated to nonnegative diagonals is exactly the
@@ -120,23 +120,18 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
     u01 = u[:db, db:]
     u10 = u[db:, :db]
 
+    def blocks(m):
+        return np.stack([m[:db, :db], m[db:, db:]])
+
     if max_abs(u01) <= IDENTITY_TOL and max_abs(u10) <= IDENTITY_TOL:
         # already controlled from A in the computational basis
-        return [_AGate([u[:db, :db], u[db:, db:]]), _identity_b(2, db), _identity_a(2, db)]
+        return [blocks(u), _eye_stack(db, 2), _eye_stack(2, db)]
 
     left, cs, right = scipy.linalg.cossin(u, p=db, q=db)
-    branches = []
-    for j in range(db):
-        branches.append(
-            np.array(
-                [[cs[j, j], cs[j, db + j]], [cs[db + j, j], cs[db + j, db + j]]],
-                dtype=complex,
-            )
-        )
-    g1 = _AGate([left[:db, :db], left[db:, db:]])
-    g2 = _BGate(branches)
-    g3 = _AGate([right[:db, :db], right[db:, db:]])
-    return [g1, g2, g3]
+    # branch j is cs restricted to rows and columns {j, db + j}
+    k = np.arange(db)
+    mid = cs.reshape(2, db, 2, db)[:, k, :, k].astype(complex)
+    return [blocks(left), mid, blocks(right)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,67 +139,63 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
 
 
 def _pad_to(gates: list, length: int, da: int, db: int) -> list:
-    out = list(gates)
-    while len(out) < length:
-        out.append(_identity_a(da, db) if len(out) % 2 == 0 else _identity_b(da, db))
-    return out
+    pad = range(len(gates), length)
+    return gates + [_eye_stack(da, db) if i % 2 == 0 else _eye_stack(db, da) for i in pad]
 
 
 def _merge(l1: list, l2: list, d1: int, d2: int, db: int) -> list:
     """Position-wise direct sum of two alternating lists on A-dims d1 and d2."""
     n = max(len(l1), len(l2))
-    l1 = _pad_to(l1, n, d1, db)
-    l2 = _pad_to(l2, n, d2, db)
     out = []
-    for i, (a, b) in enumerate(zip(l1, l2)):
+    for i, (a, b) in enumerate(zip(_pad_to(l1, n, d1, db), _pad_to(l2, n, d2, db))):
         if i % 2 == 0:
-            out.append(_AGate(list(a.branches) + list(b.branches)))
+            out.append(np.concatenate([a, b]))
         else:
-            merged = []
-            for x, y in zip(a.branches, b.branches):
-                m = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-                m[:d1, :d1] = x
-                m[d1:, d1:] = y
-                merged.append(m)
-            out.append(_BGate(merged))
+            m = np.zeros((db, d1 + d2, d1 + d2), dtype=complex)
+            m[:, :d1, :d1] = a
+            m[:, d1:, d1:] = b
+            out.append(m)
     return out
 
 
+def _split(u: np.ndarray, da: int, db: int):
+    """(V, W0, W, X) with u = X W† V† for y = da // 2.
+
+    V = I ⊕ V' compresses the upper-right y*db rows of u, W = W0 ⊕ I completes
+    the first y*db rows of u V to a unitary on the first 2*y*db coordinates,
+    and X = u V W.
+    """
+    yd = (da // 2) * db
+    v = np.eye(da * db, dtype=complex)
+    v[yd:, yd:] = compress_rows(u[:yd, yd:], yd)
+    uv = u @ v
+    w0 = complete_isometry(uv[:yd, : 2 * yd])
+    w = np.eye(da * db, dtype=complex)
+    w[: 2 * yd, : 2 * yd] = w0
+    return v, w0, w, uv @ w
+
+
 def _sandwich_gates(u: np.ndarray, da: int, db: int) -> list:
-    """Full alternating gate list of length exactly g(da) with product u."""
+    """Full alternating stack list of length exactly g(da) with product u."""
     if da == 1:
-        return [_AGate([u.copy()])]
+        return [u[None].copy()]
     if db == 1:
-        gates = [_identity_a(da, 1), _BGate([u.copy()]), _identity_a(da, 1)]
+        gates = [_eye_stack(da, 1), u[None].copy(), _eye_stack(da, 1)]
         return _pad_to(gates, sandwich_bound(da), da, 1)
     if da == 2:
         return _two_by_d_core(u, db)
 
     y = da // 2
-    rest = da - 2 * y  # 0 or 1
     yd = y * db
-
-    b_right = u[:yd, yd:]
-    vp = compress_rows(b_right, yd)
-    v = np.eye(da * db, dtype=complex)
-    v[yd:, yd:] = vp
-    uv = u @ v
-
-    biso = uv[:yd, : 2 * yd]
-    w0 = complete_isometry(biso)
-    w = np.eye(da * db, dtype=complex)
-    w[: 2 * yd, : 2 * yd] = w0
-    x = uv @ w
+    v, w0, _, x = _split(u, da, db)
 
     # (W')^dagger viewed as a 2 x (y*db) unitary: 3-gate core
     c_g, t_g, d_g = _two_by_d_core(w0.conj().T, yd)
-    c_mat = _gate_matrix(c_g, 2, yd)
-    d_mat = _gate_matrix(d_g, 2, yd)
 
     c_til = np.eye(da * db, dtype=complex)
-    c_til[: 2 * yd, : 2 * yd] = c_mat
+    c_til[: 2 * yd, : 2 * yd] = _a_matrix(c_g)
     d_til = np.eye(da * db, dtype=complex)
-    d_til[: 2 * yd, : 2 * yd] = d_mat
+    d_til[: 2 * yd, : 2 * yd] = _a_matrix(d_g)
 
     xc = x @ c_til
     x1 = xc[:yd, :yd]
@@ -217,18 +208,11 @@ def _sandwich_gates(u: np.ndarray, da: int, db: int) -> list:
     left = _merge(_sandwich_gates(x1, y, db), _sandwich_gates(x2, da - y, db), y, da - y, db)
     right = _merge(_sandwich_gates(y1, y, db), _sandwich_gates(y2, da - y, db), y, da - y, db)
 
-    # middle gate: branches per B index, pairing |r> with |y + r> inside the A2 block
-    mid_branches = []
-    for b in range(db):
-        m = np.eye(da, dtype=complex)
-        for r in range(y):
-            w2 = t_g.branches[r * db + b]
-            m[r, r] = w2[0, 0]
-            m[r, y + r] = w2[0, 1]
-            m[y + r, r] = w2[1, 0]
-            m[y + r, y + r] = w2[1, 1]
-        mid_branches.append(m)
-    mid = _BGate(mid_branches)
+    # middle gate: t_g's branch r * db + b acts on the pair (|r>, |y + r>)
+    # of the A side when B is |b>; every other A level is left alone
+    rr = np.arange(y)[:, None] + y * np.arange(2)
+    mid = _eye_stack(db, da)
+    mid[:, rr[:, :, None], rr[:, None, :]] = t_g.reshape(y, db, 2, 2).transpose(1, 0, 2, 3)
 
     return left + [mid] + right
 
@@ -249,15 +233,11 @@ class SandwichResult:
 
 
 def _strip(gates: list, da: int, db: int):
-    kept, positions = [], []
-    for i, g in enumerate(gates):
-        if not _gate_is_identity(g):
-            kept.append(_to_record(g))
-            positions.append(i + 1)
+    kept = [(i + 1, g) for i, g in enumerate(gates) if not _is_identity(g)]
     if not kept:
-        kept = [_to_record(_identity_a(da, db))]
-        positions = [1]
-    return kept, positions
+        kept = [(1, _eye_stack(da, db))]
+    records = [_record(((p - 1) % 2,), (p % 2,), g) for p, g in kept]
+    return records, [p for p, _ in kept]
 
 
 def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
@@ -435,12 +415,12 @@ def decompose_2xd_aform(u, db: int | None = None):
     ldiag = np.ones(2 * db, dtype=complex)
     rdiag = np.ones(2 * db, dtype=complex)
     for k in range(db):
-        l0, l1, r0, r1 = _diag_phase_factors(g2.branches[k])
+        l0, l1, r0, r1 = _diag_phase_factors(g2[k])
         ldiag[k] = l0
         ldiag[db + k] = l1
         rdiag[k] = r0
         rdiag[db + k] = r1
-    v2 = _gate_matrix(g2, 2, db)
+    v2 = _b_matrix(g2)
     v2p = ldiag[:, None] * v2 * rdiag[None, :]
 
     from .schmidt import operator_schmidt
@@ -464,16 +444,16 @@ def decompose_2xd_aform(u, db: int | None = None):
         (0,),
         (1,),
         {
-            (0,): g1.branches[0] @ np.diag(lc[:db]),
-            (1,): g1.branches[1] @ np.diag(lc[db:]),
+            (0,): g1[0] @ np.diag(lc[:db]),
+            (1,): g1[1] @ np.diag(lc[db:]),
         },
     )
     right = controlled(
         (0,),
         (1,),
         {
-            (0,): np.diag(rc[:db]) @ g3.branches[0],
-            (1,): np.diag(rc[db:]) @ g3.branches[1],
+            (0,): np.diag(rc[:db]) @ g3[0],
+            (1,): np.diag(rc[db:]) @ g3[1],
         },
     )
     gates = (left, local(0, loc_l), mid, local(0, loc_r), right)
@@ -513,15 +493,7 @@ def decompose_bcu3(u, da: int, db: int, tol: float = RECON_TOL) -> BcuFactorizat
         raise PreconditionError("input is not unitary")
     y = da // 2
     yd = y * db
-    b_right = u[:yd, yd:]
-    vp = compress_rows(b_right, yd)
-    v = np.eye(da * db, dtype=complex)
-    v[yd:, yd:] = vp
-    uv = u @ v
-    w0 = complete_isometry(uv[:yd, : 2 * yd])
-    w = np.eye(da * db, dtype=complex)
-    w[: 2 * yd, : 2 * yd] = w0
-    x = uv @ w
+    v, _, w, x = _split(u, da, db)
     wd = w.conj().T
     vd = v.conj().T
 

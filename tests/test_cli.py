@@ -152,3 +152,21 @@ class TestOtherCommands:
 
     def test_missing_file_exit_3(self, in_tmp):
         assert run("schmidt", "-i", "missing.json") == 3
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("rank", '{"rows": 2, "bits": "0101"}'),
+            ("rank", '{"rows": 2, "cols": 2, "bits": 5}'),
+            ("schmidt", '{"kind": "unitary", "dims": [null], "matrix": [[[1.0, 0.0]]]}'),
+            ("schmidt", "7"),
+        ],
+        ids=["binary_missing_cols", "binary_bits_not_a_string", "matrix_dims_null", "matrix_bare_integer"],
+    )
+    def test_malformed_input_file_exits_3(self, in_tmp, capsys, command, text):
+        open("f.json", "w").write(text)
+        argv = [command, "-i", "f.json"] + (["--kind", "xor"] if command == "rank" else [])
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "f.json" in err

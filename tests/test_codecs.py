@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,13 @@ class TestBinaryAndTableFiles:
         back = codecs.load_table_file(p)
         assert back.targets == cp.targets
         assert back.dims == cp.dims
+
+    @pytest.mark.parametrize("obj", [{"dims": [2, 2]}, {"dims": [2, 2], "table": [[0, 0, 0, 0]]}])
+    def test_malformed_table_names_path(self, tmp_path, obj):
+        p = str(tmp_path / "t.json")
+        codecs.atomic_write(p, json.dumps(obj))
+        with pytest.raises(CodecError, match="t.json"):
+            codecs.load_table_file(p)
 
 
 class TestGoldenFixture:

@@ -70,6 +70,13 @@ class TestMultiparty:
         assert res.full_count <= res.bound
         assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
 
+    def test_unequal_dims(self):
+        u = haar_unitary(24, 62)
+        res = decompose_multiparty(u, (3, 2, 4))
+        assert res.full_count <= res.bound == 15
+        assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
+        check_controller_blocks(res, (3, 2, 4))
+
     def test_product_unitary_strips_identities(self):
         u = np.kron(np.kron(haar_unitary(2, 1), haar_unitary(2, 2)), haar_unitary(2, 3))
         res = decompose_multiparty(u, (2, 2, 2))
@@ -107,6 +114,15 @@ class TestFourParty:
         rep = verify_decomposition(u, res.circuit, classify=False)
         assert rep.max_error <= 1e-8
         check_controller_blocks(res, (2, 2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 3, 2), (3, 2, 2, 3)])
+    def test_unequal_dims(self, dims):
+        # dC != dD fixes the order of the lifted branch keys on both sides
+        u = haar_unitary(36, 810 + dims[0])
+        res = decompose_4party(u, dims)
+        assert res.full_count <= res.bound == fourparty_bound(*dims)
+        assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
+        check_controller_blocks(res, dims)
 
     def test_product_unitary(self):
         u = np.kron(

@@ -289,6 +289,17 @@ class TestPairSwapFamily:
         assert rep.ppr_upper == 1
         assert rep.rank_t == 1
 
+    def test_binary_rank_below_expansion_bound(self):
+        # three rectangles partition T, but the distinct-row grouping needs four
+        flags = np.array([[1, 0, 0, 1], [1, 1, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]])
+        rep = analyze_pair_swap_family(flags)
+        assert rep.binary_t.value == 3
+        assert rep.ppr_upper == 4
+        acc = np.zeros_like(flags)
+        for rows, cols in rep.binary_t.certificate:
+            acc[np.ix_(list(rows), list(cols))] += 1
+        assert np.array_equal(acc, flags)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_relations(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedecomp import (
     Circuit,
@@ -237,6 +239,25 @@ class TestDecomposeSandwich:
         assert verify_decomposition(u, res.circuit).max_error <= 1e-10
         res = decompose_sandwich(u, 3, 1)
         assert verify_decomposition(u, res.circuit).max_error <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    da=st.integers(1, 6),
+    db=st.integers(1, 5),
+    kind=st.sampled_from(["haar", "A", "B"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sandwich_property(da, db, kind, seed):
+    if kind == "haar":
+        u = haar_unitary(da * db, seed)
+    else:
+        u = random_controlled(da, db, seed, side=kind)
+    res = decompose_sandwich(u, da, db)
+    assert len(res.circuit.gates) <= sandwich_bound(da)
+    for pos, g in zip(res.positions, res.circuit.gates):
+        assert g.controls == ((0,) if pos % 2 else (1,))
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
 
 
 class TestBcu3:
