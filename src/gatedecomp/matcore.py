@@ -7,6 +7,10 @@ tiers are used throughout the package:
 * ``RANK_TOL``    (1e-10) -- numerical-zero threshold for rank/nullity decisions,
 * ``RECON_TOL``   (1e-8)  -- max-entry tolerance for factorization round-trips.
 
+A decomposition entry point accepts a unitary to ``RECON_TOL`` and works on
+its polar factor once ``max|U U† - I|`` exceeds ``POLAR_TOL`` (1e-12), so that
+the completions inside it see rows orthonormal to round-off.
+
 Keeping the rank threshold one decade below the verification tolerance avoids
 misclassifying accumulated round-off as structure.
 """
@@ -19,6 +23,7 @@ import scipy.linalg
 DEFAULT_EPS = 1e-9
 RANK_TOL = 1e-10
 RECON_TOL = 1e-8
+POLAR_TOL = 1e-12
 
 
 class PreconditionError(ValueError):
@@ -61,6 +66,25 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
     )
 
 
+def unitary_input(m, eps: float = RECON_TOL) -> np.ndarray:
+    """A square input checked unitary to ``eps``, polished when it drifts.
+
+    Raises PreconditionError unless both M M† - I and M† M - I have
+    max-entry norm <= eps.  When max|M M† - I| > POLAR_TOL the polar factor
+    W Vh of the SVD M = W S Vh, the nearest unitary, is returned instead of
+    M; an input unitary to POLAR_TOL is returned as it is, with no SVD.
+    """
+    a = require_square(m)
+    eye = np.eye(a.shape[0])
+    drift = max_abs(a @ a.conj().T - eye)
+    if drift > eps or max_abs(a.conj().T @ a - eye) > eps:
+        raise PreconditionError("input is not unitary")
+    if drift > POLAR_TOL:
+        w, _, vh = np.linalg.svd(a)
+        a = w @ vh
+    return a
+
+
 def perm_matrix(perm) -> np.ndarray:
     """Permutation matrix (complex) that sends basis vector j to ``perm[j]``."""
     perm = np.asarray(perm)
@@ -83,32 +107,38 @@ def svd_diagonalize(m):
     return e, np.diag(s).astype(complex), f
 
 
-def _orthonormal_completion(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
+def _orthonormal_completion(vectors, dim: int) -> np.ndarray:
     """Extend an orthonormal family to a basis of C^dim.
 
-    Candidates are the standard basis vectors in increasing index order;
-    candidates whose residual norm falls below RANK_TOL are skipped.  The
-    projection is applied twice for numerical orthogonality.
+    ``vectors`` holds the k family members as rows.  Returns a (dim, dim)
+    array whose rows are the basis: the family in its given order, then the
+    added vectors.  Candidates are the standard basis vectors in increasing
+    index order; each is projected off the rows found so far twice
+    (classical Gram-Schmidt with one re-orthogonalisation, two ``Q (Q† v)``
+    passes), and a candidate whose residual norm falls below RANK_TOL is
+    skipped.  In exact arithmetic this is the basis that modified
+    Gram-Schmidt over the same candidates gives.
     """
-    out = list(vectors)
-    added: list[np.ndarray] = []
+    q = np.zeros((dim, dim), dtype=complex)
+    n = len(vectors)
+    if n:
+        q[:n] = vectors
+    # rows q[:n] are the basis vectors b_j, so Q† v = conj(q[:n] @ conj(v))
+    # and Q c = c @ q[:n]
     for i in range(dim):
-        if len(out) == dim:
+        if n == dim:
             break
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        for _ in range(2):
-            for b in out:
-                v = v - b * (np.conj(b) @ v)
+        v = -(np.conj(q[:n, i]) @ q[:n])
+        v[i] += 1.0
+        v -= np.conj(q[:n] @ np.conj(v)) @ q[:n]
         nrm = np.linalg.norm(v)
         if nrm < RANK_TOL:
             continue
-        v = v / nrm
-        out.append(v)
-        added.append(v)
-    if len(out) != dim:
+        q[n] = v / nrm
+        n += 1
+    if n != dim:
         raise InfeasibleError("could not complete an orthonormal basis")
-    return added
+    return q
 
 
 def orthogonal_columns_to_diagonal(m, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -131,7 +161,7 @@ def orthogonal_columns_to_diagonal(m, eps: float = DEFAULT_EPS) -> np.ndarray:
             rows[j] = np.conj(a[:, j]) / norms[j]
     missing = [j for j in range(n) if j not in rows]
     if missing:
-        completion = _orthonormal_completion([rows[j] for j in sorted(rows)], n)
+        completion = _orthonormal_completion([rows[j] for j in sorted(rows)], n)[len(rows) :]
         for j, vec in zip(missing, completion):
             rows[j] = vec
     return np.vstack([rows[j] for j in range(n)]) if n else np.zeros((0, 0), complex)
@@ -154,9 +184,7 @@ def compress_rows(b, t: int) -> np.ndarray:
     rank = int(np.sum(s > RANK_TOL))
     if rank > t:
         raise InfeasibleError(f"row space has rank {rank} > {t}")
-    lead = [vh[i].conj() for i in range(rank)]
-    completion = _orthonormal_completion(lead, m)
-    return np.column_stack(lead + completion)
+    return _orthonormal_completion(vh[:rank].conj(), m).T
 
 
 def complete_isometry(b, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -171,9 +199,7 @@ def complete_isometry(b, eps: float = DEFAULT_EPS) -> np.ndarray:
         raise PreconditionError("more rows than columns; not an isometry")
     if max_abs(a @ a.conj().T - np.eye(k)) > eps:
         raise PreconditionError("rows are not orthonormal")
-    lead = [a[i].conj() for i in range(k)]
-    completion = _orthonormal_completion(lead, m)
-    return np.column_stack(lead + completion)
+    return _orthonormal_completion(a.conj(), m).T
 
 
 def unitary_eig(m, sort: bool = True):

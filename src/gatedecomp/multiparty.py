@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gateir import Circuit, multiparty_space
-from .matcore import PreconditionError, is_unitary, require_square
+from .matcore import PreconditionError, require_square, unitary_input
 from .sandwich import _eye_stack, _is_identity, _record, _sandwich_gates
 
 
@@ -96,8 +96,7 @@ def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
     u = require_square(u)
     if u.shape[0] != math.prod(dims):
         raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
-    if not is_unitary(u, 1e-8):
-        raise PreconditionError("input is not unitary")
+    u = unitary_input(u)
     spec = _multi_gates(u, dims)
     bound = multiparty_bound(dims)
     if len(spec) > bound:
@@ -116,8 +115,7 @@ def decompose_4party(u, dims) -> MultipartiteSandwichResult:
     u = require_square(u)
     if u.shape[0] != math.prod(dims):
         raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
-    if not is_unitary(u, 1e-8):
-        raise PreconditionError("input is not unitary")
+    u = unitary_input(u)
 
     spec = []
     for pos, g in enumerate(_sandwich_gates(u, da * db, dc * dd)):

@@ -18,3 +18,11 @@ def assert_close(a, b, tol=1e-8):
 
 def haar(n, seed):
     return haar_unitary(n, seed)
+
+
+def noisy_haar(n, seed, noise):
+    """Haar unitary plus complex Gaussian noise of standard deviation
+    ``noise`` per entry: unitary to about ``noise``, not to round-off."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    return haar_unitary(n, 7 * seed + n) + noise * z

@@ -4,6 +4,7 @@ import pytest
 from gatedecomp import matcore
 from gatedecomp.matcore import (
     PreconditionError,
+    _orthonormal_completion,
     InfeasibleError,
     complete_isometry,
     compress_rows,
@@ -12,10 +13,11 @@ from gatedecomp.matcore import (
     orthogonal_columns_to_diagonal,
     svd_diagonalize,
     unitary_eig,
+    unitary_input,
 )
 from gatedecomp.generators import haar_unitary, swap_unitary
 
-from conftest import assert_close
+from conftest import assert_close, noisy_haar
 
 
 class TestIsUnitary:
@@ -136,6 +138,98 @@ class TestCompleteIsometry:
     def test_nonorthonormal_rejected(self):
         with pytest.raises(PreconditionError):
             complete_isometry(np.ones((2, 3)))
+
+
+def _mgs_completion(vectors, dim):
+    """Modified Gram-Schmidt completion, one vector op per (candidate, basis
+    vector) pair: the reference that the block completion must reproduce."""
+    out = list(vectors)
+    added = []
+    for i in range(dim):
+        if len(out) == dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        for _ in range(2):
+            for b in out:
+                v = v - b * (np.conj(b) @ v)
+        nrm = np.linalg.norm(v)
+        if nrm < matcore.RANK_TOL:
+            continue
+        v = v / nrm
+        out.append(v)
+        added.append(v)
+    return added
+
+
+def _random_family(dim, k, seed):
+    return haar_unitary(dim, seed)[:k]
+
+
+def _sparse_family(dim, k, seed):
+    # phased standard-basis vectors: their own candidates leave zero residual
+    rng = np.random.default_rng(seed)
+    fam = np.zeros((k, dim), dtype=complex)
+    fam[np.arange(k), rng.choice(dim, k, replace=False)] = np.exp(2j * np.pi * rng.random(k))
+    return fam
+
+
+def _near_dependent_family(dim, k, seed, eps):
+    # an orthonormal family within eps of the first k standard-basis vectors
+    rng = np.random.default_rng(seed)
+    z = np.eye(dim, dtype=complex)[:k] + eps * (
+        rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    )
+    q, _ = np.linalg.qr(z.T)
+    return q.T
+
+
+class TestOrthonormalCompletion:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 33, 64])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda d, k, s: _random_family(d, k, s),
+            _sparse_family,
+            lambda d, k, s: _near_dependent_family(d, k, s, 1e-3),
+            lambda d, k, s: _near_dependent_family(d, k, s, 1e-6),
+            lambda d, k, s: _near_dependent_family(d, k, s, 1e-9),
+        ],
+        ids=["random", "sparse", "near-1e-3", "near-1e-6", "near-1e-9"],
+    )
+    def test_matches_modified_gram_schmidt(self, dim, family):
+        for seed, k in enumerate(sorted({0, 1, dim // 3, dim // 2, dim - 1})):
+            fam = family(dim, k, 100 * dim + seed)
+            ref = _mgs_completion(list(fam), dim)
+            basis = _orthonormal_completion(fam, dim)
+            assert len(ref) == dim - k
+            assert_close(basis[:k], fam, 0)
+            assert_close(basis[k:], np.array(ref).reshape(dim - k, dim), 1e-12)
+            assert_close(basis @ basis.conj().T, np.eye(dim), 1e-12)
+
+    def test_skips_candidates_in_the_span(self):
+        fam = np.zeros((2, 4), dtype=complex)
+        fam[0, 1] = 1j
+        fam[1, 3] = -1.0
+        basis = _orthonormal_completion(fam, 4)
+        assert_close(basis[2:], np.eye(4)[[0, 2]], 0)
+
+
+class TestUnitaryInput:
+    def test_exact_unitary_returned_as_is(self):
+        u = haar_unitary(12, 4)
+        assert unitary_input(u) is u
+
+    def test_drifting_input_polished(self):
+        noisy = noisy_haar(12, 5, 1e-9)
+        assert is_unitary(noisy, 1e-8) and not is_unitary(noisy, matcore.POLAR_TOL)
+        out = unitary_input(noisy)
+        assert_close(out @ out.conj().T, np.eye(12), 1e-13)
+        assert_close(out, noisy, 1e-8)
+
+    def test_nonunitary_rejected(self):
+        with pytest.raises(PreconditionError):
+            unitary_input(np.diag([1.0, 1.0 + 1e-7]))
 
 
 class TestUnitaryEig:

@@ -11,9 +11,9 @@ from gatedecomp import (
 )
 from gatedecomp.gateir import gate_matrix, multiparty_space
 from gatedecomp.matcore import PreconditionError, is_unitary, max_abs
-from gatedecomp.generators import haar_unitary
+from gatedecomp.generators import haar_unitary, random_permutation
 
-from conftest import assert_close
+from conftest import assert_close, noisy_haar
 
 
 class TestBounds:
@@ -148,3 +148,47 @@ class TestFourParty:
     def test_party_count_enforced(self):
         with pytest.raises(PreconditionError):
             decompose_4party(np.eye(8), (2, 2, 2))
+
+
+# Exact kept-gate counts on permutations, recorded with the modified
+# Gram-Schmidt completion; a completion in another basis of the same spaces
+# moves the (2, 3, 2) seed-6 and the (2, 3, 2, 2) counts.
+@pytest.mark.parametrize(
+    "decompose,dims,seed,expected",
+    [
+        (decompose_multiparty, (2, 2, 2), 4, 5),
+        (decompose_multiparty, (2, 3, 2), 4, 7),
+        (decompose_multiparty, (2, 3, 2), 6, 13),
+        (decompose_multiparty, (3, 2, 2), 4, 15),
+        (decompose_4party, (2, 2, 2, 2), 4, 15),
+        (decompose_4party, (2, 3, 2, 2), 4, 27),
+    ],
+)
+def test_pinned_permutation_gate_counts(decompose, dims, seed, expected):
+    u = random_permutation(dims, seed).matrix()
+    res = decompose(u, dims)
+    assert len(res.circuit.gates) == expected
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
+
+
+@pytest.mark.parametrize("noise", [3e-10, 1e-9])
+@pytest.mark.parametrize(
+    "decompose,dims",
+    [
+        (decompose_multiparty, (3, 3)),
+        (decompose_multiparty, (4, 2)),
+        (decompose_multiparty, (4, 4)),
+        (decompose_multiparty, (6, 5)),
+        (decompose_multiparty, (2, 3, 2)),
+        (decompose_4party, (2, 2, 2, 2)),
+        (decompose_4party, (2, 3, 2, 2)),
+    ],
+)
+def test_noisy_unitary_decomposes(decompose, dims, noise):
+    # inputs the entry check accepts are decomposed through their polar
+    # factor, and the circuit still verifies against the noisy input
+    for seed in range(3):
+        u = noisy_haar(int(np.prod(dims)), seed, noise)
+        assert is_unitary(u, 1e-8)
+        res = decompose(u, dims)
+        assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8

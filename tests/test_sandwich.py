@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,16 @@ from gatedecomp import (
     verify_decomposition,
 )
 from gatedecomp.matcore import PreconditionError, is_unitary, max_abs
-from gatedecomp.generators import haar_unitary, random_controlled, swap_unitary
+from gatedecomp.generators import (
+    haar_unitary,
+    random_complex_permutation,
+    random_controlled,
+    random_permutation,
+    swap_unitary,
+)
+from gatedecomp.sandwich import _b_matrix, _two_by_d_core
 
-from conftest import assert_close
+from conftest import assert_close, noisy_haar
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -319,3 +327,90 @@ class TestStructuredInputs:
         assert is_unitary(u)
         res = decompose_sandwich(u, 2, 3)
         assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
+
+
+@pytest.mark.parametrize("noise", [3e-10, 1e-9])
+@pytest.mark.parametrize("da,db", [(3, 3), (4, 2), (4, 4), (6, 5)])
+@pytest.mark.parametrize("method", ["sandwich", "bcu3"])
+def test_noisy_unitary_decomposes(method, da, db, noise):
+    # inputs the entry check accepts are decomposed through their polar
+    # factor, and the circuit still verifies against the noisy input
+    decompose = {"sandwich": decompose_sandwich, "bcu3": decompose_bcu3}[method]
+    for seed in range(3):
+        u = noisy_haar(da * db, seed, noise)
+        assert is_unitary(u, 1e-8)
+        res = decompose(u, da, db)
+        assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
+
+
+@pytest.mark.parametrize("db", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["a-controlled", "swap", "mixed"])
+def test_two_by_d_core_degenerate_angles(kind, db):
+    """Angles 0 and pi/2: the three stacks reproduce u and every middle branch
+    is the rotation [[cos, -sin], [sin, cos]].  The A-controlled input takes
+    the shortcut (all angles 0); the other two go through LAPACK's CSD."""
+    eye = np.eye(db, dtype=complex)
+    zero = np.zeros((db, db), dtype=complex)
+    swapped = np.zeros(db, dtype=bool)
+    if kind == "a-controlled":
+        u = random_controlled(2, db, db, "A")
+    elif kind == "swap":
+        u = np.block([[zero, eye], [eye, zero]])
+        swapped[:] = True
+    else:
+        # X on A controlled by B on the odd B levels, between A-controlled gates
+        swapped[1::2] = True
+        cx = _b_matrix(np.array([X if s else np.eye(2) for s in swapped], dtype=complex))
+        u = random_controlled(2, db, 3 * db, "A") @ cx @ random_controlled(2, db, 5 * db, "A")
+    left, mid, right = _two_by_d_core(u, db)
+    assert left.shape == right.shape == (2, db, db)
+    assert mid.shape == (db, 2, 2)
+    dense = scipy.linalg.block_diag(*left) @ _b_matrix(mid) @ scipy.linalg.block_diag(*right)
+    assert_close(dense, u, 1e-12)
+    c = mid[:, 0, 0]
+    s = mid[:, 1, 0]
+    assert_close(mid[:, 1, 1], c, 0)
+    assert_close(mid[:, 0, 1], -s, 0)
+    assert_close(mid.imag, np.zeros(mid.shape), 0)
+    # the CSD fixes the angles but not which B level carries which one
+    assert_close(np.sort(np.abs(s)), np.sort(swapped.astype(float)), 1e-12)
+    assert_close(np.abs(c) ** 2 + np.abs(s) ** 2, np.ones(db), 1e-12)
+
+
+# Exact kept-gate counts on structured inputs, recorded with the modified
+# Gram-Schmidt completion.  A completion that spans the same spaces in
+# another basis (a Householder QR of the known columns, say) still verifies
+# but moves these counts: the permutation and phased-permutation rows at
+# (4, 2) and (6, 4) are among those it changes.
+PINNED_SANDWICH = {
+    (3, 3): {"perm": 3, "phased": 3, "actrl": 1, "product": 7, "identity": 1},
+    (4, 2): {"perm": 5, "phased": 5, "actrl": 1, "product": 7, "identity": 1},
+    (5, 3): {"perm": 11, "phased": 11, "actrl": 1, "product": 15, "identity": 1},
+    (6, 4): {"perm": 13, "phased": 13, "actrl": 1, "product": 15, "identity": 1},
+    (8, 3): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
+    (7, 2): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
+}
+
+
+def _structured(kind, da, db, seed):
+    if kind == "perm":
+        return random_permutation((da, db), seed).matrix()
+    if kind == "phased":
+        return random_complex_permutation((da, db), seed).matrix()
+    if kind == "actrl":
+        return random_controlled(da, db, seed, "A")
+    if kind == "product":
+        return np.kron(haar_unitary(da, seed), haar_unitary(db, seed + 1))
+    return np.eye(da * db, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "kind,da,db,seed,expected",
+    [(k, da, db, 4, n) for (da, db), row in PINNED_SANDWICH.items() for k, n in row.items()]
+    + [("perm", 6, 4, 0, 13), ("perm", 6, 4, 1, 14)],
+)
+def test_pinned_gate_counts(kind, da, db, seed, expected):
+    u = _structured(kind, da, db, seed)
+    res = decompose_sandwich(u, da, db)
+    assert len(res.circuit.gates) == expected
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
