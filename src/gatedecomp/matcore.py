@@ -66,18 +66,18 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
     )
 
 
-def unitary_input(m, eps: float = RECON_TOL) -> np.ndarray:
-    """A square input checked unitary to ``eps``, polished when it drifts.
+def unitary_input(m) -> np.ndarray:
+    """A square input checked unitary to ``RECON_TOL``, polished when it drifts.
 
     Raises PreconditionError unless both M M† - I and M† M - I have
-    max-entry norm <= eps.  When max|M M† - I| > POLAR_TOL the polar factor
+    max-entry norm <= RECON_TOL.  When max|M M† - I| > POLAR_TOL the polar factor
     W Vh of the SVD M = W S Vh, the nearest unitary, is returned instead of
     M; an input unitary to POLAR_TOL is returned as it is, with no SVD.
     """
     a = require_square(m)
     eye = np.eye(a.shape[0])
     drift = max_abs(a @ a.conj().T - eye)
-    if drift > eps or max_abs(a.conj().T @ a - eye) > eps:
+    if drift > RECON_TOL or max_abs(a.conj().T @ a - eye) > RECON_TOL:
         raise PreconditionError("input is not unitary")
     if drift > POLAR_TOL:
         w, _, vh = np.linalg.svd(a)
