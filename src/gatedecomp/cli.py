@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from . import codecs, generators
-from .codecs import CodecError
-from .gateir import CircuitError, verify_decomposition
-from .matcore import InfeasibleError, PreconditionError
+from .gateir import verify_decomposition
+from .matcore import PreconditionError
 from .multiparty import decompose_4party, decompose_multiparty
 from .permdecomp import ComplexPermutation, decompose_multiparty_perm, decompose_perm3
 from .protocols import (
@@ -31,12 +30,7 @@ from .protocols import (
     pp_expansion,
     rank_toolkit,
 )
-from .sandwich import (
-    DegenerateRankTwoError,
-    decompose_2xd_aform,
-    decompose_bcu3,
-    decompose_sandwich,
-)
+from .sandwich import decompose_2xd_aform, decompose_bcu3, decompose_sandwich
 from .schmidt import operator_schmidt
 from .stdgates import compile_perm_to_cnot_type, compile_to_standard
 
@@ -344,23 +338,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    commands = {
+        "gen": _cmd_gen,
+        "decompose": _cmd_decompose,
+        "verify": _cmd_verify,
+        "schmidt": _cmd_schmidt,
+        "rank": _cmd_rank,
+    }
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "schmidt":
-            return _cmd_schmidt(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, InfeasibleError, DegenerateRankTwoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (CodecError, CircuitError, ValueError, OSError) as exc:
+        return commands[args.command](args)
+    except (ValueError, OSError) as exc:
+        # every package error (precondition, infeasible, degenerate rank-2,
+        # codec, circuit) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -18,14 +18,9 @@ import numpy as np
 from .gateir import (
     Ancilla,
     Circuit,
-    CnotGate,
-    ControlledGate,
-    GenericGate,
     Gate,
-    LocalGate,
     Metrics,
     PartySpace,
-    TwoLevelGate,
     cnot,
     controlled,
     generic,
@@ -33,7 +28,7 @@ from .gateir import (
     two_level,
 )
 from .matcore import as_matrix, is_unitary, max_abs
-from .permdecomp import ComplexPermutation
+from .permdecomp import ComplexPermutation, table_outputs
 from .protocols import BinaryMatrix
 
 MATRIX_KINDS = ("unitary", "permutation", "complexPermutation", "binary")
@@ -242,10 +237,9 @@ def load_table_file(path: str) -> ComplexPermutation:
 
 def _table_from_obj(obj, path: str) -> ComplexPermutation:
     da, db = (int(d) for d in obj["dims"])
-    targets = [-1] * (da * db)
-    for ia, ib, oa, ob in obj["table"]:
-        targets[ia * db + ib] = oa * db + ob
-    return ComplexPermutation((da, db), tuple(targets), (1.0,) * (da * db))
+    out_a, out_b = table_outputs(obj["table"], da, db)
+    targets = tuple(int(t) for t in (out_a * db + out_b).reshape(-1))
+    return ComplexPermutation((da, db), targets, (1.0,) * (da * db))
 
 
 # ---------------------------------------------------------------------------
@@ -272,82 +266,63 @@ def _space_from_obj(obj) -> PartySpace:
     )
 
 
+# per gate kind: the builder, then each JSON field in file order as
+# "name:codec"; the builder takes the fields as keyword arguments
+_GATE_FIELDS = {
+    kind: (build, [field.split(":") for field in spec.split()])
+    for kind, build, spec in (
+        ("ControlledComputational", controlled, "controls:axes targets:axes branches:branches"),
+        ("Local", local, "axes:axes matrix:matrix"),
+        ("TwoLevelStandard", two_level,
+         "axis_a:axis pair_a:axes axis_b:axis pair_b:axes matrix:matrix"),
+        ("CNOT", cnot, "control_axis:axis control_pair:axes target_axis:axis target_pair:axes"),
+        ("GenericBipartite", generic, "axes:axes cut:int matrix:matrix"),
+    )
+}
+
+
+def _axes_from_obj(v, path: str) -> tuple[int, ...]:
+    return tuple(operator.index(x) for x in v)
+
+
+def _branches_from_obj(v, path: str) -> dict:
+    out = {_axes_from_obj(br["control"], path): _obj_to_matrix(br["matrix"], path) for br in v}
+    if len(out) != len(v):
+        raise CodecError(f"{path}: a control tuple has more than one branch")
+    return out
+
+
+_ENCODE = {
+    "axes": list,
+    "axis": lambda v: v,
+    "int": lambda v: v,
+    "matrix": _matrix_to_obj,
+    "branches": lambda v: [{"control": list(k), "matrix": _matrix_to_obj(m)} for k, m in v],
+}
+
+_DECODE = {
+    "axes": _axes_from_obj,
+    "axis": lambda v, path: operator.index(v),
+    "int": lambda v, path: int(v),
+    "matrix": _obj_to_matrix,
+    "branches": _branches_from_obj,
+}
+
+
 def _gate_to_obj(g: Gate):
-    if isinstance(g, ControlledGate):
-        return {
-            "kind": g.kind,
-            "controls": list(g.controls),
-            "targets": list(g.targets),
-            "branches": [
-                {"control": list(k), "matrix": _matrix_to_obj(m)} for k, m in g.branches
-            ],
-        }
-    if isinstance(g, LocalGate):
-        return {"kind": g.kind, "axes": list(g.axes), "matrix": _matrix_to_obj(g.matrix)}
-    if isinstance(g, TwoLevelGate):
-        return {
-            "kind": g.kind,
-            "axis_a": g.axis_a,
-            "pair_a": list(g.pair_a),
-            "axis_b": g.axis_b,
-            "pair_b": list(g.pair_b),
-            "matrix": _matrix_to_obj(g.matrix),
-        }
-    if isinstance(g, CnotGate):
-        return {
-            "kind": g.kind,
-            "control_axis": g.control_axis,
-            "control_pair": list(g.control_pair),
-            "target_axis": g.target_axis,
-            "target_pair": list(g.target_pair),
-        }
-    if isinstance(g, GenericGate):
-        return {
-            "kind": g.kind,
-            "axes": list(g.axes),
-            "cut": g.cut,
-            "matrix": _matrix_to_obj(g.matrix),
-        }
-    raise CodecError(f"cannot serialize gate {type(g).__name__}")
-
-
-def _indices(seq) -> tuple[int, ...]:
-    return tuple(operator.index(v) for v in seq)
+    kind = getattr(g, "kind", None)
+    if kind not in _GATE_FIELDS:
+        raise CodecError(f"cannot serialize gate {type(g).__name__}")
+    _, fields = _GATE_FIELDS[kind]
+    return {"kind": kind, **{name: _ENCODE[codec](getattr(g, name)) for name, codec in fields}}
 
 
 def _gate_from_obj(obj, path: str) -> Gate:
     kind = obj.get("kind")
-    if kind == "ControlledComputational":
-        return controlled(
-            _indices(obj["controls"]),
-            _indices(obj["targets"]),
-            {
-                _indices(br["control"]): _obj_to_matrix(br["matrix"], path)
-                for br in obj["branches"]
-            },
-        )
-    if kind == "Local":
-        return local(_indices(obj["axes"]), _obj_to_matrix(obj["matrix"], path))
-    if kind == "TwoLevelStandard":
-        return two_level(
-            operator.index(obj["axis_a"]),
-            _indices(obj["pair_a"]),
-            operator.index(obj["axis_b"]),
-            _indices(obj["pair_b"]),
-            _obj_to_matrix(obj["matrix"], path),
-        )
-    if kind == "CNOT":
-        return cnot(
-            operator.index(obj["control_axis"]),
-            _indices(obj["control_pair"]),
-            operator.index(obj["target_axis"]),
-            _indices(obj["target_pair"]),
-        )
-    if kind == "GenericBipartite":
-        return generic(
-            _indices(obj["axes"]), _obj_to_matrix(obj["matrix"], path), int(obj["cut"])
-        )
-    raise CodecError(f"{path}: unknown gate kind {kind!r}")
+    if kind not in _GATE_FIELDS:
+        raise CodecError(f"{path}: unknown gate kind {kind!r}")
+    build, fields = _GATE_FIELDS[kind]
+    return build(**{name: _DECODE[codec](obj[name], path) for name, codec in fields})
 
 
 def circuit_to_obj(c: Circuit):

@@ -11,19 +11,23 @@ factor, so it is applied **last**.  ``apply_circuit`` returns
 product notation U = U_1 U_2 ... U_k and is the classic place for reversal
 bugs; the JSON format documents it as well.
 
+A controlled gate stores each distinct branch once: ``palette`` holds the
+distinct unitaries on the target axes, and ``index``, an integer array over
+the control dimensions, names the palette entry of every control tuple.
 Every gate kind is a computational-basis controlled gate, so each record is
-lowered to one form, ``(controls, targets, stack)``: ``stack[i]`` is the
-branch on the target axes for the i-th control tuple in row-major order.
-Lowering is also where a gate's structure is checked.  One kernel applies a
-lowered gate to a block of state columns by a batched matmul over the
-(controls, targets, rest) regrouping of the state; dense simulation, gate
-embedding, classification and the exact permutation tables all use it.
+lowered to one form, ``(controls, targets, palette, index)``:
+``palette[index[i]]`` is the branch for the i-th control tuple in row-major
+order.  Lowering is also where a gate's structure is checked against the
+space.  One kernel applies a lowered gate to a block of state columns by a
+batched matmul over the (controls, targets, rest) regrouping of the state;
+dense simulation, gate embedding, classification and the exact permutation
+tables all use it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,39 +112,109 @@ def multiparty_space(dims) -> PartySpace:
 # gate records
 
 
+def _canonical_palette(palette: np.ndarray, index: np.ndarray):
+    """Merge equal palette entries, drop unused ones, order the rest by first use."""
+    # equal means equal bytes: np.array_equal would also merge -0.0 with 0.0,
+    # and the merged entry would change the bytes of the circuit file
+    seen: dict[bytes, int] = {}
+    same = [seen.setdefault(p.tobytes(), j) for j, p in enumerate(palette)]
+    rank: dict[int, int] = {}  # kept entry -> its new position, in first-use order
+    for j in index.reshape(-1).tolist():
+        rank.setdefault(same[j], len(rank))
+    if list(rank) == list(range(len(palette))):
+        return palette, index
+    remap = np.array([rank.get(s, 0) for s in same], dtype=np.intp)
+    return palette[list(rank)], remap[index]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class ControlledGate:
-    """Computational-basis controlled gate.
+    """Computational-basis controlled gate: a palette of branches and an index.
 
-    ``branches`` maps every tuple of control-axis basis indices to the unitary
-    applied on the target axes (identity on all remaining axes).  Control and
-    target axes are strictly increasing; branch matrices are indexed row-major
-    over the target axes in that order.
+    ``palette`` is a ``(k, d, d)`` stack of the distinct unitaries applied on
+    the target axes (identity on all remaining axes).  ``index`` has one axis
+    per control axis, and its entry at a tuple of control-axis basis indices
+    names the palette entry applied for it.  Control and target axes are
+    strictly increasing; branch matrices are indexed row-major over the target
+    axes in that order.
+
+    Construction coerces and checks the palette once and keeps it canonical:
+    entries are pairwise distinct (entries with equal bytes are merged), every
+    entry is used, and entries come in order of first use in row-major control
+    order, so ``palette[0]`` is the branch of the all-zero control tuple.
+    Both arrays are read-only.
     """
 
     controls: tuple[int, ...]
     targets: tuple[int, ...]
-    branches: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    palette: np.ndarray
+    index: np.ndarray
 
     kind = "ControlledComputational"
 
+    def __post_init__(self):
+        controls, targets = tuple(self.controls), tuple(self.targets)
+        if list(controls) != sorted(controls) or list(targets) != sorted(targets):
+            raise CircuitError("control/target axes must be strictly increasing")
+        if set(controls) & set(targets):
+            raise CircuitError("control and target axes overlap")
+        palette = np.asarray(self.palette, dtype=complex)
+        index = np.asarray(self.index, dtype=np.intp)
+        if palette.ndim != 3 or palette.shape[1] != palette.shape[2]:
+            raise CircuitError(f"palette has shape {palette.shape}, expected (k, d, d)")
+        if not np.isfinite(palette).all():
+            raise CircuitError("branch entries must be finite")
+        if index.ndim != len(controls):
+            raise CircuitError(f"control index of shape {index.shape} for controls {controls}")
+        if index.size and (index.min() < 0 or index.max() >= len(palette)):
+            raise CircuitError("control index names no palette entry")
+        palette, index = _canonical_palette(palette, index)
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "palette", _read_only(palette))
+        object.__setattr__(self, "index", _read_only(index))
+
     def branch(self, ctrl: tuple[int, ...]) -> np.ndarray:
-        for key, mat in self.branches:
-            if key == ctrl:
-                return mat
-        raise KeyError(ctrl)
+        ctrl = tuple(ctrl)
+        shape = self.index.shape
+        if len(ctrl) != len(shape) or not all(0 <= v < n for v, n in zip(ctrl, shape)):
+            raise KeyError(ctrl)
+        return self.palette[self.index[ctrl]]
+
+    @property
+    def branches(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """Row-major ``(control-tuple, branch)`` pairs, one per control tuple."""
+        return tuple(zip(np.ndindex(self.index.shape), (self.palette[j] for j in self.index.flat)))
 
 
 def controlled(controls, targets, branches: dict) -> ControlledGate:
-    """Build a ControlledGate from a {control-tuple: matrix} mapping."""
+    """Build a ControlledGate from a {control-tuple: matrix} mapping.
+
+    The keys must be every control tuple below the largest value the
+    mapping names on each control axis; whether that covers the control axes
+    of a space is checked where the gate is lowered on one.
+    """
     controls = tuple(controls)
-    targets = tuple(targets)
-    if list(controls) != sorted(controls) or list(targets) != sorted(targets):
-        raise CircuitError("control/target axes must be strictly increasing")
-    if set(controls) & set(targets):
-        raise CircuitError("control and target axes overlap")
-    items = tuple(sorted((tuple(k), as_matrix(v)) for k, v in branches.items()))
-    return ControlledGate(controls, targets, items)
+    keys = [tuple(operator.index(v) for v in k) for k in branches]
+    for key in keys:
+        if len(key) != len(controls) or min(key, default=0) < 0:
+            raise CircuitError(f"control tuple {key} does not fit {len(controls)} control axes")
+    shape = tuple(max(col) + 1 for col in zip(*keys))
+    if len(keys) != math.prod(shape):
+        raise CircuitError("controlled gate does not cover every control tuple exactly once")
+    mats = [as_matrix(m) for m in branches.values()]
+    if len({m.shape for m in mats}) > 1:
+        raise CircuitError(f"branches have different shapes {sorted({m.shape for m in mats})}")
+    index = np.empty(shape, dtype=np.intp)
+    for j, key in enumerate(keys):
+        index[key] = j
+    return ControlledGate(controls, tuple(targets), np.stack(mats), index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +281,8 @@ class GenericGate:
     """Explicit unitary on a set of axes with a declared bipartition tag.
 
     ``cut`` is the number of leading axes (in ``axes`` order) belonging to the
-    left block of the declared bipartition; used for block-structure checks.
+    left block of the declared bipartition.  It is a declared tag carried into
+    the circuit file; nothing in the package reads it.
     """
 
     axes: tuple[int, ...]
@@ -298,44 +373,32 @@ def _checked_pair(d: int, pair) -> tuple[int, int]:
     return tuple(pair)
 
 
-def _branch_stack(dims, controls, targets, items) -> np.ndarray:
-    """Stack ``(control-tuple, branch)`` items in row-major control order.
-
-    The items must hold every control tuple exactly once, each with a square
-    branch on the target axes.
-    """
-    dt = math.prod(dims[ax] for ax in targets)
-    for key, m in items:
-        if len(key) != len(controls):
-            raise CircuitError(f"control tuple {key} does not match {len(controls)} control axes")
-        for ax, v in zip(controls, key):
-            if not 0 <= v < dims[ax]:
-                raise CircuitError(f"control index {v} out of range on axis {ax}")
-        if m.shape != (dt, dt):
-            raise CircuitError(f"branch for control {key} has shape {m.shape}, expected {(dt, dt)}")
-    items = sorted(items, key=lambda item: item[0])
-    every = itertools.product(*(range(dims[ax]) for ax in controls))
-    if [key for key, _ in items] != list(every):
-        raise CircuitError("controlled gate does not cover every control tuple exactly once")
-    return np.stack([m for _, m in items])
-
-
 def _lower(dims, g: Gate):
-    """Lower a gate record to ``(controls, targets, stack)`` on a space of ``dims``.
+    """Lower a gate record to ``(controls, targets, palette, index)`` on ``dims``.
 
-    Every kind is a uniformly controlled gate: ``stack[i]`` is the branch on
-    the target axes (row-major over them, in the order given) applied when
-    the control axes hold the i-th control tuple in row-major order.  Local,
-    generic and two-level gates have no controls; a CNOT has one, and its
-    ``control_pair[1]`` branch swaps ``target_pair``.  This is the one place
-    that reads the kind of a gate for simulation and checks its structure.
+    Every kind is a uniformly controlled gate: ``palette[index[i]]`` is the
+    branch on the target axes (row-major over them, in the order given)
+    applied when the control axes hold the i-th control tuple in row-major
+    order.  Local, generic and two-level gates have no controls; a CNOT has
+    one, and its palette is ``[identity, swap]`` with the swap of
+    ``target_pair`` at ``control_pair[1]``.  This is the one place that reads
+    the kind of a gate for simulation and checks its structure against the
+    space.
     """
     if isinstance(g, ControlledGate):
         controls, targets = _checked_axes(dims, g.controls, g.targets)
-        items = g.branches
+        ctrl_dims = tuple(dims[ax] for ax in controls)
+        if g.index.shape != ctrl_dims:
+            raise CircuitError(
+                f"control index has shape {g.index.shape} on control dims {ctrl_dims}: "
+                "the gate does not cover every control tuple exactly once"
+            )
+        palette, index = g.palette, g.index.reshape(-1)
+        if index.size and (index.min() < 0 or index.max() >= len(palette)):
+            raise CircuitError("control index names no palette entry")
     elif isinstance(g, (LocalGate, GenericGate)):
         controls, targets = _checked_axes(dims, (), g.axes)
-        items = (((), g.matrix),)
+        palette, index = g.matrix[None], np.zeros(1, dtype=np.intp)
     elif isinstance(g, TwoLevelGate):
         controls, targets = _checked_axes(dims, (), (g.axis_a, g.axis_b))
         if g.matrix.shape != (4, 4):
@@ -345,7 +408,7 @@ def _lower(dims, g: Gate):
         quad = [a * db + b for a in pa for b in pb]
         branch = np.eye(da * db, dtype=complex)
         branch[np.ix_(quad, quad)] = g.matrix
-        items = (((), branch),)
+        palette, index = branch[None], np.zeros(1, dtype=np.intp)
     elif isinstance(g, CnotGate):
         controls, targets = _checked_axes(dims, (g.control_axis,), (g.target_axis,))
         dc, dt = dims[g.control_axis], dims[g.target_axis]
@@ -353,10 +416,15 @@ def _lower(dims, g: Gate):
         k0, k1 = _checked_pair(dt, g.target_pair)
         swap = np.arange(dt)
         swap[[k0, k1]] = k1, k0
-        items = tuple(((v,), perm_matrix(swap if v == fire else np.arange(dt))) for v in range(dc))
+        palette = np.stack([np.eye(dt, dtype=complex), perm_matrix(swap)])
+        index = (np.arange(dc) == fire).astype(np.intp)
     else:
         raise CircuitError(f"unknown gate record {type(g).__name__}")
-    return controls, targets, _branch_stack(dims, controls, targets, items)
+    dt = math.prod(dims[ax] for ax in targets)
+    if palette.shape[1:] != (dt, dt):
+        raise CircuitError(f"branches have shape {palette.shape[1:]}, expected {(dt, dt)}")
+    return controls, targets, palette, index
+
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +446,9 @@ def _grouped(dims, controls, targets, a: np.ndarray):
 
 def _apply(dims, lowered, state: np.ndarray) -> np.ndarray:
     """Apply a lowered gate to every column of ``state`` (shape (prod(dims), k))."""
-    controls, targets, stack = lowered
+    controls, targets, palette, index = lowered
     x, order = _grouped(dims, controls, targets, state.reshape(*dims, -1))
-    x = np.matmul(stack, x)
+    x = np.matmul(palette[index], x)
     shape = [dims[ax] for ax in order[:-1]] + [-1]
     return x.reshape(shape).transpose(np.argsort(order)).reshape(state.shape)
 
@@ -408,20 +476,25 @@ def apply_circuit(c: Circuit) -> np.ndarray:
 
 
 def _permutation_table(dims, lowered):
-    """(targets, phases) of a lowered gate whose branches are complex permutations."""
-    controls, targets, stack = lowered
-    nonzero = stack != 0
+    """(targets, phases) of a lowered gate whose branches are complex permutations.
+
+    Each palette entry is tested and read once; the control index spreads the
+    result over the control tuples.
+    """
+    controls, targets, palette, index = lowered
+    nonzero = palette != 0
     if (nonzero.sum(axis=1) != 1).any() or (nonzero.sum(axis=2) != 1).any():
         raise CircuitError("gate is not a complex permutation")
-    rows = nonzero.argmax(axis=1)  # rows[c, j]: image level of target level j
-    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
+    rows = nonzero.argmax(axis=1)  # rows[p, j]: image level of target level j
+    vals = np.take_along_axis(palette, rows[:, None, :], axis=1)[:, 0, :]
     if (np.abs(np.abs(vals) - 1.0) > 1e-12).any():
         raise CircuitError("gate is not a complex permutation")
+    rows, vals = rows[index], vals[index]
     total = math.prod(dims)
     idx, _ = _grouped(dims, controls, targets, np.arange(total).reshape(dims))
     out_t = np.empty(total, dtype=np.int64)
     out_p = np.empty(total, dtype=complex)
-    out_t[idx] = idx[np.arange(len(stack))[:, None], rows]
+    out_t[idx] = idx[np.arange(len(index))[:, None], rows]
     out_p[idx] = vals[:, :, None]
     return out_t, out_p
 
@@ -527,7 +600,7 @@ def verify_decomposition(u, c: Circuit, tol: float = RECON_TOL, classify: bool =
     )
 
 
-def classify_matrix(m, da: int, db: int, eps: float = DEFAULT_EPS):
+def classify_matrix(m, da: int, db: int):
     """Computational-basis controlledness and Schmidt rank across a (da, db) cut."""
     from .schmidt import operator_schmidt
 
@@ -542,27 +615,27 @@ def classify_matrix(m, da: int, db: int, eps: float = DEFAULT_EPS):
         t[:, b, :, b] = 0.0
     off_b = max_abs(t)
     rank = operator_schmidt(m, da, db).rank
-    return off_a <= eps, off_b <= eps, rank
+    return off_a <= DEFAULT_EPS, off_b <= DEFAULT_EPS, rank
 
 
-def classify_gate(space: PartySpace, g: Gate, cut: int = 1, eps: float = DEFAULT_EPS) -> GateClassification:
+def classify_gate(space: PartySpace, g: Gate, cut: int = 1) -> GateClassification:
     """Classify one gate across the party bipartition (first ``cut`` parties vs rest).
 
     The gate is materialized on its own axes only, reordered so the A-side
     (host in the first ``cut`` parties) comes first.
     """
-    controls, targets, stack = _lower(space.dims, g)
+    controls, targets, palette, index = _lower(space.dims, g)
     a_names = {n for n, _ in space.parties[:cut]}
     axes = controls + targets
     a_axes = [ax for ax in axes if space.axis_host(ax) in a_names]
     b_axes = [ax for ax in axes if space.axis_host(ax) not in a_names]
     pos = {ax: i for i, ax in enumerate(a_axes + b_axes)}
     sub_dims = tuple(space.dims[ax] for ax in a_axes + b_axes)
-    lowered = (tuple(pos[ax] for ax in controls), tuple(pos[ax] for ax in targets), stack)
+    lowered = (tuple(pos[ax] for ax in controls), tuple(pos[ax] for ax in targets), palette, index)
     mat = _apply(sub_dims, lowered, np.eye(math.prod(sub_dims), dtype=complex))
     da = math.prod(space.dims[ax] for ax in a_axes)
     db = math.prod(space.dims[ax] for ax in b_axes)
-    from_a, from_b, rank = classify_matrix(mat, da, db, eps)
+    from_a, from_b, rank = classify_matrix(mat, da, db)
     return GateClassification(g.kind, from_a, from_b, rank)
 
 
@@ -570,17 +643,20 @@ def classify_gate(space: PartySpace, g: Gate, cut: int = 1, eps: float = DEFAULT
 # structural validation
 
 
-def validate_circuit(c: Circuit, eps: float = DEFAULT_EPS) -> None:
-    """Check the IR invariants: gate structure, unitary branches, two-level rank."""
+def validate_circuit(c: Circuit) -> None:
+    """Check the IR invariants: gate structure, unitary branches, two-level rank.
+
+    Unitarity is checked to ``DEFAULT_EPS`` once per palette entry.
+    """
     from .schmidt import operator_schmidt
 
     for i, g in enumerate(c.gates):
         try:
-            _, _, stack = _lower(c.space.dims, g)
+            _, _, palette, _ = _lower(c.space.dims, g)
         except CircuitError as exc:
             raise CircuitError(f"gate {i}: {exc}") from exc
-        if not all(is_unitary(m, eps) for m in stack):
-            raise CircuitError(f"gate {i}: a branch is not unitary at {eps}")
+        if not all(is_unitary(m) for m in palette):
+            raise CircuitError(f"gate {i}: a branch is not unitary at {DEFAULT_EPS}")
         if isinstance(g, TwoLevelGate) and operator_schmidt(g.matrix, 2, 2).rank > 2:
             raise CircuitError(f"gate {i}: two-level part has Schmidt rank > 2")
         if isinstance(g, LocalGate):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .gateir import Circuit, PartySpace, controlled, generic
+from .gateir import Circuit, ControlledGate, PartySpace, generic
 from .permdecomp import ComplexPermutation, decompose_perm3
 
 
@@ -113,9 +113,9 @@ def swap_conjugated_unitary(d: int, seed: int):
     lifted = []
     for g in ps.circuit.gates:
         if g.controls == (0,):  # controlled from the D slot, acting on B
-            lifted.append(controlled((1,), (2,), {k: m for k, m in g.branches}))
+            lifted.append(ControlledGate((1,), (2,), g.palette, g.index))
         else:  # controlled from B, acting on the D slot
-            lifted.append(controlled((2,), (1,), {k: m for k, m in g.branches}))
+            lifted.append(ControlledGate((2,), (1,), g.palette, g.index))
     middle = generic((0, 1), v, cut=2)
     space = PartySpace(parties=(("C", d), ("D", d), ("B", d)))
     circuit = Circuit(space, tuple(lifted) + (middle,) + tuple(lifted))

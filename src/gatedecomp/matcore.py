@@ -141,18 +141,18 @@ def _orthonormal_completion(vectors, dim: int) -> np.ndarray:
     return q
 
 
-def orthogonal_columns_to_diagonal(m, eps: float = DEFAULT_EPS) -> np.ndarray:
+def orthogonal_columns_to_diagonal(m) -> np.ndarray:
     """Return unitary V such that V @ M is diagonal with nonnegative entries.
 
     Requires the columns of M to be pairwise orthogonal (the Gram matrix
-    M† M must be diagonal to within ``eps``).  Rows of V corresponding to
+    M† M must be diagonal to within ``DEFAULT_EPS``).  Rows of V corresponding to
     numerically zero columns are completed deterministically from standard
     basis vectors in increasing index order.
     """
     a = require_square(m)
     n = a.shape[0]
     gram = a.conj().T @ a
-    if max_abs(gram - np.diag(np.diag(gram))) > eps:
+    if max_abs(gram - np.diag(np.diag(gram))) > DEFAULT_EPS:
         raise PreconditionError("columns are not pairwise orthogonal")
     norms = np.sqrt(np.clip(np.real(np.diag(gram)), 0.0, None))
     rows: dict[int, np.ndarray] = {}
@@ -187,9 +187,10 @@ def compress_rows(b, t: int) -> np.ndarray:
     return _orthonormal_completion(vh[:rank].conj(), m).T
 
 
-def complete_isometry(b, eps: float = DEFAULT_EPS) -> np.ndarray:
+def complete_isometry(b) -> np.ndarray:
     """Return unitary W (m x m) with B @ W = [I_k | 0] for a k x m isometry B.
 
+    The rows of B must be orthonormal to ``DEFAULT_EPS``.
     The first k columns of W are B†; the remaining columns are the
     deterministic standard-basis completion of the null space.
     """
@@ -197,17 +198,17 @@ def complete_isometry(b, eps: float = DEFAULT_EPS) -> np.ndarray:
     k, m = a.shape
     if k > m:
         raise PreconditionError("more rows than columns; not an isometry")
-    if max_abs(a @ a.conj().T - np.eye(k)) > eps:
+    if max_abs(a @ a.conj().T - np.eye(k)) > DEFAULT_EPS:
         raise PreconditionError("rows are not orthonormal")
     return _orthonormal_completion(a.conj(), m).T
 
 
-def unitary_eig(m, sort: bool = True):
+def unitary_eig(m):
     """Eigendecomposition M = Q diag(w) Q† of a (near-)unitary matrix.
 
     Uses the complex Schur form, so Q is unitary to machine precision even
-    for clustered eigenvalues.  With ``sort`` the eigenvalues are ordered by
-    phase angle in [0, 2*pi) for reproducibility.
+    for clustered eigenvalues.  The eigenvalues are ordered by phase angle
+    in [0, 2*pi) for reproducibility.
 
     Returns:
         (Q, w) with Q unitary and w the eigenvalue vector.
@@ -217,8 +218,5 @@ def unitary_eig(m, sort: bool = True):
         return a.copy(), np.zeros(0, complex)
     t, q = scipy.linalg.schur(a, output="complex")
     w = np.diag(t).copy()
-    if sort:
-        order = np.argsort(np.mod(np.angle(w), 2.0 * np.pi), kind="stable")
-        q = q[:, order]
-        w = w[order]
-    return q, w
+    order = np.argsort(np.mod(np.angle(w), 2.0 * np.pi), kind="stable")
+    return q[:, order], w[order]

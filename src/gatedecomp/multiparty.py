@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, multiparty_space
+from .gateir import Circuit, ControlledGate, multiparty_space
 from .matcore import PreconditionError, require_square, unitary_input
-from .sandwich import _eye_stack, _is_identity, _record, _sandwich_gates
+from .sandwich import _eye_stack, _is_identity, _sandwich_gates
 
 
 def multiparty_bound(dims) -> int:
@@ -80,7 +80,11 @@ def _finalize(spec, dims, bound: int) -> MultipartiteSandwichResult:
         n = len(dims)
         ident = _eye_stack(math.prod(dims[:-1]), dims[-1])
         kept = [(tuple(range(n - 1)), n - 1, ident.reshape(dims[:-1] + ident.shape[1:]))]
-    records = tuple(_record(c, (t,), s) for c, t, s in kept)
+    records = []
+    for c, t, s in kept:
+        ctrl_dims, d = s.shape[:-2], s.shape[-1]
+        index = np.arange(math.prod(ctrl_dims)).reshape(ctrl_dims)
+        records.append(ControlledGate(c, (t,), s.reshape(-1, d, d), index))
     patterns = tuple(c for c, _, _ in kept)
     circuit = Circuit(multiparty_space(dims), records)
     return MultipartiteSandwichResult(circuit, bound, patterns, len(spec))

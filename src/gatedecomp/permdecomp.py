@@ -12,11 +12,12 @@ input's own phase values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, bipartite_space, controlled, multiparty_space
+from .gateir import Circuit, ControlledGate, bipartite_space, multiparty_space
 from .matcore import PreconditionError, as_matrix, perm_matrix
 
 
@@ -243,17 +244,25 @@ def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
     return sigma1, tau2, sigma3
 
 
-def _stage_matrices(sigma1, tau2, sigma3, da: int, db: int, phases=None):
-    """Branch matrices for the three stages; phases folded into the last gate."""
-    g1 = {(a,): perm_matrix(sigma1[a]) for a in range(da)}
-    g2 = {(b,): perm_matrix(tau2[b]) for b in range(db)}
-    g3 = {}
-    for a in range(da):
-        m = perm_matrix(sigma3[a])
-        if phases is not None:
-            m = m @ np.diag(phases[a * db : (a + 1) * db])
-        g3[(a,)] = m
-    return g1, g2, g3
+def _perm_gate(controls, targets, tables: np.ndarray, phases=None) -> ControlledGate:
+    """Controlled (complex) permutation built from its permutation tables.
+
+    ``tables`` has shape ctrl_dims + (d,): the branch for control values k
+    sends target level j to ``tables[k][j]``.  ``phases``, of the same shape,
+    multiplies branch k on the right by ``diag(phases[k])``.  Without phases
+    each distinct table is turned into one palette entry.
+    """
+    d = tables.shape[-1]
+    rows = tables.reshape(-1, d)
+    if phases is None:
+        rows, index = np.unique(rows, axis=0, return_inverse=True)
+        palette = np.zeros((len(rows), d, d), dtype=complex)
+        palette[np.arange(len(rows))[:, None], rows, np.arange(d)] = 1.0
+    else:
+        index = np.arange(len(rows))
+        pairs = zip(rows, phases.reshape(-1, d))
+        palette = np.stack([perm_matrix(t) @ np.diag(p) for t, p in pairs])
+    return ControlledGate(controls, targets, palette, index.reshape(tables.shape[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,15 +280,13 @@ def decompose_perm3(cp: ComplexPermutation) -> PermSandwich:
     if len(cp.dims) != 2:
         raise ValueError("expected a bipartite permutation")
     da, db = cp.dims
-    out_a = np.array([[cp.targets[a * db + b] // db for b in range(db)] for a in range(da)])
-    out_b = np.array([[cp.targets[a * db + b] % db for b in range(db)] for a in range(da)])
+    out_a, out_b = np.divmod(np.asarray(cp.targets, dtype=np.int64).reshape(da, db), db)
     sigma1, tau2, sigma3 = _perm3_stages(out_a, out_b, da, db)
-    phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex)
-    g1, g2, g3 = _stage_matrices(sigma1, tau2, sigma3, da, db, phases)
+    phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(da, db)
     gates = (
-        controlled((0,), (1,), g1),
-        controlled((1,), (0,), g2),
-        controlled((0,), (1,), g3),
+        _perm_gate((0,), (1,), sigma1),
+        _perm_gate((1,), (0,), tau2),
+        _perm_gate((0,), (1,), sigma3, phases),
     )
     return PermSandwich(Circuit(bipartite_space(da, db), gates), sigma1, tau2, sigma3)
 
@@ -306,16 +313,17 @@ class ClassicalStage:
         return self.perms[b][a], b
 
 
-def decompose_perm3_classical(pairs, da: int, db: int):
-    """Three classical stages (row, col, row), in application order.
+def table_outputs(pairs, da: int, db: int):
+    """(out_a, out_b) arrays of a bijection on the da x db table.
 
-    ``pairs`` is an iterable of (in_a, in_b, out_a, out_b) rows describing a
-    bijection on the da x db table; composing the returned stages first to
-    last reproduces it exactly.
+    ``pairs`` is an iterable of (in_a, in_b, out_a, out_b) integer rows.
+    Raises ValueError unless every entry is in range, the rows name every
+    input cell exactly once, and the outputs are a bijection.
     """
     out_a = np.full((da, db), -1, dtype=np.int64)
     out_b = np.full((da, db), -1, dtype=np.int64)
-    for ia, ib, oa, ob in pairs:
+    for row in pairs:
+        ia, ib, oa, ob = (operator.index(v) for v in row)
         if not (0 <= ia < da and 0 <= ib < db and 0 <= oa < da and 0 <= ob < db):
             raise ValueError("table entry out of range")
         if out_a[ia, ib] != -1:
@@ -327,6 +335,17 @@ def decompose_perm3_classical(pairs, da: int, db: int):
     flat = out_a.reshape(-1) * db + out_b.reshape(-1)
     if sorted(flat.tolist()) != list(range(da * db)):
         raise ValueError("table is not a bijection")
+    return out_a, out_b
+
+
+def decompose_perm3_classical(pairs, da: int, db: int):
+    """Three classical stages (row, col, row), in application order.
+
+    ``pairs`` is an iterable of (in_a, in_b, out_a, out_b) rows describing a
+    bijection on the da x db table (checked by `table_outputs`); composing
+    the returned stages first to last reproduces it exactly.
+    """
+    out_a, out_b = table_outputs(pairs, da, db)
     sigma1, tau2, sigma3 = _perm3_stages(out_a, out_b, da, db)
     first = ClassicalStage("row", tuple(tuple(int(x) for x in row) for row in sigma3))
     mid = ClassicalStage("col", tuple(tuple(int(x) for x in col) for col in tau2))
@@ -345,50 +364,35 @@ def apply_stages(stages, a: int, b: int) -> tuple[int, int]:
 
 
 def _multi_perm_gates(targets: np.ndarray, dims: tuple[int, ...]):
-    """List of (controls, branch-table dict) pairs, product order, 2n-1 entries.
+    """List of (controls, tables) pairs, product order, 2n-1 entries.
 
-    Each gate is controlled from n-1 parties; branch tables are permutation
-    arrays over the single remaining axis.
+    Each gate is controlled from n-1 parties; ``tables`` has shape
+    ctrl_dims + (d,) and holds one permutation of the remaining axis per
+    tuple of control values.
     """
     n = len(dims)
     d_last = dims[-1]
     d_head = math.prod(dims[:-1])
-    out_a = np.array(
-        [[targets[a * d_last + b] // d_last for b in range(d_last)] for a in range(d_head)]
-    )
-    out_b = np.array(
-        [[targets[a * d_last + b] % d_last for b in range(d_last)] for a in range(d_head)]
-    )
+    out_a, out_b = np.divmod(targets.reshape(d_head, d_last), d_last)
     sigma1, tau2, sigma3 = _perm3_stages(out_a, out_b, d_head, d_last)
 
     head_axes = tuple(range(n - 1))
     head_dims = dims[:-1]
-
-    def head_tuple(flat: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.unravel_index(flat, head_dims))
-
-    g1 = (head_axes, {head_tuple(a): sigma1[a] for a in range(d_head)})
-    g3 = (head_axes, {head_tuple(a): sigma3[a] for a in range(d_head)})
+    g1 = (head_axes, sigma1.reshape(head_dims + (d_last,)))
+    g3 = (head_axes, sigma3.reshape(head_dims + (d_last,)))
 
     if n == 2:
-        g2 = ((1,), {(b,): tau2[b] for b in range(d_last)})
-        return [g1, g2, g3]
+        return [g1, ((1,), tau2), g3]
 
-    # recurse on every branch of the middle gate with a common schedule
+    # recurse on every branch of the middle gate with a common schedule; the
+    # middle gate's control value b becomes the last control axis
     subs = [_multi_perm_gates(tau2[b], head_dims) for b in range(d_last)]
-    length = len(subs[0])
     merged = []
-    for i in range(length):
-        sub_controls = subs[0][i][0]
-        controls = tuple(sub_controls) + (n - 1,)
-        branches = {}
-        for b in range(d_last):
-            ctrls_i, table_i = subs[b][i]
-            if ctrls_i != sub_controls:
-                raise AssertionError("branch schedules diverged")
-            for key, tab in table_i.items():
-                branches[key + (b,)] = tab
-        merged.append((controls, branches))
+    for entries in zip(*subs, strict=True):
+        sub_controls = entries[0][0]
+        if any(c != sub_controls for c, _ in entries):
+            raise AssertionError("branch schedules diverged")
+        merged.append((sub_controls + (n - 1,), np.stack([t for _, t in entries], axis=-2)))
     return [g1] + merged + [g3]
 
 
@@ -406,19 +410,11 @@ def decompose_multiparty_perm(cp: ComplexPermutation) -> Circuit:
     targets = np.asarray(cp.targets, dtype=np.int64)
     gates_spec = _multi_perm_gates(targets, dims)
 
-    phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex)
-    head_dims = dims[:-1]
-    d_last = dims[-1]
+    # the final gate is controlled from the head parties and targets the last
+    phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(dims)
     records = []
-    for idx, (controls, branches) in enumerate(gates_spec):
+    for idx, (controls, tables) in enumerate(gates_spec):
         (target_axis,) = tuple(sorted(set(range(n)) - set(controls)))
-        mats = {}
-        for key, tab in branches.items():
-            m = perm_matrix(tab)
-            if phases is not None and idx == len(gates_spec) - 1:
-                # the final gate targets the last axis; fold the diagonal in
-                head_flat = int(np.ravel_multi_index(key, head_dims))
-                m = m @ np.diag(phases[head_flat * d_last : (head_flat + 1) * d_last])
-            mats[key] = m
-        records.append(controlled(controls, (target_axis,), mats))
+        last = phases if idx == len(gates_spec) - 1 else None
+        records.append(_perm_gate(controls, (target_axis,), tables, last))
     return Circuit(multiparty_space(dims), tuple(records))

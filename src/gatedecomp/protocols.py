@@ -11,7 +11,6 @@ CNOTs via the flag-ancilla construction (one qubit per side).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .gateir import (
     controlled,
     generic,
 )
-from .matcore import PreconditionError, as_matrix, is_unitary, max_abs, perm_matrix, require_square
+from .matcore import DEFAULT_EPS, PreconditionError, as_matrix, is_unitary, max_abs
+from .matcore import perm_matrix, require_square
 from .schmidt import operator_schmidt
 
 
@@ -115,16 +115,16 @@ def pp_expansion(u, da: int, db: int) -> PartialPermExpansion:
 # two-term controlled gates via one flag qubit per side
 
 
-def _check_projector_pair(p1, p2, eps=1e-9):
+def _check_projector_pair(p1, p2):
     p1 = require_square(p1)
     p2 = require_square(p2)
     d = p1.shape[0]
     for p in (p1, p2):
-        if max_abs(p @ p - p) > eps or max_abs(p - p.conj().T) > eps:
+        if max_abs(p @ p - p) > DEFAULT_EPS or max_abs(p - p.conj().T) > DEFAULT_EPS:
             raise PreconditionError("branch selectors must be orthogonal projectors")
-    if max_abs(p1 + p2 - np.eye(d)) > eps:
+    if max_abs(p1 + p2 - np.eye(d)) > DEFAULT_EPS:
         raise PreconditionError("projectors must sum to the identity")
-    if max_abs(p1 @ p2) > eps:
+    if max_abs(p1 @ p2) > DEFAULT_EPS:
         raise PreconditionError("projectors must be orthogonal")
     r1 = int(round(np.real(np.trace(p1))))
     r2 = int(round(np.real(np.trace(p2))))
@@ -219,33 +219,38 @@ class BackupProtocolResult:
     cnot_count: int
 
 
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _with_identity(branch: np.ndarray) -> np.ndarray:
+    """The two-term palette [identity, branch]: index 1 applies ``branch``."""
+    return np.stack([np.eye(len(branch), dtype=complex), branch])
+
+
+_FLAG_PALETTE = _with_identity(_X)
+
+
 def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_backup: bool):
     """Application-order gates for one expansion term, on axes (A=0, (B,c)=(1,2)).
 
     Branch matrices are over the (B, c) pair, row-major (b-major, c-minor).
+    Every gate applies one branch on an active set of control values and the
+    identity elsewhere; the active set is a 0/1 control index.
     """
     ins_a, outs_a, map_a = _pp_support(a_mat)
     ins_b, outs_b, map_b = _pp_support(b_mat)
     dbc = 2 * db
-    eye_bc = np.eye(dbc, dtype=complex)
-    eye_a = np.eye(da, dtype=complex)
     gates = []
 
-    def a_controlled(active: set, branch: np.ndarray):
-        return controlled(
-            (0,), (1, 2), {(a,): (branch if a in active else eye_bc) for a in range(da)}
-        )
+    def on_a(rows) -> np.ndarray:  # 1 on the given A rows
+        index = np.zeros(da, dtype=np.intp)
+        index[list(rows)] = 1
+        return index
 
-    def bc_controlled(active_pairs: set, branch: np.ndarray):
-        return controlled(
-            (1, 2),
-            (0,),
-            {
-                (b, c): (branch if (b, c) in active_pairs else eye_a)
-                for b in range(db)
-                for c in range(2)
-            },
-        )
+    def on_bc(cols, c: int) -> np.ndarray:  # 1 on the given B columns of copy c
+        index = np.zeros((db, 2), dtype=np.intp)
+        index[list(cols), c] = 1
+        return index
 
     pi = _chain_closure(map_a, da)
     pi_mat = perm_matrix(pi)
@@ -259,25 +264,26 @@ def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_back
             for b in range(db):
                 s[2 * btil[b], 2 * b] = 1.0
                 s[2 * b + 1, 2 * b + 1] = 1.0
-            gates.append(a_controlled(ins_a, s))
+            gates.append(ControlledGate((0,), (1, 2), _with_identity(s), on_a(ins_a)))
         if (pi != np.arange(da)).any():
-            gates.append(bc_controlled({(b, 0) for b in ins_b}, pi_mat))
+            gates.append(ControlledGate((1, 2), (0,), _with_identity(pi_mat), on_bc(ins_b, 0)))
         return gates
 
     # move the rectangle to the backup copy at the target columns
-    s = eye_bc.copy()
+    s = np.eye(dbc, dtype=complex)
     for b in ins_b:
         s[:, 2 * b] = 0.0
         s[:, 2 * map_b[b] + 1] = 0.0
         s[2 * map_b[b] + 1, 2 * b] = 1.0
         s[2 * b, 2 * map_b[b] + 1] = 1.0
-    gates.append(a_controlled(ins_a, s))
+    move = _with_identity(s)
+    gates.append(ControlledGate((0,), (1, 2), move, on_a(ins_a)))
     # permute into the target rows inside the backup copy
     if (pi != np.arange(da)).any():
-        gates.append(bc_controlled({(b, 1) for b in outs_b}, pi_mat))
+        gates.append(ControlledGate((1, 2), (0,), _with_identity(pi_mat), on_bc(outs_b, 1)))
     # restore the displaced partial rectangle
     if ins_a != outs_a:
-        gates.append(a_controlled(ins_a - outs_a, s))
+        gates.append(ControlledGate((0,), (1, 2), move, on_a(ins_a - outs_a)))
     return gates
 
 
@@ -326,68 +332,44 @@ def _absorb_final_flip(prod_gates: list, da: int, db: int) -> list:
     """Fold the trailing X on the flag qubit c into the last A-controlled gate.
 
     Walking the product-order list, X_c commutes through (B,c)-controlled
-    gates by relabeling their branches and multiplies into the first
-    A-controlled gate encountered.
+    gates by reversing their control index on the c axis and multiplies into
+    the palette of the first A-controlled gate encountered.
     """
-    xc = np.zeros((2 * db, 2 * db), dtype=complex)
-    for bb in range(db):
-        xc[2 * bb, 2 * bb + 1] = 1.0
-        xc[2 * bb + 1, 2 * bb] = 1.0
+    xc = np.kron(np.eye(db), _X)
     out = list(prod_gates)
     for i, g in enumerate(out):
         if g.controls == (0,):
-            out[i] = controlled((0,), (1, 2), {k: xc @ m for k, m in g.branches})
+            out[i] = ControlledGate((0,), (1, 2), xc @ g.palette, g.index)
             return out
         if g.controls == (1, 2):
-            out[i] = controlled(
-                (1, 2), (0,), {(b, 1 - c): mat for (b, c), mat in g.branches}
-            )
+            out[i] = ControlledGate((1, 2), (0,), g.palette, g.index[:, ::-1])
             continue
         raise AssertionError("unexpected gate kind in protocol")
     raise AssertionError("no A-controlled gate to absorb the flag flip")
 
 
-def _two_term_split(g: ControlledGate):
-    """Split a two-valued controlled gate into (value1, value2, active-set)."""
-    items = list(g.branches)
-    base_val = items[0][1]
-    active = set()
-    other_val = None
-    for key, mat in items:
-        if np.array_equal(mat, base_val):
-            continue
-        if other_val is None:
-            other_val = mat
-        elif not np.array_equal(mat, other_val):
-            raise PreconditionError("gate has more than two distinct branches")
-        active.add(key)
-    return base_val, other_val, active
-
-
-def _flag_palindrome(flag_controls, flag_dims, flag_axis, copy_axis, apply_targets, active, v1, v2):
+def _flag_palindrome(flag_controls, flag_axis, copy_axis, apply_targets, index, palette):
     """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
 
-    The flag qubit on ``flag_axis`` is flipped where the values of
-    ``flag_controls`` (dimensions ``flag_dims``) are in ``active``; a CNOT
-    copies it to the other side's flag qubit on ``copy_axis``, which applies
-    ``v1`` (flag 0) or ``v2`` (flag 1) on ``apply_targets``; the copy and the
-    flag are then undone.  The list is a palindrome, so product order and
+    The flag qubit on ``flag_axis`` is flipped where the 0/1 ``index`` over
+    the values of ``flag_controls`` is 1; a CNOT copies it to the other
+    side's flag qubit on ``copy_axis``, which applies ``palette[0]`` (flag 0)
+    or ``palette[1]`` (flag 1) on ``apply_targets``; the copy and the flag
+    are then undone.  The list is a palindrome, so product order and
     application order agree.
     """
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    keys = itertools.product(*(range(d) for d in flag_dims))
-    flag = controlled(flag_controls, (flag_axis,), {k: (x if k in active else eye2) for k in keys})
+    flag = ControlledGate(flag_controls, (flag_axis,), _FLAG_PALETTE, index)
     copy = cnot(flag_axis, (0, 1), copy_axis, (0, 1))
-    apply_gate = controlled((copy_axis,), apply_targets, {(0,): v1, (1,): v2})
+    apply_gate = ControlledGate((copy_axis,), apply_targets, palette, np.arange(2))
     return [flag, copy, apply_gate, copy, flag]
 
 
 def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     """Replace each two-term gate with the 2-CNOT flag construction.
 
-    Expanded axis order: A=0, B=1, a=2, b=3, c=4; the base gates' (B, c)
-    targets move to axes (1, 4).
+    A gate is two-term when its palette has two entries; the flag is then
+    raised exactly where its index is 1.  Expanded axis order: A=0, B=1, a=2,
+    b=3, c=4; the base gates' (B, c) targets move to axes (1, 4).
     """
     space = PartySpace(
         parties=(("A", da), ("B", db)),
@@ -396,19 +378,17 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     out = []
     n_two_term = 0
     for g in prod_gates:
-        v1, v2, active = _two_term_split(g)
-        if v2 is None:
+        from_a = g.controls == (0,)
+        if len(g.palette) == 1:
             # single-valued gate: apply directly (local to one side)
-            if g.controls == (0,):
-                out.append(controlled((0,), (1, 4), {k: v1 for k, _ in g.branches}))
-            else:
-                out.append(controlled((1, 4), (0,), {k: v1 for k, _ in g.branches}))
+            controls, targets = ((0,), (1, 4)) if from_a else ((1, 4), (0,))
+            out.append(ControlledGate(controls, targets, g.palette, g.index))
             continue
         n_two_term += 1
-        if g.controls == (0,):
-            out.extend(_flag_palindrome((0,), (da,), 2, 3, (1, 4), active, v1, v2))
+        if from_a:
+            out.extend(_flag_palindrome((0,), 2, 3, (1, 4), g.index, g.palette))
         else:
-            out.extend(_flag_palindrome((1, 4), (db, 2), 3, 2, (0,), active, v1, v2))
+            out.extend(_flag_palindrome((1, 4), 3, 2, (0,), g.index, g.palette))
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -924,13 +904,8 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
             out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
         return out
 
-    eye_a = np.eye(da, dtype=complex)
-    swaps = [pair_swaps(u_vec) for u_vec, _ in terms]
-    base_gates = []
-    for s, (_, v_vec) in zip(swaps, terms):
-        base_gates.append(
-            controlled((1,), (0,), {(b,): (s if v_vec[b] else eye_a) for b in range(db)})
-        )
+    palettes = [_with_identity(pair_swaps(u_vec)) for u_vec, _ in terms]
+    base_gates = [ControlledGate((1,), (0,), p, v_vec) for p, (_, v_vec) in zip(palettes, terms)]
     space = PartySpace(parties=(("A", da), ("B", db)))
     base = Circuit(space, tuple(base_gates))
 
@@ -940,8 +915,7 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
     xgates = []
-    for s, (_, v_vec) in zip(swaps, terms):
-        active = {(b,) for b in range(db) if v_vec[b]}
-        xgates.extend(_flag_palindrome((1,), (db,), 3, 2, (0,), active, eye_a, s))
+    for p, (_, v_vec) in zip(palettes, terms):
+        xgates.extend(_flag_palindrome((1,), 3, 2, (0,), v_vec, p))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -17,7 +17,6 @@ after identity gates are stripped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .matcore import (
     PreconditionError,
     complete_isometry,
     compress_rows,
-    is_unitary,
     max_abs,
     require_square,
     unitary_input,
@@ -71,19 +69,8 @@ def _eye_stack(n: int, d: int) -> np.ndarray:
     return np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
 
 
-def _is_identity(stack: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
-    return max_abs(stack - np.eye(stack.shape[-1])) <= tol
-
-
-def _record(controls, targets, stack: np.ndarray) -> ControlledGate:
-    """ControlledGate whose branch for control values k is ``stack[k]``.
-
-    The leading axes of ``stack`` run over the control axes in order, so the
-    keys are the row-major control tuples.
-    """
-    d = stack.shape[-1]
-    keys = itertools.product(*(range(n) for n in stack.shape[:-2]))
-    return controlled(controls, targets, dict(zip(keys, stack.reshape(-1, d, d))))
+def _is_identity(stack: np.ndarray) -> bool:
+    return max_abs(stack - np.eye(stack.shape[-1])) <= IDENTITY_TOL
 
 
 def _b_matrix(stack: np.ndarray) -> np.ndarray:
@@ -231,7 +218,7 @@ def _strip(gates: list, da: int, db: int):
     kept = [(i + 1, g) for i, g in enumerate(gates) if not _is_identity(g)]
     if not kept:
         kept = [(1, _eye_stack(da, db))]
-    records = [_record(((p - 1) % 2,), (p % 2,), g) for p, g in kept]
+    records = [ControlledGate(((p - 1) % 2,), (p % 2,), g, np.arange(len(g))) for p, g in kept]
     return records, [p for p, _ in kept]
 
 
@@ -248,7 +235,10 @@ def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
 
 
 def decompose_2xd_sandwich(u, db: int | None = None) -> SandwichResult:
-    """3-gate alternating (A, B, A) form of a 2 x dB unitary."""
+    """3-gate alternating (A, B, A) form of a 2 x dB unitary.
+
+    The input goes through ``unitary_input``, as in ``decompose_sandwich``.
+    """
     u = require_square(u)
     if db is None:
         if u.shape[0] % 2:
@@ -256,9 +246,7 @@ def decompose_2xd_sandwich(u, db: int | None = None) -> SandwichResult:
         db = u.shape[0] // 2
     if u.shape[0] != 2 * db:
         raise ValueError(f"matrix is {u.shape}, expected {(2 * db, 2 * db)}")
-    if not is_unitary(u, 1e-8):
-        raise PreconditionError("input is not unitary")
-    gates = _two_by_d_core(u, db)
+    gates = _two_by_d_core(unitary_input(u), db)
     kept, positions = _strip(gates, 2, db)
     return SandwichResult(Circuit(bipartite_space(2, db), tuple(kept)), 3, tuple(positions), 3)
 
@@ -308,7 +296,7 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def rank2_to_controlled(u, da: int, db: int, svtol: float = 1e-9):
+def rank2_to_controlled(u, da: int, db: int):
     """Convert a Schmidt-rank-2 unitary with 2-dimensional A side to controlled form.
 
     Writes U = A1 (x) B1 + A2 (x) B2, solves det(alpha*A1 + beta*A2) = 0 for
@@ -324,7 +312,7 @@ def rank2_to_controlled(u, da: int, db: int, svtol: float = 1e-9):
     u = require_square(u)
     if da != 2:
         raise PreconditionError("controlling side must have dimension 2")
-    dec = operator_schmidt(u, da, db, svtol)
+    dec = operator_schmidt(u, da, db)
     if dec.rank != 2:
         raise PreconditionError(f"Schmidt rank is {dec.rank}, expected 2")
     a1 = dec.terms[0][0]
@@ -392,17 +380,15 @@ def decompose_2xd_aform(u, db: int | None = None):
 
     Returns an AFormResult whose circuit interleaves the three controlled
     gates with the two recorded local unitaries:
-    [CC, Local, CC, Local, CC].
+    [CC, Local, CC, Local, CC].  The input goes through ``unitary_input``.
     """
     u = require_square(u)
     if db is None:
         db = u.shape[0] // 2
     if u.shape[0] != 2 * db:
         raise ValueError(f"matrix is {u.shape}, expected {(2 * db, 2 * db)}")
-    if not is_unitary(u, 1e-8):
-        raise PreconditionError("input is not unitary")
 
-    g1, g2, g3 = _two_by_d_core(u, db)
+    g1, g2, g3 = _two_by_d_core(unitary_input(u), db)
 
     # reduce the middle factor by diagonal controlled multipliers absorbed
     # into the outer gates: V2' = L V2 R with L, R bipartite diagonal
@@ -476,7 +462,7 @@ class BcuFactorization:
     block_errors: tuple[float, float, float]
 
 
-def decompose_bcu3(u, da: int, db: int, tol: float = RECON_TOL) -> BcuFactorization:
+def decompose_bcu3(u, da: int, db: int) -> BcuFactorization:
     """Factor a bipartite unitary into three block-controlled gates (A, B, A).
 
     The factors are the recursion's first split, U = X W† V† with y = da // 2
@@ -508,7 +494,7 @@ def decompose_bcu3(u, da: int, db: int, tol: float = RECON_TOL) -> BcuFactorizat
         return max(e, max_abs(m[k:, k:] - np.eye(da * db - k)))
 
     errs = (_a_block_err(x), _b_block_err(wd), _a_block_err(vd))
-    if max(errs) > tol:
+    if max(errs) > RECON_TOL:
         raise InfeasibleError(f"block-controlled structure check failed: {errs}")
     space = bipartite_space(da, db)
     gates = (

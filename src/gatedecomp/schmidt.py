@@ -56,11 +56,11 @@ def realign(u, da: int, db: int) -> np.ndarray:
     return u.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
-def operator_schmidt(u, da: int, db: int, svtol: float = SV_TOL) -> SchmidtDecomposition:
+def operator_schmidt(u, da: int, db: int) -> SchmidtDecomposition:
     """Schmidt decomposition across the (da, db) cut.
 
     The rank counts singular values of the realigned matrix exceeding
-    ``svtol`` relative to the largest one.
+    ``SV_TOL`` relative to the largest one.
     """
     r = realign(u, da, db)
     try:
@@ -71,7 +71,7 @@ def operator_schmidt(u, da: int, db: int, svtol: float = SV_TOL) -> SchmidtDecom
         w, s, vh = scipy.linalg.svd(r, lapack_driver="gesvd")
     if s.size == 0 or s[0] == 0.0:
         return SchmidtDecomposition(0, (), ())
-    rank = int(np.sum(s > svtol * s[0]))
+    rank = int(np.sum(s > SV_TOL * s[0]))
     coeffs = tuple(float(x) for x in s[:rank])
     terms = tuple(
         (w[:, j].reshape(da, da), vh[j].reshape(db, db)) for j in range(rank)

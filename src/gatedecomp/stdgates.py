@@ -26,7 +26,7 @@ from .gateir import (
     local,
     two_level,
 )
-from .matcore import PreconditionError, is_unitary, max_abs, perm_matrix, require_square, unitary_eig
+from .matcore import PreconditionError, max_abs, perm_matrix, require_square, unitary_eig
 from .permdecomp import ComplexPermutation, decompose_perm3
 from .sandwich import IDENTITY_TOL, decompose_sandwich
 
@@ -68,16 +68,15 @@ def _phase_pair_gates(phases, ctrl_level: int, da: int, db: int, side: str):
     """
     gates = []
     d = len(phases)
+    other = 0 if ctrl_level != 0 else 1
     for r in range(d // 2):
         x1, x2 = phases[2 * r], phases[2 * r + 1]
         if abs(x1 - 1.0) <= IDENTITY_TOL and abs(x2 - 1.0) <= IDENTITY_TOL:
             continue
         if side == "A":
-            other = 0 if ctrl_level != 0 else 1
             mat = np.diag([1.0, 1.0, x1, x2]).astype(complex)
             gates.append(two_level(0, (other, ctrl_level), 1, (2 * r, 2 * r + 1), mat))
         else:
-            other = 0 if ctrl_level != 0 else 1
             mat = np.diag([1.0, x1, 1.0, x2]).astype(complex)
             gates.append(two_level(0, (2 * r, 2 * r + 1), 1, (other, ctrl_level), mat))
     return gates
@@ -97,18 +96,22 @@ def compile_controlled_to_standard(gate: ControlledGate, da: int, db: int) -> St
         side, d_ctrl, d_tgt = "B", db, da
     else:
         raise PreconditionError("expected a single-party-controlled bipartite gate")
-    branches = [gate.branch((j,)) for j in range(d_ctrl)]
+    last = gate.branch((d_ctrl - 1,))
+    # per palette entry: its eigenbasis relative to the last branch, or None
+    # where the two agree
+    reduced = []
+    for p in gate.palette:
+        vk = p @ last.conj().T
+        reduced.append(None if max_abs(vk - np.eye(d_tgt)) <= IDENTITY_TOL else unitary_eig(vk))
 
     records = []
     count = 0
-    last = branches[d_ctrl - 1]
     tail_axis = 1 if side == "A" else 0
-    rem = [b @ last.conj().T for b in branches]
     for k in range(d_ctrl - 1):
-        vk = rem[k]
-        if max_abs(vk - np.eye(d_tgt)) <= IDENTITY_TOL:
+        eig = reduced[gate.index[k]]
+        if eig is None:
             continue
-        q, w = unitary_eig(vk)
+        q, w = eig
         ph_last = w[d_tgt - 1]
         w_norm = w * np.conj(ph_last)
         # branch-local similarity, a phase on the controlling level, then
@@ -139,8 +142,6 @@ def compile_to_standard(u, da: int, db: int, mode: str = "general") -> StandardC
     if u.shape[0] != da * db:
         raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
     if mode == "general":
-        if not is_unitary(u, 1e-8):
-            raise PreconditionError("input is not unitary")
         layers = decompose_sandwich(u, da, db).circuit.gates
         budget = StandardGateBudget.evaluate("general", da, db)
     elif mode == "complexPerm":

@@ -97,6 +97,7 @@ class TestDecomposeVerifyIntegration:
             "gate_order_not_product",
             "control_tuple_too_long",
             "axis_not_an_integer",
+            "control_tuple_repeated",
         ],
     )
     def test_verify_malformed_circuit_exits_3(self, in_tmp, capsys, case):
@@ -111,6 +112,8 @@ class TestDecomposeVerifyIntegration:
             obj["gate_order"] = "application"
         elif case == "axis_not_an_integer":
             obj["gates"][0]["controls"] = ["0"]
+        elif case == "control_tuple_repeated":
+            obj["gates"][0]["branches"].append(obj["gates"][0]["branches"][0])
         else:
             obj["gates"][0]["branches"][0]["control"] = [0, 0]
         open("c.json", "w").write(json.dumps(obj))

@@ -139,7 +139,20 @@ class TestBinaryAndTableFiles:
         assert back.targets == cp.targets
         assert back.dims == cp.dims
 
-    @pytest.mark.parametrize("obj", [{"dims": [2, 2]}, {"dims": [2, 2], "table": [[0, 0, 0, 0]]}])
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dims": [2, 2]},
+            {"dims": [2, 2], "table": [[0, 0, 0, 0]]},
+            # each of these once loaded silently as the identity table
+            {"dims": [2, 2], "table": [[0, 0, 0, 0], [0, 1, 0, 1], [-1, 0, 1, 0], [1, 1, 1, 1]]},
+            {"dims": [2, 2], "table": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 2, 1, 0], [1, 1, 1, 1]]},
+            {
+                "dims": [2, 2],
+                "table": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]],
+            },
+        ],
+    )
     def test_malformed_table_names_path(self, tmp_path, obj):
         p = str(tmp_path / "t.json")
         codecs.atomic_write(p, json.dumps(obj))

@@ -1,0 +1,163 @@
+"""Controlled-gate records across the producers: palette invariant and file bytes.
+
+A controlled gate stores each distinct branch once (``palette``) plus an
+integer ``index`` over its control dimensions.  Every producer must emit
+records whose palette is canonical, and the integer path must keep writing
+the same circuit files byte for byte.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from gatedecomp import ControlledGate, codecs
+from gatedecomp.generators import (
+    example2_flags,
+    haar_unitary,
+    random_complex_permutation,
+    random_controlled,
+    random_permutation,
+    random_two_term,
+    swap_conjugated_unitary,
+)
+from gatedecomp.multiparty import decompose_4party, decompose_multiparty
+from gatedecomp.permdecomp import decompose_multiparty_perm, decompose_perm3
+from gatedecomp.protocols import (
+    emit_backup_protocol,
+    emit_two_term_cnot,
+    emit_xor_protocol,
+    pp_expansion,
+)
+from gatedecomp.sandwich import (
+    decompose_2xd_aform,
+    decompose_2xd_sandwich,
+    decompose_sandwich,
+    rank2_to_controlled,
+)
+from gatedecomp.stdgates import compile_perm_to_cnot_type
+
+
+def _backup(da, db, seed):
+    u = random_permutation((da, db), seed).matrix()
+    return emit_backup_protocol(u, pp_expansion(u, da, db), da, db)
+
+
+# named circuits of the exact (0/1 and permutation) producers, fixed seeds
+INTEGER_PATH = {
+    "perm3_3x4": lambda: decompose_perm3(random_permutation((3, 4), 11)).circuit,
+    "backup_3x3_base": lambda: _backup(3, 3, 12).base,
+    "backup_3x3_expanded": lambda: _backup(3, 3, 12).expanded,
+    "backup_5x4_base": lambda: _backup(5, 4, 13).base,
+    "backup_5x4_expanded": lambda: _backup(5, 4, 13).expanded,
+    "xor_example2_base": lambda: emit_xor_protocol(example2_flags()).base,
+    "xor_example2_expanded": lambda: emit_xor_protocol(example2_flags()).expanded,
+    "cnot_type_4x3": lambda: compile_perm_to_cnot_type(random_permutation((4, 3), 14)).circuit,
+    "multiparty_perm_2x3x2": lambda: decompose_multiparty_perm(random_permutation((2, 3, 2), 15)),
+}
+
+
+# sha256 of codecs.dumps_canonical(codecs.circuit_to_obj(c)), taken before the
+# controlled-gate record stored its branches as a palette; these outputs are
+# exact 0/1 matrices, so the bytes do not depend on the platform's BLAS
+PINNED_SHA256 = {
+    "perm3_3x4": "4e0d8c5f68ebc70a6bd05ba13713ae203355dddd03918d3244e138fcf7879b05",
+    "backup_3x3_base": "c1739126a9b9f756439ddf4a1adfa726392bd8a96462fcf5f6ed56220968684c",
+    "backup_3x3_expanded": "b06659df22026c0a15cfc620261a02d6716adc8b914b00f5dda0a0d87db9625f",
+    "backup_5x4_base": "8b439b7ab505c4314be36a08ee7193be2fe91dd396fa091d2886ab4995bdc10e",
+    "backup_5x4_expanded": "7ee04360009c11e08437605930709d2a05acdc52361815677f281454b184c4b9",
+    "xor_example2_base": "ff34e57fa396f5442f99d655cb908112d3c0c7f0d2c71cbaa61eb7f896f1389f",
+    "xor_example2_expanded": "e6ce3acb4eedcfd7ce137f6e6c4ac18a66ef5a991c147a57cdf811e1b40ad559",
+    "cnot_type_4x3": "0de08e00d76749c58a50d371f51c9946032deb2e9b07baa1cbb8b77a48532e63",
+    "multiparty_perm_2x3x2": "67ba6f7b082c0e6b10b96f828373c8c18c56d9f171ef4dde46358fef88b20a66",
+}
+
+
+def circuit_sha256(c) -> str:
+    return hashlib.sha256(codecs.dumps_canonical(codecs.circuit_to_obj(c)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PATH))
+def test_integer_path_bytes_are_pinned(name):
+    assert circuit_sha256(INTEGER_PATH[name]()) == PINNED_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# the palette invariant
+
+
+def assert_canonical(g: ControlledGate):
+    """Entries distinct, all used, in first-use order; arrays read-only."""
+    k = len(g.palette)
+    assert g.palette.ndim == 3 and g.palette.shape[1] == g.palette.shape[2]
+    assert g.index.ndim == len(g.controls)
+    flat = g.index.reshape(-1)
+    assert len({p.tobytes() for p in g.palette}) == k
+    _, first = np.unique(flat, return_index=True)
+    assert sorted(set(flat.tolist())) == list(range(k))
+    assert list(flat[np.sort(first)]) == list(range(k))
+    assert not g.palette.flags.writeable and not g.index.flags.writeable
+
+
+def controlled_gates(c):
+    return [g for g in c.gates if isinstance(g, ControlledGate)]
+
+
+def _rank2_gate():
+    return rank2_to_controlled(np.diag([1, 1, 1, -1]).astype(complex), 2, 2)[1]
+
+
+PRODUCERS = {
+    "sandwich_haar_5x3": lambda: decompose_sandwich(haar_unitary(15, 23), 5, 3).circuit,
+    "sandwich_ctrlB_4x2": lambda: decompose_sandwich(random_controlled(4, 2, 24, "B"), 4, 2).circuit,
+    "sandwich_identity_3x3": lambda: decompose_sandwich(np.eye(9), 3, 3).circuit,
+    "two_by_d_sandwich": lambda: decompose_2xd_sandwich(haar_unitary(6, 21), 3).circuit,
+    "two_by_d_aform": lambda: decompose_2xd_aform(haar_unitary(6, 21), 3),
+    "rank2_to_controlled": _rank2_gate,
+    "multiparty_2x3x2": lambda: decompose_multiparty(haar_unitary(12, 25), (2, 3, 2)).circuit,
+    "fourparty_2x3x2x2": lambda: decompose_4party(haar_unitary(24, 26), (2, 3, 2, 2)).circuit,
+    "perm3_complex_3x4": lambda: decompose_perm3(random_complex_permutation((3, 4), 27)).circuit,
+    "multiparty_perm_complex": lambda: decompose_multiparty_perm(
+        random_complex_permutation((2, 2, 3), 28)
+    ),
+    "swap_sandwich": lambda: swap_conjugated_unitary(2, 29)[1],
+    "two_term_cnot": lambda: emit_two_term_cnot(*random_two_term(3, 2, 30)[:4]),
+    **INTEGER_PATH,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_every_producer_emits_canonical_palettes(name):
+    made = PRODUCERS[name]()
+    # the CNOT-type compilation emits two-level and local gates only
+    gates = [made] if isinstance(made, ControlledGate) else controlled_gates(made)
+    assert gates or name == "cnot_type_4x3"
+    for g in gates:
+        assert_canonical(g)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PRODUCERS) if n.startswith(("backup", "xor"))])
+def test_protocol_gates_have_at_most_two_branches(name):
+    for g in controlled_gates(PRODUCERS[name]()):
+        assert len(g.palette) <= 2
+
+
+def test_loaded_gate_is_canonical(tmp_path):
+    p = str(tmp_path / "c.json")
+    c = _backup(3, 4, 31).base
+    codecs.save_circuit_file(p, c)
+    back = codecs.load_circuit_file(p)
+    for g, h in zip(controlled_gates(c), controlled_gates(back), strict=True):
+        assert_canonical(h)
+        assert np.array_equal(g.index, h.index)
+        assert np.array_equal(g.palette, h.palette)
+
+
+def test_constructor_merges_orders_and_drops_entries():
+    eye, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    # entry 3 repeats entry 1, entry 2 is unused, entry 1 is used first
+    g = ControlledGate((0,), (1,), np.stack([eye, x, z, x]), np.array([1, 3, 0, 1]))
+    assert np.array_equal(g.palette, np.stack([x, eye]))
+    assert g.index.tolist() == [0, 0, 1, 0]
+    assert [k for k, _ in g.branches] == [(0,), (1,), (2,), (3,)]
+    assert np.array_equal(g.branch((2,)), eye)
