@@ -86,7 +86,7 @@ from .sandwich import (
     rank2_to_controlled,
     sandwich_bound,
 )
-from .schmidt import SchmidtDecomposition, operator_schmidt, realign
+from .schmidt import SchmidtDecomposition, operator_schmidt, realign, schmidt_rank
 from .stdgates import (
     StandardGateBudget,
     compile_controlled_to_standard,

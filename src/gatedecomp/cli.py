@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codecs, generators
 from .gateir import verify_decomposition
-from .matcore import PreconditionError
+from .matcore import PreconditionError, require_dense_dim
 from .multiparty import decompose_4party, decompose_multiparty
 from .permdecomp import ComplexPermutation, decompose_multiparty_perm, decompose_perm3
 from .protocols import (
@@ -257,8 +257,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     from .gateir import recompute_metrics
 
-    mf = codecs.load_matrix_file(args.unitary)
     circuit = codecs.load_circuit_file(args.circuit)
+    # refuse a space the dense check cannot hold before reading the target
+    require_dense_dim(circuit.space.total_dim)
+    mf = codecs.load_matrix_file(args.unitary)
     small = circuit.space.total_dim <= 64
     report = verify_decomposition(mf.matrix, circuit, tol=args.tol, classify=small)
     stored = circuit.metrics
@@ -351,6 +353,9 @@ def main(argv=None) -> int:
         # every package error (precondition, infeasible, degenerate rank-2,
         # codec, circuit) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

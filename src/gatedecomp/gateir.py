@@ -32,7 +32,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import DEFAULT_EPS, RECON_TOL, as_matrix, is_unitary, max_abs, perm_matrix
+from .matcore import (
+    DEFAULT_EPS,
+    RECON_TOL,
+    as_matrix,
+    is_unitary,
+    max_abs,
+    perm_matrix,
+    require_dense_dim,
+)
 
 
 class CircuitError(ValueError):
@@ -455,6 +463,7 @@ def _apply(dims, lowered, state: np.ndarray) -> np.ndarray:
 
 def gate_matrix(space: PartySpace, g: Gate) -> np.ndarray:
     """Embed a gate record into the full space as a dense matrix."""
+    require_dense_dim(space.total_dim)
     eye = np.eye(space.total_dim, dtype=complex)
     return _apply(space.dims, _lower(space.dims, g), eye)
 
@@ -465,6 +474,7 @@ def apply_circuit(c: Circuit) -> np.ndarray:
     The gates act on the identity from the last to the first, one kernel
     call each, so no gate is embedded as a full matrix.
     """
+    require_dense_dim(c.space.total_dim)
     dims = c.space.dims
     out = np.eye(c.space.total_dim, dtype=complex)
     for i in reversed(range(len(c.gates))):
@@ -602,7 +612,7 @@ def verify_decomposition(u, c: Circuit, tol: float = RECON_TOL, classify: bool =
 
 def classify_matrix(m, da: int, db: int):
     """Computational-basis controlledness and Schmidt rank across a (da, db) cut."""
-    from .schmidt import operator_schmidt
+    from .schmidt import schmidt_rank
 
     m = as_matrix(m)
     r = m.reshape(da, db, da, db)
@@ -614,7 +624,7 @@ def classify_matrix(m, da: int, db: int):
     for b in range(db):
         t[:, b, :, b] = 0.0
     off_b = max_abs(t)
-    rank = operator_schmidt(m, da, db).rank
+    rank = schmidt_rank(m, da, db)
     return off_a <= DEFAULT_EPS, off_b <= DEFAULT_EPS, rank
 
 
@@ -648,7 +658,7 @@ def validate_circuit(c: Circuit) -> None:
 
     Unitarity is checked to ``DEFAULT_EPS`` once per palette entry.
     """
-    from .schmidt import operator_schmidt
+    from .schmidt import schmidt_rank
 
     for i, g in enumerate(c.gates):
         try:
@@ -657,7 +667,7 @@ def validate_circuit(c: Circuit) -> None:
             raise CircuitError(f"gate {i}: {exc}") from exc
         if not all(is_unitary(m) for m in palette):
             raise CircuitError(f"gate {i}: a branch is not unitary at {DEFAULT_EPS}")
-        if isinstance(g, TwoLevelGate) and operator_schmidt(g.matrix, 2, 2).rank > 2:
+        if isinstance(g, TwoLevelGate) and schmidt_rank(g.matrix, 2, 2) > 2:
             raise CircuitError(f"gate {i}: two-level part has Schmidt rank > 2")
         if isinstance(g, LocalGate):
             hosts = {c.space.axis_host(ax) for ax in g.axes}

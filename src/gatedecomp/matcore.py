@@ -13,6 +13,16 @@ the completions inside it see rows orthonormal to round-off.
 
 Keeping the rank threshold one decade below the verification tolerance avoids
 misclassifying accumulated round-off as structure.
+
+The cosine-sine step of the sandwich recursion takes the two-SVD route on a
+``2p x 2p`` input when ``2p >= CSD_SVD_MIN_DIM`` (32, the size above which
+two SVDs beat LAPACK's ``zuncsd``) and the cosines are separated: every two
+differ by more than ``CSD_SEPARATION`` (1e-8), and each is at least that far
+from 0 and from 1.  Other inputs keep ``zuncsd`` and its bases.
+
+The dense simulator refuses spaces of more than ``MAX_DENSE_DIM`` (4096)
+basis states before allocating: one 4096 x 4096 complex matrix is 256 MiB,
+and a product holds a few at once.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ DEFAULT_EPS = 1e-9
 RANK_TOL = 1e-10
 RECON_TOL = 1e-8
 POLAR_TOL = 1e-12
+CSD_SVD_MIN_DIM = 32
+CSD_SEPARATION = 1e-8
+MAX_DENSE_DIM = 4096
 
 
 class PreconditionError(ValueError):
@@ -32,6 +45,14 @@ class PreconditionError(ValueError):
 
 class InfeasibleError(ValueError):
     """A factorization target is numerically unattainable for this input."""
+
+
+def require_dense_dim(n: int) -> None:
+    """Raise PreconditionError when an n x n dense matrix exceeds ``MAX_DENSE_DIM``."""
+    if n > MAX_DENSE_DIM:
+        raise PreconditionError(
+            f"space of {n} basis states is above the dense limit of {MAX_DENSE_DIM}"
+        )
 
 
 def as_matrix(m) -> np.ndarray:

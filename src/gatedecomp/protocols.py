@@ -26,7 +26,7 @@ from .gateir import (
 )
 from .matcore import DEFAULT_EPS, PreconditionError, as_matrix, is_unitary, max_abs
 from .matcore import perm_matrix, require_square
-from .schmidt import operator_schmidt
+from .schmidt import schmidt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def pp_expansion(u, da: int, db: int) -> PartialPermExpansion:
     terms_a_swapped = _group_blocks(swapped, db, da)
     terms_a = [(blk, a) for a, blk in terms_a_swapped]
     terms = terms_b if len(terms_b) <= len(terms_a) else terms_a
-    r = operator_schmidt(b.astype(complex), da, db).rank
+    r = schmidt_rank(b.astype(complex), da, db)
     comps = (da * da, db * db, da * r, db * r, 2**r if r < 60 else 2**60)
     return PartialPermExpansion(tuple(terms), len(terms), comps, r)
 
@@ -842,9 +842,9 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
     da = 2 * m
     u = pair_swap_family_unitary(f)
     u_od = pair_swap_family_offdiagonal(f)
-    sch_u = operator_schmidt(u.astype(complex), da, db).rank
+    sch_u = schmidt_rank(u.astype(complex), da, db)
     if u_od.any():
-        sch_od = operator_schmidt(u_od.astype(complex), da, db).rank
+        sch_od = schmidt_rank(u_od.astype(complex), da, db)
         ppr_upper = pp_expansion(u_od, da, db).q
     else:
         sch_od = 0

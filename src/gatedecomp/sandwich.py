@@ -17,10 +17,12 @@ after identity gates are stripped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .gateir import (
     Circuit,
@@ -31,6 +33,8 @@ from .gateir import (
     local,
 )
 from .matcore import (
+    CSD_SEPARATION,
+    CSD_SVD_MIN_DIM,
     RECON_TOL,
     InfeasibleError,
     PreconditionError,
@@ -83,6 +87,107 @@ def _b_matrix(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# cosine-sine step
+#
+# _cossin(u, p) splits a 2p x 2p unitary as
+#
+#     u = (U1 ⊕ U2) [[C, -S], [S, C]] (V1h ⊕ V2h),  C = diag(cos θ), S = diag(sin θ),
+#
+# so U11 = U1 C V1h, U21 = U2 S V1h, U12 = -U1 S V2h and U22 = U2 C V2h for
+# the p x p blocks Uij of u.
+
+_ZUNCSD, _ZUNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=256)
+def _csd_lwork(m: int, p: int) -> tuple[int, int]:
+    """Optimal (lwork, lrwork) of zuncsd on an m x m input split at p, p."""
+    work, rwork, info = _ZUNCSD_LWORK(m=m, p=p, q=p)
+    if info != 0:
+        raise LinAlgError(f"zuncsd workspace query failed: {info}")
+    return int(work.real), int(rwork)
+
+
+def _csd_lapack(u: np.ndarray, p: int):
+    """LAPACK's zuncsd, as ``scipy.linalg.cossin(u, p, p, separate=True)``."""
+    lwork, lrwork = _csd_lwork(u.shape[0], p)
+    *_, theta, u1, u2, v1h, v2h, info = _ZUNCSD(
+        u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:], lwork=lwork, lrwork=lrwork
+    )
+    if info != 0:
+        raise LinAlgError(f"zuncsd failed: {info}")
+    return (u1, u2), theta, (v1h, v2h)
+
+
+def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
+    """Cosine-sine factors from the SVD U11 = L1 diag(c) R1h and one more SVD.
+
+    Every division is by a sine or cosine of at least 1/sqrt(2):
+    * columns with c <= 1/sqrt(2) keep L1 and R1, and L2 = U21 R1 / s;
+    * the other columns span the complement P of those L2 columns.  The SVD
+      P† U21 R1_hi = W Σ Qh gives their sines s = σ; R1_hi is rotated by Q,
+      L2_hi = P W and L1_hi = U11 R1_hi / c with c = sqrt(1 - σ²);
+    * row j of V2h is -L1_j† U12 / s_j when s_j >= c_j, else L2_j† U22 / c_j.
+    The angles come out in increasing order, as zuncsd returns them: a
+    middle branch that is decomposed again (the 4-party cut does this) is
+    then already in zuncsd's form, so its outer factors are identities and
+    are stripped.
+    Clustered or degenerate cosines need no special case here, but their
+    bases differ from zuncsd's; ``_cossin`` sends them to zuncsd.
+    """
+    u11, u12, u21, u22 = u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:]
+    k = int(np.count_nonzero(c > np.sqrt(0.5)))
+    r1 = r1h.conj().T
+    t = u21 @ r1[:, k:]
+    s_lo = np.linalg.norm(t, axis=0)
+    l2_lo = t / s_lo
+    basis, _ = np.linalg.qr(l2_lo, mode="complete")
+    comp = basis[:, p - k :]
+    w, s_hi, qh = np.linalg.svd(comp.conj().T @ (u21 @ r1[:, :k]))
+    w, s_hi, qh = w[:, ::-1], s_hi[::-1], qh[::-1]  # increasing sines
+    r1_hi = r1[:, :k] @ qh.conj().T
+    c_hi = np.sqrt(1.0 - s_hi**2)
+    u1 = np.concatenate([(u11 @ r1_hi) / c_hi, l1[:, k:]], axis=1)
+    u2 = np.concatenate([comp @ w, l2_lo], axis=1)
+    cos = np.concatenate([c_hi, c[k:]])
+    sin = np.concatenate([s_hi, s_lo])
+    v1h = np.concatenate([r1_hi, r1[:, k:]], axis=1).conj().T
+    from_s = sin >= cos
+    v2h = np.empty((p, p), dtype=complex)
+    v2h[from_s] = -(u1[:, from_s].conj().T @ u12) / sin[from_s, None]
+    v2h[~from_s] = (u2[:, ~from_s].conj().T @ u22) / cos[~from_s, None]
+    return (u1, u2), np.arctan2(sin, cos), (v1h, v2h)
+
+
+def _separated(c: np.ndarray) -> bool:
+    """Cosines pairwise more than CSD_SEPARATION apart and that far from 0 and 1."""
+    edges = np.concatenate([[1.0], c, [0.0]])  # c is nonincreasing
+    return bool(np.all(edges[:-1] - edges[1:] > CSD_SEPARATION))
+
+
+def _cossin(u: np.ndarray, p: int):
+    """``((U1, U2), theta, (V1h, V2h))`` of the p, p cosine-sine split of u.
+
+    From 2p >= CSD_SVD_MIN_DIM the factors come from two SVDs when the
+    cosines are separated (``_csd_two_svd``): zuncsd's bidiagonalisation is
+    level-2 BLAS and far slower there.  Below that size zuncsd is faster,
+    and on structured inputs the SVD route's bases would move which gates
+    come out as identity.  Inputs with clustered cosines or cosines at 0 or
+    1, which permutations and controlled gates have, keep zuncsd at every
+    size, so their circuits stay the ones zuncsd's bases give.
+    """
+    if 2 * p >= CSD_SVD_MIN_DIM:
+        try:
+            l1, c, r1h = np.linalg.svd(u[:p, :p])
+        except LinAlgError:
+            pass  # gesdd did not converge; zuncsd below does
+        else:
+            if _separated(c):
+                return _csd_two_svd(u, p, l1, c, r1h)
+    return _csd_lapack(u, p)
+
+
+# ---------------------------------------------------------------------------
 # 2 x dB core
 
 
@@ -93,8 +198,11 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
     off-diagonal blocks rotated to nonnegative diagonals is exactly the
     cosine-sine decomposition u = (E0 + E1) CS (F0 + F1); the CS factor is
     controlled from B in the computational basis with 2x2 rotation branches.
-    LAPACK's CSD is used because the textbook per-column normalization is
-    unstable when a principal angle degenerates.
+    ``_cossin`` computes it: two SVDs for large inputs with separated
+    cosines, and LAPACK's zuncsd otherwise, which keeps zuncsd's bases, and
+    so the same circuits, on small inputs and on structured inputs with
+    degenerate angles.  Either way the factors are unitary to round-off; the
+    textbook per-column normalization is not, when an angle degenerates.
     """
     u01 = u[:db, db:]
     u10 = u[db:, :db]
@@ -106,10 +214,9 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
         # already controlled from A in the computational basis
         return [blocks(u), _eye_stack(db, 2), _eye_stack(2, db)]
 
-    # u = (U1 ⊕ U2) CS (V1h ⊕ V2h) with CS = [[C, -S], [S, C]], C = diag(cos θ)
-    # and S = diag(sin θ): branch j of the middle stack is the rotation
+    # branch j of the middle stack is the rotation
     # [[cos θj, -sin θj], [sin θj, cos θj]] on A when B is |j>
-    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=db, q=db, separate=True)
+    (u1, u2), theta, (v1h, v2h) = _cossin(u, db)
     c = np.cos(theta)
     s = np.sin(theta)
     mid = np.empty((db, 2, 2), dtype=complex)

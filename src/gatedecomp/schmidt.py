@@ -56,22 +56,39 @@ def realign(u, da: int, db: int) -> np.ndarray:
     return u.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
+def _svd(r: np.ndarray, compute_uv: bool):
+    try:
+        return np.linalg.svd(r, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        # LAPACK gesdd (divide and conquer) can fail to converge on exact
+        # integer inputs; gesvd (QR iteration) is slower but converges
+        return scipy.linalg.svd(r, compute_uv=compute_uv, lapack_driver="gesvd")
+
+
+def _rank(s: np.ndarray) -> int:
+    """Singular values above ``SV_TOL`` relative to the largest one."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > SV_TOL * s[0]))
+
+
+def schmidt_rank(u, da: int, db: int) -> int:
+    """Schmidt rank across the (da, db) cut, from singular values alone.
+
+    The same rank as ``operator_schmidt(u, da, db).rank``, without computing
+    the singular vectors.
+    """
+    return _rank(_svd(realign(u, da, db), compute_uv=False))
+
+
 def operator_schmidt(u, da: int, db: int) -> SchmidtDecomposition:
     """Schmidt decomposition across the (da, db) cut.
 
     The rank counts singular values of the realigned matrix exceeding
     ``SV_TOL`` relative to the largest one.
     """
-    r = realign(u, da, db)
-    try:
-        w, s, vh = np.linalg.svd(r)
-    except np.linalg.LinAlgError:
-        # LAPACK gesdd (divide and conquer) can fail to converge on exact
-        # integer inputs; gesvd (QR iteration) is slower but converges
-        w, s, vh = scipy.linalg.svd(r, lapack_driver="gesvd")
-    if s.size == 0 or s[0] == 0.0:
-        return SchmidtDecomposition(0, (), ())
-    rank = int(np.sum(s > SV_TOL * s[0]))
+    w, s, vh = _svd(realign(u, da, db), compute_uv=True)
+    rank = _rank(s)
     coeffs = tuple(float(x) for x in s[:rank])
     terms = tuple(
         (w[:, j].reshape(da, da), vh[j].reshape(db, db)) for j in range(rank)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gatedecomp import codecs
+from gatedecomp import Circuit, bipartite_space, cli, cnot, codecs
 from gatedecomp.cli import main
 
 
@@ -124,6 +124,15 @@ class TestDecomposeVerifyIntegration:
         if case != "control_tuple_too_long":
             assert "c.json" in err
 
+    def test_verify_refuses_a_space_above_the_dense_limit(self, in_tmp, capsys):
+        # the circuit declares 128 x 128 basis states; verify refuses before
+        # it reads the target (missing here) or allocates the dense product
+        space = bipartite_space(128, 128)
+        codecs.save_circuit_file("c.json", Circuit(space, (cnot(0, (0, 1), 1, (0, 1)),)))
+        capsys.readouterr()
+        assert run("verify", "-u", "missing.json", "-c", "c.json") == 3
+        assert "dense limit" in capsys.readouterr().err
+
     def test_aform_wrong_da_exits_3(self, in_tmp):
         run("gen", "--kind", "haar", "--dims", "3", "2", "--seed", "1", "-o", "u.json")
         assert run("decompose", "--method", "aform", "-i", "u.json", "-o", "c.json") == 3
@@ -155,6 +164,14 @@ class TestOtherCommands:
 
     def test_missing_file_exit_3(self, in_tmp):
         assert run("schmidt", "-i", "missing.json") == 3
+
+    def test_memory_error_exits_3(self, in_tmp, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_schmidt", out_of_memory)
+        assert run("schmidt", "-i", "u.json") == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize(
         "command, text",

@@ -28,6 +28,7 @@ from gatedecomp import (
     verify_decomposition,
 )
 from gatedecomp.gateir import CircuitError, gate_matrix, recompute_metrics
+from gatedecomp.matcore import PreconditionError
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -98,6 +99,14 @@ class TestApplyCircuit:
         c = Circuit(bipartite_space(2, 3), (g,))
         with pytest.raises(CircuitError, match="gate 0"):
             apply_circuit(c)
+
+    def test_refuses_a_space_above_the_dense_limit(self):
+        # 128 x 128 basis states: refused before any N x N array exists
+        c = Circuit(bipartite_space(128, 128), (cnot_gate(),))
+        with pytest.raises(PreconditionError, match="dense limit"):
+            apply_circuit(c)
+        with pytest.raises(PreconditionError, match="dense limit"):
+            gate_matrix(c.space, c.gates[0])
 
     def test_two_level_embedding(self):
         g = two_level(0, (0, 1), 1, (0, 1), CNOT)

@@ -192,3 +192,17 @@ def test_noisy_unitary_decomposes(decompose, dims, noise):
         assert is_unitary(u, 1e-8)
         res = decompose(u, dims)
         assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-8
+
+
+# Haar inputs whose top cosine-sine step takes the two-SVD route (2p >= 32).
+# The middle gate's branches are re-decomposed across the AB cut, and their
+# outer factors are identities only when the angles come in zuncsd's
+# increasing order: in another order (2, 2, 3, 3) gives 33 and (2, 3, 3, 2)
+# 65.  Counts recorded with zuncsd alone.
+@pytest.mark.parametrize("dims,expected", [((2, 2, 3, 3), 31), ((2, 3, 3, 2), 63)])
+def test_pinned_haar_4party_gate_counts(dims, expected):
+    n = int(np.prod(dims))
+    u = haar_unitary(n, 600 + n)
+    res = decompose_4party(u, dims)
+    assert len(res.circuit.gates) == expected
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12

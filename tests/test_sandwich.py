@@ -27,7 +27,9 @@ from gatedecomp.generators import (
     random_permutation,
     swap_unitary,
 )
-from gatedecomp.sandwich import _b_matrix, _two_by_d_core
+from gatedecomp.matcore import CSD_SVD_MIN_DIM
+from gatedecomp import sandwich
+from gatedecomp.sandwich import _b_matrix, _cossin, _csd_two_svd, _two_by_d_core
 
 from conftest import assert_close, noisy_haar
 
@@ -389,7 +391,18 @@ PINNED_SANDWICH = {
     (6, 4): {"perm": 13, "phased": 13, "actrl": 1, "product": 15, "identity": 1},
     (8, 3): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
     (7, 2): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
+    # cosine-sine steps at 2p >= CSD_SVD_MIN_DIM, where separated inputs
+    # take the two-SVD route and these structured ones must keep zuncsd's
+    (8, 8): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
+    (16, 4): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
+    (12, 6): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
 }
+
+# verifies at 2.8e-12, with the same count, before the two-SVD route existed
+# too: one compress_rows call in the recursion drops a singular value of
+# 6.9e-12 (below RANK_TOL), which leaves entries up to 3.4e-12 in a block the
+# recursion takes as zero
+_PINNED_KNOWN_ERROR = {("phased", 12, 6, 4)}
 
 
 def _structured(kind, da, db, seed):
@@ -404,9 +417,16 @@ def _structured(kind, da, db, seed):
     return np.eye(da * db, dtype=complex)
 
 
+def _pinned_case(kind, da, db, seed, expected):
+    if (kind, da, db, seed) not in _PINNED_KNOWN_ERROR:
+        return (kind, da, db, seed, expected)
+    mark = pytest.mark.xfail(strict=True, reason="compress_rows drops a 6.9e-12 singular value")
+    return pytest.param(kind, da, db, seed, expected, marks=mark)
+
+
 @pytest.mark.parametrize(
     "kind,da,db,seed,expected",
-    [(k, da, db, 4, n) for (da, db), row in PINNED_SANDWICH.items() for k, n in row.items()]
+    [_pinned_case(k, da, db, 4, n) for (da, db), row in PINNED_SANDWICH.items() for k, n in row.items()]
     + [("perm", 6, 4, 0, 13), ("perm", 6, 4, 1, 14)],
 )
 def test_pinned_gate_counts(kind, da, db, seed, expected):
@@ -414,3 +434,129 @@ def test_pinned_gate_counts(kind, da, db, seed, expected):
     res = decompose_sandwich(u, da, db)
     assert len(res.circuit.gates) == expected
     assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the cosine-sine step
+
+
+def _cs_factor(theta):
+    c = np.diag(np.cos(theta))
+    s = np.diag(np.sin(theta))
+    return np.block([[c, -s], [s, c]])
+
+
+def _csd_errors(u, p, factors):
+    """(reconstruction, unitarity) errors of ((U1, U2), theta, (V1h, V2h))."""
+    (u1, u2), theta, (v1h, v2h) = factors
+    left = scipy.linalg.block_diag(u1, u2)
+    right = scipy.linalg.block_diag(v1h, v2h)
+    rec = max_abs(left @ _cs_factor(theta) @ right - u)
+    unit = max(max_abs(m @ m.conj().T - np.eye(p)) for m in (u1, u2, v1h, v2h))
+    # zuncsd's order, which the recursion's identity stripping relies on
+    assert np.all(np.diff(theta) >= 0)
+    return rec, unit
+
+
+def _with_angles(theta, seed):
+    """(U1 ⊕ U2) CS(theta) (V1h ⊕ V2h) with Haar blocks."""
+    p = len(theta)
+    u1, u2, v1h, v2h = (haar_unitary(p, seed + i) for i in range(4))
+    return scipy.linalg.block_diag(u1, u2) @ _cs_factor(theta) @ scipy.linalg.block_diag(v1h, v2h)
+
+
+def _csd_input(kind, p, seed=0):
+    rng = np.random.default_rng(seed)
+    eye = np.eye(p, dtype=complex)
+    zero = np.zeros((p, p), dtype=complex)
+    if kind == "haar":
+        return haar_unitary(2 * p, seed)
+    if kind == "swap":
+        return np.block([[zero, eye], [eye, zero]])
+    if kind == "identity":
+        return np.eye(2 * p, dtype=complex)
+    if kind == "perm":
+        return random_permutation((2, p), seed).matrix()
+    if kind == "phased":
+        return random_complex_permutation((2, p), seed).matrix()
+    if kind == "clustered":
+        # three clusters of angles, each 1e-10 wide
+        centres = np.array([0.3, 0.8, 1.2])[np.arange(p) % 3]
+        return _with_angles(centres + 1e-10 * rng.random(p), seed)
+    if kind == "near-0":
+        return _with_angles(1e-9 * rng.random(p), seed)
+    if kind == "near-pi/2":
+        return _with_angles(np.pi / 2 - 1e-9 * rng.random(p), seed)
+    if kind == "edges":
+        # separated angles, one of them 0 and one pi/2
+        theta = np.linspace(0.0, np.pi / 2, p + 2)[1:-1]
+        theta[0], theta[-1] = 0.0, np.pi / 2
+        return _with_angles(theta, seed)
+    # a pair straddling pi/4 by 1e-12, the split between the two column sets
+    theta = rng.uniform(0, np.pi / 2, p)
+    theta[:2] = np.pi / 4 + np.array([1e-12, -1e-12])[: min(p, 2)]
+    return _with_angles(theta, seed)
+
+
+CSD_KINDS = [
+    "haar", "swap", "identity", "perm", "phased", "clustered", "near-0", "near-pi/2", "edges",
+    "straddle",
+]
+
+
+@pytest.mark.parametrize("kind", CSD_KINDS)
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 16, 64, 128])
+def test_two_svd_route_is_accurate_on_any_input(kind, p):
+    # the route is stable without the separation test that guards it
+    u = _csd_input(kind, p)
+    rec, unit = _csd_errors(u, p, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
+    assert rec <= 1e-13 and unit <= 1e-13
+
+
+def _same_arrays(a, b):
+    (a1, a2), at, (a3, a4) = a
+    (b1, b2), bt, (b3, b4) = b
+    return all(np.array_equal(x, y) for x, y in zip((a1, a2, at, a3, a4), (b1, b2, bt, b3, b4)))
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("haar", p) for p in (1, 2, 5, CSD_SVD_MIN_DIM // 2 - 1)]
+    + [(k, p) for k in CSD_KINDS if k != "haar" for p in (CSD_SVD_MIN_DIM // 2, 40)],
+)
+def test_cossin_runs_zuncsd_below_the_crossover_and_on_unseparated_cosines(kind, p):
+    u = _csd_input(kind, p, seed=3)
+    expected = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+    assert _same_arrays(_cossin(u, p), expected)
+
+
+@pytest.mark.parametrize("p", [CSD_SVD_MIN_DIM // 2, 40])
+def test_cossin_takes_the_two_svd_route_on_separated_cosines(p):
+    u = haar_unitary(2 * p, 5)
+    got = _cossin(u, p)
+    assert _same_arrays(got, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
+    assert not _same_arrays(got, scipy.linalg.cossin(u, p=p, q=p, separate=True))
+
+
+def test_cossin_raises_when_zuncsd_fails(monkeypatch):
+    u = haar_unitary(4, 1)
+    (u1, u2), theta, (v1h, v2h) = _cossin(u, 2)
+
+    def failing(*args, **kwargs):
+        return None, None, None, None, theta, u1, u2, v1h, v2h, 3
+
+    monkeypatch.setattr(sandwich, "_ZUNCSD", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        _cossin(u, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.integers(1, CSD_SVD_MIN_DIM),
+    kind=st.sampled_from(CSD_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cossin_property(p, kind, seed):
+    u = _csd_input(kind, p, seed)
+    rec, unit = _csd_errors(u, p, _cossin(u, p))
+    assert rec <= 1e-13 and unit <= 1e-13

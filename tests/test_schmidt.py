@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gatedecomp import operator_schmidt, realign
+from gatedecomp import operator_schmidt, realign, schmidt_rank
 from gatedecomp.generators import haar_unitary, random_controlled, swap_unitary
 
 from conftest import assert_close
@@ -92,6 +92,22 @@ def test_svd_falls_back_when_gesdd_does_not_converge(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     dec = operator_schmidt(u, 2, 3)
-    assert dec.rank == expected.rank == 4
+    assert dec.rank == expected.rank == schmidt_rank(u, 2, 3) == 4
     assert_close(dec.coefficients, expected.coefficients, 1e-12)
     assert_close(dec.reconstruct(), u, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "u,da,db",
+    [
+        (np.eye(6), 2, 3),
+        (np.zeros((4, 4)), 2, 2),
+        (CNOT, 2, 2),
+        (swap_unitary(3), 3, 3),
+        (haar_unitary(12, 3), 3, 4),
+        (random_controlled(3, 4, 5, "A"), 3, 4),
+        (np.kron(haar_unitary(2, 1), haar_unitary(3, 2)), 2, 3),
+    ],
+)
+def test_schmidt_rank_matches_the_decomposition(u, da, db):
+    assert schmidt_rank(u, da, db) == operator_schmidt(u, da, db).rank
