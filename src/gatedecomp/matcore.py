@@ -7,6 +7,14 @@ tiers are used throughout the package:
 * ``RANK_TOL``    (1e-10) -- numerical-zero threshold for rank/nullity decisions,
 * ``RECON_TOL``   (1e-8)  -- max-entry tolerance for factorization round-trips.
 
+``IDENTITY_TOL`` (1e-12) decides what a decomposition takes as exactly
+structured.  A gate, branch or phase whose max-entry distance from the
+identity (or from 1) is at most this counts as the identity: sandwich and
+multiparty circuits strip such gates, and the standard-gate compiler emits
+nothing for such a branch or phase.  A 2 x dB node whose off-diagonal blocks
+are at most this in every entry counts as already controlled from A, so its
+cosine-sine step is skipped and those blocks count as zero.
+
 A decomposition entry point accepts a unitary to ``RECON_TOL`` and works on
 its polar factor once ``max|U U† - I|`` exceeds ``POLAR_TOL`` (1e-12), so that
 the completions inside it see rows orthonormal to round-off.
@@ -34,6 +42,7 @@ DEFAULT_EPS = 1e-9
 RANK_TOL = 1e-10
 RECON_TOL = 1e-8
 POLAR_TOL = 1e-12
+IDENTITY_TOL = 1e-12
 CSD_SVD_MIN_DIM = 32
 CSD_SEPARATION = 1e-8
 MAX_DENSE_DIM = 4096
@@ -128,38 +137,60 @@ def svd_diagonalize(m):
     return e, np.diag(s).astype(complex), f
 
 
-def _orthonormal_completion(vectors, dim: int) -> np.ndarray:
-    """Extend an orthonormal family to a basis of C^dim.
+def _orthonormal_completion(vectors, dim: int, sizes=None) -> np.ndarray:
+    """Extend an orthonormal family to a basis of C^dim, for one family or a batch.
 
-    ``vectors`` holds the k family members as rows.  Returns a (dim, dim)
-    array whose rows are the basis: the family in its given order, then the
-    added vectors.  Candidates are the standard basis vectors in increasing
-    index order; each is projected off the rows found so far twice
-    (classical Gram-Schmidt with one re-orthogonalisation, two ``Q (Q† v)``
-    passes), and a candidate whose residual norm falls below RANK_TOL is
-    skipped.  In exact arithmetic this is the basis that modified
+    ``vectors`` holds the family members as rows: a (k, dim) family gives a
+    (dim, dim) array, and a (b, r, dim) batch gives (b, dim, dim), where item
+    j's family is its first ``sizes[j]`` rows (all r rows when ``sizes`` is
+    None).  The rows of each result are the basis: the family in its given
+    order, then the added vectors.  Candidates are the standard basis vectors
+    in increasing index order; each is projected off the rows found so far
+    twice (classical Gram-Schmidt with one re-orthogonalisation, two
+    ``Q (Q† v)`` passes), and a candidate whose residual norm falls below
+    RANK_TOL is skipped.  In exact arithmetic this is the basis that modified
     Gram-Schmidt over the same candidates gives.
+
+    A batch runs in rounds.  Each round takes the items with the fewest rows
+    found and, among those, the earliest next candidate, and tries that
+    candidate on all of them at once; every item makes its own skip
+    decisions.  Every product is a per-item BLAS call (vector-matrix products
+    on a stack, the norm as two real dot products), so an item's basis has
+    the same bits as when it is completed alone.
     """
-    q = np.zeros((dim, dim), dtype=complex)
-    n = len(vectors)
-    if n:
-        q[:n] = vectors
-    # rows q[:n] are the basis vectors b_j, so Q† v = conj(q[:n] @ conj(v))
-    # and Q c = c @ q[:n]
-    for i in range(dim):
-        if n == dim:
+    fam = np.asarray(vectors, dtype=complex)
+    single = fam.ndim != 3
+    if single:
+        fam = fam.reshape(1, len(fam), dim)
+    b, r, _ = fam.shape
+    q = np.zeros((b, dim, dim), dtype=complex)
+    q[:, :r] = fam
+    n = np.full(b, r) if sizes is None else np.array(sizes, dtype=np.intp)
+    # item j has n_j rows and its next candidate is c_j: key_j = n_j (dim + 1) + c_j,
+    # and a round takes the items of the lowest key, whose products share a shape
+    key = n * (dim + 1)
+    # rows q[j, :n] are item j's basis vectors b_l, so Q† v = conj(q[:n] @ conj(v))
+    # and Q c = c @ q[:n].  A row is written for a skipped candidate too; it
+    # lies past the item's n rows, so nothing reads it before the next kept
+    # candidate overwrites it.
+    while True:
+        low = int(key.min())
+        s, i = divmod(low, dim + 1)
+        if s == dim:
             break
-        v = -(np.conj(q[:n, i]) @ q[:n])
-        v[i] += 1.0
-        v -= np.conj(q[:n] @ np.conj(v)) @ q[:n]
-        nrm = np.linalg.norm(v)
-        if nrm < RANK_TOL:
-            continue
-        q[n] = v / nrm
-        n += 1
-    if n != dim:
-        raise InfeasibleError("could not complete an orthonormal basis")
-    return q
+        if i == dim:
+            raise InfeasibleError("could not complete an orthonormal basis")
+        idx = slice(None) if key.max() == low else np.flatnonzero(key == low)
+        qs = q[idx, :s]
+        v = -(np.conj(qs[:, :, i])[:, None] @ qs)[:, 0]
+        v[:, i] += 1.0
+        v -= (np.conj(qs @ np.conj(v)[:, :, None]).transpose(0, 2, 1) @ qs)[:, 0]
+        re, im = v.real, v.imag
+        nrm = np.sqrt(re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0]
+        keep = nrm >= RANK_TOL
+        q[idx, s] = v / np.where(keep, nrm, 1.0)[:, None]
+        key[idx] += np.where(keep, dim + 2, 1)
+    return q[0] if single else q
 
 
 def orthogonal_columns_to_diagonal(m) -> np.ndarray:
@@ -188,24 +219,40 @@ def orthogonal_columns_to_diagonal(m) -> np.ndarray:
     return np.vstack([rows[j] for j in range(n)]) if n else np.zeros((0, 0), complex)
 
 
+def _as_stack(m) -> tuple[np.ndarray, bool]:
+    """``(stack, single)``: a matrix as a stack of one, or a 3-D stack as it is."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3:
+        return as_matrix(a)[None], True
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a, False
+
+
 def compress_rows(b, t: int) -> np.ndarray:
     """Return unitary V (m x m) such that B @ V is supported on its first t columns.
 
     Requires the numerical rank of the k x m matrix B to be at most t.  The
     leading columns of V are the right singular vectors of B; the rest is the
-    deterministic standard-basis completion of their span.
+    deterministic standard-basis completion of their span.  An all-zero B
+    gives the identity.  A (b, k, m) stack of matrices gives the (b, m, m)
+    stack of their V, each the same as for that matrix alone.
     """
-    a = as_matrix(b)
-    _, m = a.shape
+    a, single = _as_stack(b)
+    m = a.shape[-1]
     if not 0 <= t <= m:
         raise ValueError(f"target column count {t} out of range for {m} columns")
-    if a.size == 0 or max_abs(a) == 0.0:
-        return np.eye(m, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > RANK_TOL))
-    if rank > t:
-        raise InfeasibleError(f"row space has rank {rank} > {t}")
-    return _orthonormal_completion(vh[:rank].conj(), m).T
+    rank = np.sum(s > RANK_TOL, axis=1)
+    if rank.max() > t:
+        raise InfeasibleError(f"row space has rank {rank.max()} > {t}")
+    rows = vh.conj()
+    # an all-zero item gets V = I exactly, as a basis given whole
+    zero = ~a.any(axis=(1, 2))
+    rows[zero] = np.eye(m)
+    q = _orthonormal_completion(rows, m, np.where(zero, m, rank))
+    v = q.transpose(0, 2, 1)
+    return v[0] if single else v
 
 
 def complete_isometry(b) -> np.ndarray:
@@ -213,15 +260,17 @@ def complete_isometry(b) -> np.ndarray:
 
     The rows of B must be orthonormal to ``DEFAULT_EPS``.
     The first k columns of W are B†; the remaining columns are the
-    deterministic standard-basis completion of the null space.
+    deterministic standard-basis completion of the null space.  A (b, k, m)
+    stack of isometries gives the (b, m, m) stack of their W.
     """
-    a = as_matrix(b)
-    k, m = a.shape
+    a, single = _as_stack(b)
+    _, k, m = a.shape
     if k > m:
         raise PreconditionError("more rows than columns; not an isometry")
-    if max_abs(a @ a.conj().T - np.eye(k)) > DEFAULT_EPS:
+    if max_abs(a @ a.conj().transpose(0, 2, 1) - np.eye(k)) > DEFAULT_EPS:
         raise PreconditionError("rows are not orthonormal")
-    return _orthonormal_completion(a.conj(), m).T
+    w = _orthonormal_completion(a.conj(), m).transpose(0, 2, 1)
+    return w[0] if single else w
 
 
 def unitary_eig(m):

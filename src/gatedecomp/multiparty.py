@@ -49,28 +49,44 @@ class MultipartiteSandwichResult:
     full_count: int
 
 
+def _stacked(parts: list) -> np.ndarray:
+    """``np.concatenate(parts)``, emptying ``parts`` so that only the result holds the data."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
 def _multi_gates(u: np.ndarray, dims: tuple[int, ...]):
     """(controls, target, stack) triples in product order; fixed schedule.
 
-    ``stack`` has shape ``ctrl_dims + (d, d)``: its leading axes run over the
-    control parties in order and d is the target party's dimension.
+    ``u`` is a (k, N, N) stack of inputs and every ``stack`` has shape
+    ``(k,) + ctrl_dims + (d, d)``: after the item axis, its leading axes run
+    over the control parties in order and d is the target party's dimension.
+    The schedule depends on ``dims`` alone, so every branch of every
+    party-0-controlled gate goes down in one recursive call, and lifting its
+    sub-schedule is a reshape.
     """
     n = len(dims)
     if n == 1:
         return [((), 0, u)]
+    k, d0, m = len(u), dims[0], math.prod(dims[1:])
+    gates = _sandwich_gates(u, d0, m)
+    del u
+    a_ctrl = gates[0::2]
+    gates[0::2] = [None] * len(a_ctrl)
+    # the branches of the party-0-controlled gates, each (k, d0, m, m), as one
+    # stack that only the recursive call holds
+    subs = _multi_gates(_stacked(a_ctrl).reshape(-1, m, m), dims[1:])
+    lifted = [
+        ((0,) + tuple(c + 1 for c in ctrl), tgt + 1, s.reshape((-1, k, d0) + s.shape[1:]))
+        for ctrl, tgt, s in subs
+    ]
     out = []
-    for pos, g in enumerate(_sandwich_gates(u, dims[0], math.prod(dims[1:]))):
+    for pos, g in enumerate(gates):
         if pos % 2 == 0:
-            # controlled from party 0: lift every branch's sub-schedule
-            subs = [_multi_gates(branch, dims[1:]) for branch in g]
-            for entries in zip(*subs, strict=True):
-                ctrl, tgt, _ = entries[0]
-                if any((c, t) != (ctrl, tgt) for c, t, _ in entries):
-                    raise AssertionError("branch schedules diverged")
-                controls = (0,) + tuple(c + 1 for c in ctrl)
-                out.append((controls, tgt + 1, np.stack([s for _, _, s in entries])))
+            out.extend((c, t, s[pos // 2]) for c, t, s in lifted)
         else:
-            out.append((tuple(range(1, n)), 0, g.reshape(dims[1:] + g.shape[1:])))
+            out.append((tuple(range(1, n)), 0, g.reshape((k,) + dims[1:] + g.shape[2:])))
     return out
 
 
@@ -101,7 +117,7 @@ def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
     if u.shape[0] != math.prod(dims):
         raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
     u = unitary_input(u)
-    spec = _multi_gates(u, dims)
+    spec = [(c, t, s[0]) for c, t, s in _multi_gates(u[None], dims)]
     bound = multiparty_bound(dims)
     if len(spec) > bound:
         raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")
@@ -121,22 +137,23 @@ def decompose_4party(u, dims) -> MultipartiteSandwichResult:
         raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
     u = unitary_input(u)
 
+    gates = [g[0] for g in _sandwich_gates(u[None], da * db, dc * dd)]
+    # the branches of every AB-controlled gate go down as one stack, and those
+    # of every CD-controlled gate as another; gate j's part is entry j after
+    # the reshape.  AB-controlled: keys (ka, kb, v); CD-controlled: (v, kc, kd)
+    ab = _sandwich_gates(np.concatenate(gates[0::2]), dc, dd)
+    ab = [s.reshape((-1, da, db) + s.shape[1:]) for s in ab]
+    cd = _sandwich_gates(np.concatenate(gates[1::2]), da, db)
+    cd = [np.moveaxis(s.reshape((-1, dc, dd) + s.shape[1:]), 3, 1) for s in cd]
     spec = []
-    for pos, g in enumerate(_sandwich_gates(u, da * db, dc * dd)):
+    for pos in range(len(gates)):
+        j = pos // 2
         if pos % 2 == 0:
-            # controlled from the AB pair; re-decompose every CD branch, keys (ka, kb, v)
-            subs = [_sandwich_gates(branch, dc, dd) for branch in g]
-            for i, stacks in enumerate(zip(*subs, strict=True)):
-                s = np.stack(stacks)
-                heads = ((0, 1, 2), 3) if i % 2 == 0 else ((0, 1, 3), 2)
-                spec.append(heads + (s.reshape((da, db) + s.shape[1:]),))
+            heads = (((0, 1, 2), 3), ((0, 1, 3), 2))
+            spec += [heads[i % 2] + (s[j],) for i, s in enumerate(ab)]
         else:
-            # controlled from the CD pair; re-decompose every AB branch, keys (v, kc, kd)
-            subs = [_sandwich_gates(branch, da, db) for branch in g]
-            for i, stacks in enumerate(zip(*subs, strict=True)):
-                s = np.stack(stacks, axis=1)
-                heads = ((0, 2, 3), 1) if i % 2 == 0 else ((1, 2, 3), 0)
-                spec.append(heads + (s.reshape(s.shape[:1] + (dc, dd) + s.shape[2:]),))
+            heads = (((0, 2, 3), 1), ((1, 2, 3), 0))
+            spec += [heads[i % 2] + (s[j],) for i, s in enumerate(cd)]
     bound = fourparty_bound(da, db, dc, dd)
     if len(spec) > bound:
         raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")

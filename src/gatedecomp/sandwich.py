@@ -35,6 +35,7 @@ from .gateir import (
 from .matcore import (
     CSD_SEPARATION,
     CSD_SVD_MIN_DIM,
+    IDENTITY_TOL,
     RECON_TOL,
     InfeasibleError,
     PreconditionError,
@@ -44,9 +45,6 @@ from .matcore import (
     require_square,
     unitary_input,
 )
-
-IDENTITY_TOL = 1e-12
-
 
 class DegenerateRankTwoError(ValueError):
     """The rank-2 root equation has a double root; no controlled form is derived."""
@@ -63,14 +61,20 @@ def sandwich_bound(da: int) -> int:
 # the alternating gate list as branch stacks
 #
 # _sandwich_gates returns a plain list of complex branch stacks, one per gate
-# of the alternating product.  Entry i is controlled from A when i is even
-# and has shape (dA, dB, dB): stack[j] acts on B when A is |j>.  An odd entry
-# is controlled from B and has shape (dB, dA, dA).  Full lists have exactly
-# g(dA) entries, and entry i sits at 1-based product position i + 1.
+# of the alternating product, for every item of a stack of inputs at once.
+# For k inputs, entry i is controlled from A when i is even and has shape
+# (k, dA, dB, dB): stack[j, a] acts on B of input j when A is |a>.  An odd
+# entry is controlled from B and has shape (k, dB, dA, dA).  Full lists have
+# exactly g(dA) entries, and entry i sits at 1-based product position i + 1.
+# A single gate's stack is an entry of one item: (dA, dB, dB) or (dB, dA, dA).
 
 
-def _eye_stack(n: int, d: int) -> np.ndarray:
-    return np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
+def _eye_stack(*shape: int) -> np.ndarray:
+    """Identity matrices of size shape[-1], stacked over shape[:-1]."""
+    *lead, d = shape
+    out = np.zeros((*lead, d, d), dtype=complex)
+    out.reshape(-1, d * d)[:, :: d + 1] = 1.0
+    return out
 
 
 def _is_identity(stack: np.ndarray) -> bool:
@@ -192,7 +196,7 @@ def _cossin(u: np.ndarray, p: int):
 
 
 def _two_by_d_core(u: np.ndarray, db: int) -> list:
-    """Alternating [A, B, A] stacks for a 2 x db unitary.
+    """Alternating [A, B, A] stacks for a 2 x db unitary, or for a stack of them.
 
     The block form [[U00, U01], [U10, U11]] with U00 diagonalized and the
     off-diagonal blocks rotated to nonnegative diagonals is exactly the
@@ -203,28 +207,37 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
     so the same circuits, on small inputs and on structured inputs with
     degenerate angles.  Either way the factors are unitary to round-off; the
     textbook per-column normalization is not, when an angle degenerates.
+
+    A (k, 2db, 2db) stack gives stacks with a leading k axis.  The cosine-sine
+    step, and the test for an input already controlled from A, run per item.
     """
-    u01 = u[:db, db:]
-    u10 = u[db:, :db]
-
-    def blocks(m):
-        return np.stack([m[:db, :db], m[db:, db:]])
-
-    if max_abs(u01) <= IDENTITY_TOL and max_abs(u10) <= IDENTITY_TOL:
-        # already controlled from A in the computational basis
-        return [blocks(u), _eye_stack(db, 2), _eye_stack(2, db)]
-
-    # branch j of the middle stack is the rotation
-    # [[cos θj, -sin θj], [sin θj, cos θj]] on A when B is |j>
-    (u1, u2), theta, (v1h, v2h) = _cossin(u, db)
+    if u.ndim == 2:
+        return [g[0] for g in _two_by_d_core(u[None], db)]
+    k = len(u)
+    left = np.empty((k, 2, db, db), dtype=complex)
+    right = np.empty((k, 2, db, db), dtype=complex)
+    theta = np.zeros((k, db))
+    # already controlled from A in the computational basis: both off-diagonal
+    # blocks vanish
+    ctrl = np.abs(u[:, :db, db:]).max(axis=(1, 2)) <= IDENTITY_TOL
+    ctrl &= np.abs(u[:, db:, :db]).max(axis=(1, 2)) <= IDENTITY_TOL
+    for j in range(k):
+        if ctrl[j]:
+            left[j, 0], left[j, 1] = u[j, :db, :db], u[j, db:, db:]
+            right[j] = np.eye(db)
+        else:
+            (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = _cossin(u[j], db)
+    # branch b of the middle stack is the rotation
+    # [[cos θb, -sin θb], [sin θb, cos θb]] on A when B is |b>
     c = np.cos(theta)
     s = np.sin(theta)
-    mid = np.empty((db, 2, 2), dtype=complex)
-    mid[:, 0, 0] = c
-    mid[:, 0, 1] = -s
-    mid[:, 1, 0] = s
-    mid[:, 1, 1] = c
-    return [np.stack([u1, u2]), mid, np.stack([v1h, v2h])]
+    mid = np.empty((k, db, 2, 2), dtype=complex)
+    mid[..., 0, 0] = c
+    mid[..., 0, 1] = -s
+    mid[..., 1, 0] = s
+    mid[..., 1, 1] = c
+    mid[ctrl] = np.eye(2)  # +0.0 where -sin 0 gives -0.0, as np.eye has
+    return [left, mid, right]
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +245,9 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
 
 
 def _pad_to(gates: list, length: int, da: int, db: int) -> list:
+    k = len(gates[0])
     pad = range(len(gates), length)
-    return gates + [_eye_stack(da, db) if i % 2 == 0 else _eye_stack(db, da) for i in pad]
+    return gates + [_eye_stack(k, da, db) if i % 2 == 0 else _eye_stack(k, db, da) for i in pad]
 
 
 def _merge(l1: list, l2: list, d1: int, d2: int, db: int) -> list:
@@ -242,11 +256,11 @@ def _merge(l1: list, l2: list, d1: int, d2: int, db: int) -> list:
     out = []
     for i, (a, b) in enumerate(zip(_pad_to(l1, n, d1, db), _pad_to(l2, n, d2, db))):
         if i % 2 == 0:
-            out.append(np.concatenate([a, b]))
+            out.append(np.concatenate([a, b], axis=1))
         else:
-            m = np.zeros((db, d1 + d2, d1 + d2), dtype=complex)
-            m[:, :d1, :d1] = a
-            m[:, d1:, d1:] = b
+            m = np.zeros((len(a), db, d1 + d2, d1 + d2), dtype=complex)
+            m[:, :, :d1, :d1] = a
+            m[:, :, d1:, d1:] = b
             out.append(m)
     return out
 
@@ -258,51 +272,82 @@ def _split(u: np.ndarray, da: int, db: int):
     first yd columns.  W = W0 ⊕ I and W0 completes the first yd rows of u V,
     restricted to the first 2*yd columns, to a unitary.  X = u V W.  Only the
     blocks V' and W0 are returned and only they are multiplied: X is u with
-    its last columns times V', then its first 2*yd columns times W0.
+    its last columns times V', then its first 2*yd columns times W0.  A stack
+    of inputs gives stacks of V', W0 and X.
     """
     yd = (da // 2) * db
-    vp = compress_rows(u[:yd, yd:], yd)
+    vp = compress_rows(u[..., :yd, yd:], yd)
     x = u.copy()
-    x[:, yd:] = u[:, yd:] @ vp
-    w0 = complete_isometry(x[:yd, : 2 * yd])
-    x[:, : 2 * yd] = x[:, : 2 * yd] @ w0
+    x[..., yd:] = u[..., yd:] @ vp
+    w0 = complete_isometry(x[..., :yd, : 2 * yd])
+    x[..., : 2 * yd] = x[..., : 2 * yd] @ w0
     return vp, w0, x
 
 
-def _sandwich_gates(u: np.ndarray, da: int, db: int) -> list:
-    """Full alternating stack list of length exactly g(da) with product u."""
-    if da == 1:
-        return [u[None].copy()]
-    if db == 1:
-        gates = [_eye_stack(da, 1), u[None].copy(), _eye_stack(da, 1)]
-        return _pad_to(gates, sandwich_bound(da), da, 1)
-    if da == 2:
-        return _two_by_d_core(u, db)
+def _halve(u: np.ndarray, da: int, db: int):
+    """(children, mid) of one recursion level on a (k, N, N) stack u.
 
+    u = (X1 ⊕ X2) mid (Y1 ⊕ Y2) per item, with X1, Y1 on A-dim y = da // 2
+    and X2, Y2 on da - y.  ``children`` is [[X1; Y1; X2; Y2]], one 4k stack,
+    when da is even, and [[X1; Y1], [X2; Y2]] when it is odd.  Everything
+    else this level computes is dropped on return, before the recursion.
+    """
+    k = len(u)
     y = da // 2
     yd = y * db
     vp, w0, x = _split(u, da, db)
 
     # W0† viewed as a 2 x (y*db) unitary: 3-gate core W0† = C T D with C and
     # D block diagonal, so u = X (C ⊕ I) (T ⊕ I) (D ⊕ I) V†
-    c_g, t_g, d_g = _two_by_d_core(w0.conj().T, yd)
+    c_g, t_g, d_g = _two_by_d_core(w0.conj().transpose(0, 2, 1), yd)
 
     # the diagonal blocks of X (C ⊕ I) and of (D ⊕ I) V†
-    x1 = x[:yd, :yd] @ c_g[0]
-    x2 = np.concatenate([x[yd:, yd : 2 * yd] @ c_g[1], x[yd:, 2 * yd :]], axis=1)
-    vh = vp.conj().T
-    y1 = d_g[0]
-    y2 = np.concatenate([d_g[1] @ vh[:yd], vh[yd:]])
-
-    left = _merge(_sandwich_gates(x1, y, db), _sandwich_gates(x2, da - y, db), y, da - y, db)
-    right = _merge(_sandwich_gates(y1, y, db), _sandwich_gates(y2, da - y, db), y, da - y, db)
+    x1 = x[:, :yd, :yd] @ c_g[:, 0]
+    x2 = np.concatenate([x[:, yd:, yd : 2 * yd] @ c_g[:, 1], x[:, yd:, 2 * yd :]], axis=2)
+    vh = vp.conj().transpose(0, 2, 1)
+    y1 = d_g[:, 0]
+    y2 = np.concatenate([d_g[:, 1] @ vh[:, :yd], vh[:, yd:]], axis=1)
 
     # middle gate: t_g's branch r * db + b acts on the pair (|r>, |y + r>)
     # of the A side when B is |b>; every other A level is left alone
     rr = np.arange(y)[:, None] + y * np.arange(2)
-    mid = _eye_stack(db, da)
-    mid[:, rr[:, :, None], rr[:, None, :]] = t_g.reshape(y, db, 2, 2).transpose(1, 0, 2, 3)
+    mid = _eye_stack(k, db, da)
+    mid[:, :, rr[:, :, None], rr[:, None, :]] = t_g.reshape(k, y, db, 2, 2).transpose(0, 2, 1, 3, 4)
 
+    if da % 2 == 0:
+        return [np.concatenate([x1, y1, x2, y2])], mid
+    return [np.concatenate([x1, y1]), np.concatenate([x2, y2])], mid
+
+
+def _sandwich_gates(u: np.ndarray, da: int, db: int) -> list:
+    """Full alternating stack lists of length exactly g(da), one per item of u.
+
+    u is a (k, da*db, da*db) stack; a single matrix goes in as ``u[None]``.
+    Each level of the recursion is one call on the stack of all its nodes of
+    one size: the four children of every item go down together as one stack
+    when da is even, and as two stacks (A-dims y and y + 1) when it is odd.
+    """
+    k = len(u)
+    if da == 1:
+        return [u[:, None].copy()]
+    if db == 1:
+        gates = [_eye_stack(k, da, 1), u[:, None].copy(), _eye_stack(k, da, 1)]
+        return _pad_to(gates, sandwich_bound(da), da, 1)
+    if da == 2:
+        return _two_by_d_core(u, db)
+
+    y = da // 2
+    children, mid = _halve(u, da, db)
+    del u
+    # pop the children so that the callee holds the only reference
+    if len(children) == 1:
+        both = _sandwich_gates(children.pop(), y, db)
+        lo, hi = [g[: 2 * k] for g in both], [g[2 * k :] for g in both]
+    else:
+        lo = _sandwich_gates(children.pop(0), y, db)
+        hi = _sandwich_gates(children.pop(), da - y, db)
+    left = _merge([g[:k] for g in lo], [g[:k] for g in hi], y, da - y, db)
+    right = _merge([g[k:] for g in lo], [g[k:] for g in hi], y, da - y, db)
     return left + [mid] + right
 
 
@@ -322,6 +367,7 @@ class SandwichResult:
 
 
 def _strip(gates: list, da: int, db: int):
+    """Records of the non-identity gates of one item's list, with their positions."""
     kept = [(i + 1, g) for i, g in enumerate(gates) if not _is_identity(g)]
     if not kept:
         kept = [(1, _eye_stack(da, db))]
@@ -335,7 +381,7 @@ def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
     if u.shape[0] != da * db:
         raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
     u = unitary_input(u)
-    gates = _sandwich_gates(u, da, db)
+    gates = [g[0] for g in _sandwich_gates(u[None], da, db)]
     kept, positions = _strip(gates, da, db)
     circuit = Circuit(bipartite_space(da, db), tuple(kept))
     return SandwichResult(circuit, sandwich_bound(da), tuple(positions), len(gates))

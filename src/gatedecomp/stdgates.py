@@ -26,9 +26,16 @@ from .gateir import (
     local,
     two_level,
 )
-from .matcore import PreconditionError, max_abs, perm_matrix, require_square, unitary_eig
+from .matcore import (
+    IDENTITY_TOL,
+    PreconditionError,
+    max_abs,
+    perm_matrix,
+    require_square,
+    unitary_eig,
+)
 from .permdecomp import ComplexPermutation, decompose_perm3
-from .sandwich import IDENTITY_TOL, decompose_sandwich
+from .sandwich import decompose_sandwich
 
 _FORMULAS = {
     "general": lambda da, db: 2 * (da - 1) ** 2 * (db // 2)

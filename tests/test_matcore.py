@@ -162,6 +162,28 @@ def _mgs_completion(vectors, dim):
     return added
 
 
+def _loop_completion(vectors, dim):
+    """One family, one candidate at a time: the loop whose bits the stacked
+    completion must reproduce, product for product (the same vector-matrix
+    BLAS calls, the norm as two real dot products)."""
+    q = np.zeros((dim, dim), dtype=complex)
+    n = len(vectors)
+    q[:n] = vectors
+    for i in range(dim):
+        if n == dim:
+            break
+        v = -(np.conj(q[:n, i]) @ q[:n])
+        v[i] += 1.0
+        v -= np.conj(q[:n] @ np.conj(v)) @ q[:n]
+        nrm = np.linalg.norm(v)
+        if nrm < matcore.RANK_TOL:
+            continue
+        q[n] = v / nrm
+        n += 1
+    assert n == dim
+    return q
+
+
 def _random_family(dim, k, seed):
     return haar_unitary(dim, seed)[:k]
 
@@ -202,6 +224,7 @@ class TestOrthonormalCompletion:
             fam = family(dim, k, 100 * dim + seed)
             ref = _mgs_completion(list(fam), dim)
             basis = _orthonormal_completion(fam, dim)
+            assert basis.tobytes() == _loop_completion(fam, dim).tobytes()
             assert len(ref) == dim - k
             assert_close(basis[:k], fam, 0)
             assert_close(basis[k:], np.array(ref).reshape(dim - k, dim), 1e-12)
@@ -265,3 +288,63 @@ def test_factorization_roundtrip_tolerances():
         assert max_abs(e @ d @ f - block) <= 1e-8
         assert is_unitary(e, matcore.DEFAULT_EPS)
         assert is_unitary(f, matcore.DEFAULT_EPS)
+
+
+class TestBatches:
+    """A batch gives every item the bytes it gets alone."""
+
+    def test_completion_with_different_skips_and_family_sizes(self):
+        dim = 12
+        fams = [
+            _sparse_family(dim, 5, 1),
+            _random_family(dim, 5, 2),
+            _near_dependent_family(dim, 3, 3, 1e-9),
+            _sparse_family(dim, 0, 4),
+            _sparse_family(dim, 7, 5),
+            _random_family(dim, 7, 6),
+            _sparse_family(dim, 5, 7),
+        ]
+        sizes = [len(f) for f in fams]
+        # rows past an item's size are never read
+        batch = np.ones((len(fams), max(sizes), dim), dtype=complex)
+        for j, f in enumerate(fams):
+            batch[j, : len(f)] = f
+        got = _orthonormal_completion(batch, dim, sizes)
+        assert got.shape == (len(fams), dim, dim)
+        for j, f in enumerate(fams):
+            assert got[j].tobytes() == _loop_completion(f, dim).tobytes()
+
+    def test_completion_of_one_size_with_different_skips(self):
+        dim = 9
+        fams = [_sparse_family(dim, 4, s) for s in range(3)] + [_random_family(dim, 4, 3)]
+        got = _orthonormal_completion(np.stack(fams), dim)
+        for j, f in enumerate(fams):
+            assert got[j].tobytes() == _loop_completion(f, dim).tobytes()
+
+    def test_compress_rows_gives_the_identity_for_a_zero_block(self):
+        rng = np.random.default_rng(5)
+        full = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+        low = full.copy()
+        low[2] = low[0] - 2j * low[1]  # rank 2
+        sparse = np.zeros((3, 7), dtype=complex)
+        sparse[[0, 1], [4, 2]] = [1.0, -1j]
+        b = np.stack([full, np.zeros((3, 7)), low, sparse])
+        v = compress_rows(b, 3)
+        assert v.shape == (4, 7, 7)
+        assert v[1].tobytes() == np.eye(7, dtype=complex).tobytes()
+        for j in range(len(b)):
+            assert v[j].tobytes() == compress_rows(b[j], 3).tobytes()
+            assert max_abs((b[j] @ v[j])[:, 3:]) <= 1e-9
+
+    def test_compress_rows_rank_check_covers_every_item(self):
+        b = np.stack([np.zeros((3, 4)), np.eye(4)[:3]])
+        with pytest.raises(InfeasibleError):
+            compress_rows(b, 2)
+
+    def test_complete_isometry(self):
+        rows = np.stack([haar_unitary(8, s)[:3] for s in range(3)] + [np.eye(8)[[5, 1, 6]]])
+        w = complete_isometry(rows)
+        for j in range(len(rows)):
+            assert w[j].tobytes() == complete_isometry(rows[j]).tobytes()
+        with pytest.raises(PreconditionError):
+            complete_isometry(np.stack([rows[0], 2 * rows[1]]))

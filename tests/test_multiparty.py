@@ -11,7 +11,9 @@ from gatedecomp import (
 )
 from gatedecomp.gateir import gate_matrix, multiparty_space
 from gatedecomp.matcore import PreconditionError, is_unitary, max_abs
-from gatedecomp.generators import haar_unitary, random_permutation
+from gatedecomp import multiparty, sandwich
+from gatedecomp.generators import haar_unitary, random_controlled, random_permutation
+from gatedecomp.multiparty import _multi_gates
 
 from conftest import assert_close, noisy_haar
 
@@ -206,3 +208,52 @@ def test_pinned_haar_4party_gate_counts(dims, expected):
     res = decompose_4party(u, dims)
     assert len(res.circuit.gates) == expected
     assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
+
+
+def _count_recursion_calls(monkeypatch):
+    """Record (stack size, dA, dB) of every ``_sandwich_gates`` call."""
+    calls = []
+    original = sandwich._sandwich_gates
+
+    def counted(u, da, db):
+        calls.append((len(u), da, db))
+        return original(u, da, db)
+
+    monkeypatch.setattr(sandwich, "_sandwich_gates", counted)
+    monkeypatch.setattr(multiparty, "_sandwich_gates", counted)
+    return calls
+
+
+def test_recursion_runs_once_per_level(monkeypatch):
+    """One ``_sandwich_gates`` call per level, not one per branch: Haar 4^4
+    has three party levels of two sandwich levels each (a call per branch
+    made 1,365 calls)."""
+    calls = _count_recursion_calls(monkeypatch)
+    decompose_multiparty(haar_unitary(256, 7), (4, 4, 4, 4))
+    assert len(calls) < 50
+    assert [(da, db) for _, da, db in calls] == [(4, 64), (2, 64), (4, 16), (2, 16), (4, 4), (2, 4)]
+    assert [k for k, _, _ in calls] == [1, 4, 16, 64, 256, 1024]
+
+
+def test_fourparty_cut_recurses_on_whole_branch_stacks(monkeypatch):
+    """The AB|CD cut sends the branches of all AB-controlled gates down as
+    one stack and those of all CD-controlled gates as another."""
+    calls = _count_recursion_calls(monkeypatch)
+    decompose_4party(haar_unitary(81, 7), (3, 3, 3, 3))
+    assert len(calls) < 50
+    # the 9 x 9 cut has g(9) = 31 slots: 16 AB-controlled gates and 15
+    # CD-controlled ones, of 9 branches each
+    assert calls[0] == (1, 9, 9)
+    assert [c for c in calls if c[1:] == (3, 3)] == [(16 * 9, 3, 3), (15 * 9, 3, 3)]
+
+
+def test_multi_gates_stack_gives_the_bytes_of_single_calls():
+    dims = (2, 3, 2)
+    items = [haar_unitary(12, 3), np.eye(12), random_controlled(2, 6, 4, "A"), haar_unitary(12, 5)]
+    u = np.stack(items).astype(complex)
+    stacked = _multi_gates(u, dims)
+    for j in range(len(u)):
+        alone = _multi_gates(u[j][None], dims)
+        assert [(c, t) for c, t, _ in alone] == [(c, t) for c, t, _ in stacked]
+        for (_, _, s), (_, _, a) in zip(stacked, alone):
+            assert s[j].tobytes() == a[0].tobytes()

@@ -29,7 +29,14 @@ from gatedecomp.generators import (
 )
 from gatedecomp.matcore import CSD_SVD_MIN_DIM
 from gatedecomp import sandwich
-from gatedecomp.sandwich import _b_matrix, _cossin, _csd_two_svd, _two_by_d_core
+from gatedecomp.sandwich import (
+    _b_matrix,
+    _cossin,
+    _csd_two_svd,
+    _sandwich_gates,
+    _split,
+    _two_by_d_core,
+)
 
 from conftest import assert_close, noisy_haar
 
@@ -377,6 +384,13 @@ def test_two_by_d_core_degenerate_angles(kind, db):
     # the CSD fixes the angles but not which B level carries which one
     assert_close(np.sort(np.abs(s)), np.sort(swapped.astype(float)), 1e-12)
     assert_close(np.abs(c) ** 2 + np.abs(s) ** 2, np.ones(db), 1e-12)
+    if kind == "a-controlled":
+        # the shortcut's identities carry +0.0 entries, as np.eye does: a
+        # -0.0 would be a distinct palette entry and change the circuit file
+        eye = np.eye(db, dtype=complex)
+        assert mid.tobytes() == np.stack([np.eye(2, dtype=complex)] * db).tobytes()
+        assert right.tobytes() == np.stack([eye, eye]).tobytes()
+        assert left.tobytes() == np.stack([u[:db, :db], u[db:, db:]]).tobytes()
 
 
 # Exact kept-gate counts on structured inputs, recorded with the modified
@@ -560,3 +574,57 @@ def test_cossin_property(p, kind, seed):
     u = _csd_input(kind, p, seed)
     rec, unit = _csd_errors(u, p, _cossin(u, p))
     assert rec <= 1e-13 and unit <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the recursion on stacks
+
+
+STACK_KINDS = ["haar", "actrl", "bctrl", "identity", "product", "phased"]
+
+
+def _stack_item(kind, da, db, seed):
+    if kind == "haar":
+        return haar_unitary(da * db, seed)
+    if kind == "actrl":
+        return random_controlled(da, db, seed, "A")
+    if kind == "bctrl":
+        return random_controlled(da, db, seed, "B")
+    if kind == "identity":
+        return np.eye(da * db, dtype=complex)
+    if kind == "product":
+        return np.kron(haar_unitary(da, seed), haar_unitary(db, seed + 1))
+    return random_complex_permutation((da, db), seed).matrix()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    da=st.integers(1, 6),
+    db=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_gives_the_bytes_of_single_calls(da, db, kinds, seed):
+    """Every item of a mixed stack gets, gate by gate, the bytes it gets alone.
+
+    The mix sends some items of one 2 x dB node through the cosine-sine step
+    and others through the already-controlled route, and gives the items'
+    completions different skipped candidates."""
+    u = np.stack([_stack_item(kind, da, db, seed + j) for j, kind in enumerate(kinds)])
+    stacked = _sandwich_gates(u, da, db)
+    assert len(stacked) == sandwich_bound(da)
+    for j in range(len(u)):
+        alone = _sandwich_gates(u[j][None], da, db)
+        assert len(alone) == len(stacked)
+        for g, h in zip(stacked, alone):
+            assert g.shape[1:] == h.shape[1:] and len(h) == 1
+            assert g[j].tobytes() == h[0].tobytes()
+
+
+def test_single_matrix_helpers_match_their_stacks():
+    """A 2-D argument to the core or the split gives item 0 of the stack of one."""
+    u = haar_unitary(12, 8)
+    for got, want in zip(_two_by_d_core(u, 6), _two_by_d_core(u[None], 6)):
+        assert got.tobytes() == want[0].tobytes()
+    for got, want in zip(_split(u, 4, 3), _split(u[None], 4, 3)):
+        assert got.tobytes() == want[0].tobytes()
