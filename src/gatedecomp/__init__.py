@@ -39,8 +39,6 @@ from .matcore import (
     complete_isometry,
     compress_rows,
     is_unitary,
-    orthogonal_columns_to_diagonal,
-    svd_diagonalize,
     unitary_eig,
 )
 from .multiparty import (
@@ -86,7 +84,7 @@ from .sandwich import (
     rank2_to_controlled,
     sandwich_bound,
 )
-from .schmidt import SchmidtDecomposition, operator_schmidt, realign, schmidt_rank
+from .schmidt import SchmidtDecomposition, matrix_rank, operator_schmidt, realign, schmidt_rank
 from .stdgates import (
     StandardGateBudget,
     compile_controlled_to_standard,

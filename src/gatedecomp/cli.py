@@ -261,8 +261,7 @@ def _cmd_verify(args) -> int:
     # refuse a space the dense check cannot hold before reading the target
     require_dense_dim(circuit.space.total_dim)
     mf = codecs.load_matrix_file(args.unitary)
-    small = circuit.space.total_dim <= 64
-    report = verify_decomposition(mf.matrix, circuit, tol=args.tol, classify=small)
+    report = verify_decomposition(mf.matrix, circuit, tol=args.tol)
     stored = circuit.metrics
     consistent = recompute_metrics(circuit) == stored
     counts = ", ".join(f"{k}={v}" for k, v in report.gate_counts)
@@ -272,12 +271,11 @@ def _cmd_verify(args) -> int:
     print(f"ancillas_ok    {report.ancilla_restored}")
     print(f"gate_counts    {counts}")
     print(f"nonlocal_cnot  {report.nonlocal_cnot}")
-    if report.classifications:
-        for i, cl in enumerate(report.classifications):
-            print(
-                f"  gate {i}: {cl.kind} ctrlA={cl.controlled_from_a} "
-                f"ctrlB={cl.controlled_from_b} schmidt={cl.schmidt_rank}"
-            )
+    for i, cl in enumerate(report.classifications):
+        print(
+            f"  gate {i}: {cl.kind} ctrlA={cl.controlled_from_a} "
+            f"ctrlB={cl.controlled_from_b} schmidt={cl.schmidt_rank}"
+        )
     if not report.passed:
         print("verification FAILED", file=sys.stderr)
         return EXIT_VERIFY

@@ -20,8 +20,8 @@ lowered to one form, ``(controls, targets, palette, index)``:
 order.  Lowering is also where a gate's structure is checked against the
 space.  One kernel applies a lowered gate to a block of state columns by a
 batched matmul over the (controls, targets, rest) regrouping of the state;
-dense simulation, gate embedding, classification and the exact permutation
-tables all use it.
+dense simulation, gate embedding and the exact permutation tables use it.
+Classification reads the lowered palette and index without applying them.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .matcore import (
     perm_matrix,
     require_dense_dim,
 )
+from .schmidt import matrix_rank, schmidt_rank
 
 
 class CircuitError(ValueError):
@@ -572,7 +573,10 @@ def verify_decomposition(u, c: Circuit, tol: float = RECON_TOL, classify: bool =
     With ancillas present, the comparison is restricted to columns where every
     ancilla starts in its initial basis state; ``leakage`` measures amplitude
     escaping that subspace and ``ancilla_restored`` asserts it stays within
-    ``tol``.  Failures are reported, never raised.
+    ``tol``.  Failures are reported, never raised.  With ``classify`` on
+    (the default), ``classifications`` holds :func:`classify_gate` of every
+    gate across the first-party cut; it is read from the palettes and adds
+    little to the dense check.
     """
     u = as_matrix(u)
     party_total = math.prod(c.space.party_dims)
@@ -610,42 +614,60 @@ def verify_decomposition(u, c: Circuit, tol: float = RECON_TOL, classify: bool =
     )
 
 
+def _classify(v: np.ndarray):
+    """``(from_a, from_b, schmidt_rank)`` of a gate given as ``v[ca, cb, ta, tb, ta', tb']``.
+
+    ``v[ca, cb]`` is the branch applied when the A-side control axes hold
+    ``ca`` and the B-side ones hold ``cb``, with its A-side target axes
+    grouped before its B-side ones.  The gate is diagonal on its control
+    axes, so it is controlled from A exactly when no branch entry with
+    ``ta != ta'`` exceeds ``DEFAULT_EPS``, and from B likewise on ``tb``.  Up
+    to zero rows and columns, its realigned matrix is ``v`` with rows
+    ``(ca, ta, ta')`` and columns ``(cb, tb, tb')``, so that matrix has the
+    Schmidt rank.
+    """
+    n_ca, n_cb, d_ta, d_tb = v.shape[:4]
+    mag = np.abs(v)
+    moves_a = mag.max(axis=(0, 1, 3, 5))[~np.eye(d_ta, dtype=bool)]
+    moves_b = mag.max(axis=(0, 1, 2, 4))[~np.eye(d_tb, dtype=bool)]
+    r = v.transpose(0, 2, 4, 1, 3, 5).reshape(n_ca * d_ta * d_ta, n_cb * d_tb * d_tb)
+    return max_abs(moves_a) <= DEFAULT_EPS, max_abs(moves_b) <= DEFAULT_EPS, matrix_rank(r)
+
+
 def classify_matrix(m, da: int, db: int):
     """Computational-basis controlledness and Schmidt rank across a (da, db) cut."""
-    from .schmidt import schmidt_rank
-
     m = as_matrix(m)
-    r = m.reshape(da, db, da, db)
-    t = r.copy()
-    for j in range(da):
-        t[j, :, j, :] = 0.0
-    off_a = max_abs(t)
-    t = r.copy()
-    for b in range(db):
-        t[:, b, :, b] = 0.0
-    off_b = max_abs(t)
-    rank = schmidt_rank(m, da, db)
-    return off_a <= DEFAULT_EPS, off_b <= DEFAULT_EPS, rank
+    if m.shape != (da * db, da * db):
+        raise ValueError(f"operator is {m.shape}, expected {(da * db, da * db)}")
+    return _classify(m.reshape(1, 1, da, db, da, db))
 
 
 def classify_gate(space: PartySpace, g: Gate, cut: int = 1) -> GateClassification:
     """Classify one gate across the party bipartition (first ``cut`` parties vs rest).
 
-    The gate is materialized on its own axes only, reordered so the A-side
-    (host in the first ``cut`` parties) comes first.
+    An axis is on the A side when its host is one of the first ``cut``
+    parties.  The result is read from the lowered gate's palette and control
+    index, with control and target axes each regrouped A side first; no
+    matrix on the gate's axes or on the space is built.
     """
     controls, targets, palette, index = _lower(space.dims, g)
+    dims = space.dims
     a_names = {n for n, _ in space.parties[:cut]}
-    axes = controls + targets
-    a_axes = [ax for ax in axes if space.axis_host(ax) in a_names]
-    b_axes = [ax for ax in axes if space.axis_host(ax) not in a_names]
-    pos = {ax: i for i, ax in enumerate(a_axes + b_axes)}
-    sub_dims = tuple(space.dims[ax] for ax in a_axes + b_axes)
-    lowered = (tuple(pos[ax] for ax in controls), tuple(pos[ax] for ax in targets), palette, index)
-    mat = _apply(sub_dims, lowered, np.eye(math.prod(sub_dims), dtype=complex))
-    da = math.prod(space.dims[ax] for ax in a_axes)
-    db = math.prod(space.dims[ax] for ax in b_axes)
-    from_a, from_b, rank = classify_matrix(mat, da, db)
+
+    def a_first(axes):
+        a = [i for i, ax in enumerate(axes) if space.axis_host(ax) in a_names]
+        b = [i for i in range(len(axes)) if i not in a]
+        sizes = (math.prod(dims[axes[i]] for i in side) for side in (a, b))
+        return (a + b, *sizes)
+
+    c_order, n_ca, n_cb = a_first(controls)
+    t_order, d_ta, d_tb = a_first(targets)
+    nt = len(targets)
+    t_dims = [dims[ax] for ax in targets]
+    idx = index.reshape([dims[ax] for ax in controls]).transpose(c_order).reshape(n_ca, n_cb)
+    pal = palette.reshape(-1, *t_dims, *t_dims)
+    pal = pal.transpose(0, *(1 + i for i in t_order), *(1 + nt + i for i in t_order))
+    from_a, from_b, rank = _classify(pal.reshape(-1, d_ta, d_tb, d_ta, d_tb)[idx])
     return GateClassification(g.kind, from_a, from_b, rank)
 
 
@@ -658,8 +680,6 @@ def validate_circuit(c: Circuit) -> None:
 
     Unitarity is checked to ``DEFAULT_EPS`` once per palette entry.
     """
-    from .schmidt import schmidt_rank
-
     for i, g in enumerate(c.gates):
         try:
             _, _, palette, _ = _lower(c.space.dims, g)

@@ -123,20 +123,6 @@ def perm_matrix(perm) -> np.ndarray:
     return m
 
 
-def svd_diagonalize(m):
-    """Factor a square matrix as M = E @ D @ F.
-
-    E, F are unitary and D is diagonal with real nonnegative entries sorted
-    nonincreasing (the LAPACK singular-value order).
-
-    Returns:
-        (E, D, F) with D returned as a full diagonal matrix.
-    """
-    a = require_square(m)
-    e, s, f = np.linalg.svd(a)
-    return e, np.diag(s).astype(complex), f
-
-
 def _orthonormal_completion(vectors, dim: int, sizes=None) -> np.ndarray:
     """Extend an orthonormal family to a basis of C^dim, for one family or a batch.
 
@@ -193,32 +179,6 @@ def _orthonormal_completion(vectors, dim: int, sizes=None) -> np.ndarray:
     return q[0] if single else q
 
 
-def orthogonal_columns_to_diagonal(m) -> np.ndarray:
-    """Return unitary V such that V @ M is diagonal with nonnegative entries.
-
-    Requires the columns of M to be pairwise orthogonal (the Gram matrix
-    M† M must be diagonal to within ``DEFAULT_EPS``).  Rows of V corresponding to
-    numerically zero columns are completed deterministically from standard
-    basis vectors in increasing index order.
-    """
-    a = require_square(m)
-    n = a.shape[0]
-    gram = a.conj().T @ a
-    if max_abs(gram - np.diag(np.diag(gram))) > DEFAULT_EPS:
-        raise PreconditionError("columns are not pairwise orthogonal")
-    norms = np.sqrt(np.clip(np.real(np.diag(gram)), 0.0, None))
-    rows: dict[int, np.ndarray] = {}
-    for j in range(n):
-        if norms[j] >= RANK_TOL:
-            rows[j] = np.conj(a[:, j]) / norms[j]
-    missing = [j for j in range(n) if j not in rows]
-    if missing:
-        completion = _orthonormal_completion([rows[j] for j in sorted(rows)], n)[len(rows) :]
-        for j, vec in zip(missing, completion):
-            rows[j] = vec
-    return np.vstack([rows[j] for j in range(n)]) if n else np.zeros((0, 0), complex)
-
-
 def _as_stack(m) -> tuple[np.ndarray, bool]:
     """``(stack, single)``: a matrix as a stack of one, or a 3-D stack as it is."""
     a = np.asarray(m, dtype=complex)
@@ -232,11 +192,13 @@ def _as_stack(m) -> tuple[np.ndarray, bool]:
 def compress_rows(b, t: int) -> np.ndarray:
     """Return unitary V (m x m) such that B @ V is supported on its first t columns.
 
-    Requires the numerical rank of the k x m matrix B to be at most t.  The
-    leading columns of V are the right singular vectors of B; the rest is the
-    deterministic standard-basis completion of their span.  An all-zero B
-    gives the identity.  A (b, k, m) stack of matrices gives the (b, m, m)
-    stack of their V, each the same as for that matrix alone.
+    Requires the numerical rank of the k x m matrix B (singular values above
+    ``RANK_TOL``) to be at most t.  The leading columns of V are the right
+    singular vectors of B's largest ``min(t, count(s > 0))`` singular values,
+    so a direction below ``RANK_TOL`` that still fits in t columns is kept;
+    the rest is the deterministic standard-basis completion of their span.
+    An all-zero B gives the identity.  A (b, k, m) stack of matrices gives
+    the (b, m, m) stack of their V, each the same as for that matrix alone.
     """
     a, single = _as_stack(b)
     m = a.shape[-1]
@@ -250,7 +212,8 @@ def compress_rows(b, t: int) -> np.ndarray:
     # an all-zero item gets V = I exactly, as a basis given whole
     zero = ~a.any(axis=(1, 2))
     rows[zero] = np.eye(m)
-    q = _orthonormal_completion(rows, m, np.where(zero, m, rank))
+    keep = np.minimum(t, np.sum(s > 0, axis=1))
+    q = _orthonormal_completion(rows, m, np.where(zero, m, keep))
     v = q.transpose(0, 2, 1)
     return v[0] if single else v
 

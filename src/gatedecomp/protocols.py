@@ -26,7 +26,7 @@ from .gateir import (
 )
 from .matcore import DEFAULT_EPS, PreconditionError, as_matrix, is_unitary, max_abs
 from .matcore import perm_matrix, require_square
-from .schmidt import schmidt_rank
+from .schmidt import _rank, _svd, matrix_rank, schmidt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +675,6 @@ def _binary_partition_exact(t: np.ndarray, node_budget: int):
     return value, tuple(rects)
 
 
-def _numerical_rank(t: np.ndarray) -> int:
-    s = np.linalg.svd(np.asarray(t, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
-
-
 BINARY_EXACT_MAX_DIM = 12
 BINARY_NODE_BUDGET = 300_000
 
@@ -690,7 +683,8 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
     """Rank analysis of a binary (or nonnegative) matrix.
 
     kinds:
-      rank    numerical rank (relative threshold 1e-9); certificate: SVD terms
+      rank    numerical rank (``matrix_rank``: relative threshold 1e-9);
+              certificate: SVD terms
       xor     rank over GF(2), exact; certificate: peeled rank-1 binary terms
       binary  minimum disjoint all-ones rectangle partition; exact via
               branch-and-bound when min(rows, cols) <= 12 within the node
@@ -712,8 +706,8 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
         a = np.asarray(a, dtype=float)
         if (a < -1e-12).any():
             raise ValueError("rank toolkit expects nonnegative input")
-        r = _numerical_rank(a)
-        u, s, vh = np.linalg.svd(a)
+        u, s, vh = _svd(a, compute_uv=True)
+        r = _rank(s)
         cert = tuple((s[i] * u[:, i], vh[i]) for i in range(r))
         return RankReport("rank", r, r, cert)
     if kind == "xor":
@@ -727,7 +721,7 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
         by_cols = [(c, r) for (r, c) in _distinct_row_partition(arr.T)]
         upper_cert = min((greedy, by_rows, by_cols), key=len)
         upper = len(upper_cert)
-        lower = max(_numerical_rank(arr), _fooling_bound(arr))
+        lower = max(matrix_rank(arr), _fooling_bound(arr))
         if lower < upper and min(arr.shape) <= BINARY_EXACT_MAX_DIM:
             exact = _binary_partition_exact(arr, node_budget)
             if exact is not None:
@@ -738,7 +732,7 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
         a = np.real(np.asarray(arr, dtype=float))
         if (a < -1e-12).any():
             raise ValueError("nonnegative rank needs nonnegative entries")
-        lower = _numerical_rank(a)
+        lower = matrix_rank(a)
         is_binary = True
         try:
             BinaryMatrix.from_array(a)
@@ -787,17 +781,13 @@ def pair_swap_family_unitary(flags) -> np.ndarray:
 
 
 def pair_swap_family_offdiagonal(flags) -> np.ndarray:
-    """The off-diagonal (flagged) part of the family unitary; a partial permutation."""
-    f = BinaryMatrix.from_array(flags).array()
-    m, db = f.shape
-    da = 2 * m
-    u = np.zeros((da * db, da * db), dtype=np.int64)
-    for i in range(m):
-        for b in range(db):
-            if f[i, b]:
-                u[(2 * i) * db + b, (2 * i + 1) * db + b] = 1
-                u[(2 * i + 1) * db + b, (2 * i) * db + b] = 1
-    return u
+    """The off-diagonal (flagged) part of the family unitary; a partial permutation.
+
+    Every row of the family unitary has exactly one nonzero entry, so this is
+    the family unitary minus its diagonal.
+    """
+    u = pair_swap_family_unitary(flags)
+    return u - np.diag(np.diag(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -849,7 +839,7 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
     else:
         sch_od = 0
         ppr_upper = 0
-    rank_t = _numerical_rank(f.astype(float))
+    rank_t = matrix_rank(f)
     xor_t = rank_toolkit(f, "xor")
     binary_t = rank_toolkit(f, "binary")
     if rank_t < sch_od:

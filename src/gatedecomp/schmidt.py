@@ -72,13 +72,21 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > SV_TOL * s[0]))
 
 
+def matrix_rank(r) -> int:
+    """Numerical rank: singular values above ``SV_TOL`` relative to the largest one.
+
+    Computed from singular values alone; a real input stays real.
+    """
+    return _rank(_svd(np.asarray(r), compute_uv=False))
+
+
 def schmidt_rank(u, da: int, db: int) -> int:
-    """Schmidt rank across the (da, db) cut, from singular values alone.
+    """Schmidt rank across the (da, db) cut: the rank of the realigned matrix.
 
     The same rank as ``operator_schmidt(u, da, db).rank``, without computing
     the singular vectors.
     """
-    return _rank(_svd(realign(u, da, db), compute_uv=False))
+    return matrix_rank(realign(u, da, db))
 
 
 def operator_schmidt(u, da: int, db: int) -> SchmidtDecomposition:

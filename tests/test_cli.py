@@ -77,6 +77,16 @@ class TestDecomposeVerifyIntegration:
         assert run("decompose", "--method", "sandwich", "-i", "u.json", "-o", "c2.json") == 0
         assert open("c1.json").read() == open("c2.json").read()
 
+    def test_verify_classifies_every_gate_above_64_basis_states(self, in_tmp, capsys):
+        run("gen", "--kind", "perm", "--dims", "4", "3", "--seed", "9", "-o", "u.json")
+        assert run("decompose", "--method", "lemma7", "-i", "u.json", "-o", "c.json") == 0
+        circuit = codecs.load_circuit_file("c.json")
+        assert circuit.space.total_dim == 96  # the flag ancillas take it past 64
+        capsys.readouterr()
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  gate ")]
+        assert [ln.split(":")[0] for ln in lines] == [f"  gate {i}" for i in range(len(circuit.gates))]
+
     def test_verify_corrupted_circuit_exits_2(self, in_tmp):
         run("gen", "--kind", "swap", "--dims", "2", "2", "-o", "u.json")
         run("decompose", "--method", "perm3", "-i", "u.json", "-o", "c.json")

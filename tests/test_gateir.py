@@ -28,7 +28,8 @@ from gatedecomp import (
     verify_decomposition,
 )
 from gatedecomp.gateir import CircuitError, gate_matrix, recompute_metrics
-from gatedecomp.matcore import PreconditionError
+from gatedecomp.matcore import DEFAULT_EPS, PreconditionError, max_abs
+from gatedecomp.schmidt import schmidt_rank
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -297,11 +298,26 @@ def reference_gate(dims, g) -> np.ndarray:
     return m
 
 
-def _payload(draw, k, perm_only):
+# dense: a Haar unitary, or a phased permutation for permutation-only
+# circuits; diagonal, identity and product-of-locals payloads are
+# rank-deficient across some cuts, and a repeated-branch controlled gate draws
+# its branches from two payloads, so its palette is shorter than its index and
+# it may be controlled from either side
+PAYLOAD_KINDS = ("dense", "diagonal", "identity", "product", "repeated")
+
+
+def _payload(draw, tdims, perm_only, kind="dense"):
+    k = math.prod(tdims)
+    if kind == "identity":
+        return np.eye(k, dtype=complex)
+    if kind == "product":
+        return reduce(np.kron, [_payload(draw, (d,), perm_only) for d in tdims])
     seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return np.diag(rng.choice(PHASES, size=k))
     if not perm_only:
         return haar_unitary(k, seed)
-    rng = np.random.default_rng(seed)
     m = np.zeros((k, k), dtype=complex)
     m[rng.permutation(k), np.arange(k)] = rng.choice(PHASES, size=k)
     return m
@@ -315,24 +331,48 @@ def _pair(draw, d):
 def gates(draw, dims, perm_only):
     n = len(dims)
     kind = draw(st.sampled_from(("controlled", "local", "generic", "two_level", "cnot")))
+    payload = draw(st.sampled_from(PAYLOAD_KINDS))
+    single = "dense" if payload == "repeated" else payload
     order = draw(st.permutations(range(n)))
     if kind == "controlled":
         n_ctrl = draw(st.integers(0, n - 1))
         n_tgt = draw(st.integers(1, min(2, n - n_ctrl)))
         controls = sorted(order[:n_ctrl])
         targets = sorted(order[n_ctrl : n_ctrl + n_tgt])
-        dt = math.prod(dims[ax] for ax in targets)
+        tdims = [dims[ax] for ax in targets]
         keys = np.ndindex(*(dims[ax] for ax in controls))
-        return controlled(controls, targets, {k: _payload(draw, dt, perm_only) for k in keys})
+        if payload != "repeated":
+            return controlled(controls, targets, {k: _payload(draw, tdims, perm_only, payload) for k in keys})
+        pool = [_payload(draw, tdims, perm_only) for _ in range(2)]
+        return controlled(controls, targets, {k: pool[draw(st.integers(0, 1))] for k in keys})
     if kind == "local":
-        return local(order[0], _payload(draw, dims[order[0]], perm_only))
+        return local(order[0], _payload(draw, (dims[order[0]],), perm_only, single))
     if kind == "generic":
         axes = sorted(order[: draw(st.integers(1, 2))])
-        return generic(axes, _payload(draw, math.prod(dims[ax] for ax in axes), perm_only))
+        return generic(axes, _payload(draw, [dims[ax] for ax in axes], perm_only, single))
     a, b = order[0], order[1]  # either axis may come first
     if kind == "two_level":
-        return two_level(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]), _payload(draw, 4, perm_only))
+        return two_level(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]), _payload(draw, (2, 2), perm_only, single))
     return cnot(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]))
+
+
+def _dense_classify(m, da: int, db: int):
+    """Reference classifier on a dense (da*db)-square operator.
+
+    Controlled from A (B) when the operator with its A (B) diagonal blocks
+    zeroed has no entry above ``DEFAULT_EPS``; the Schmidt rank is that of
+    the realigned operator.
+    """
+    r = m.reshape(da, db, da, db)
+    t = r.copy()
+    for j in range(da):
+        t[j, :, j, :] = 0.0
+    off_a = max_abs(t)
+    t = r.copy()
+    for b in range(db):
+        t[:, b, :, b] = 0.0
+    off_b = max_abs(t)
+    return off_a <= DEFAULT_EPS, off_b <= DEFAULT_EPS, schmidt_rank(m, da, db)
 
 
 @st.composite
@@ -373,5 +413,7 @@ class TestSinglePathProperties:
             for cut in range(1, len(dims)):
                 cl = classify_gate(c.space, g, cut)
                 da = math.prod(dims[:cut])
-                expected = classify_matrix(full, da, full.shape[0] // da)
+                db = full.shape[0] // da
+                expected = _dense_classify(full, da, db)
+                assert classify_matrix(full, da, db) == expected
                 assert (cl.controlled_from_a, cl.controlled_from_b, cl.schmidt_rank) == expected

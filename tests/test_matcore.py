@@ -10,8 +10,6 @@ from gatedecomp.matcore import (
     compress_rows,
     is_unitary,
     max_abs,
-    orthogonal_columns_to_diagonal,
-    svd_diagonalize,
     unitary_eig,
     unitary_input,
 )
@@ -41,60 +39,6 @@ class TestIsUnitary:
             is_unitary(m)
 
 
-class TestSvdDiagonalize:
-    def test_diag_block(self):
-        m = np.diag([0.6, 0.8j])
-        e, d, f = svd_diagonalize(m)
-        assert_close(np.diag(d), [0.8, 0.6], 1e-12)
-        assert_close(e @ d @ f, m, 1e-12)
-
-    def test_identity(self):
-        e, d, f = svd_diagonalize(np.eye(3))
-        assert_close(d, np.eye(3), 1e-12)
-        assert_close(e @ f, np.eye(3), 1e-12)
-
-    def test_unitary_block_reconstruction(self):
-        u = haar_unitary(6, 5)
-        block = u[:3, :3]
-        e, d, f = svd_diagonalize(block)
-        assert is_unitary(e) and is_unitary(f)
-        s = np.real(np.diag(d))
-        assert np.all(np.diff(s) <= 1e-14) and np.all(s >= -1e-14)
-        assert_close(e @ d @ f, block, 1e-8)
-
-
-class TestOrthogonalColumnsToDiagonal:
-    def test_two_column_rotation(self):
-        th = 0.73
-        m = np.column_stack([np.array([0, 1]) * np.exp(1j * th), np.array([1, 0])])
-        v = orthogonal_columns_to_diagonal(m)
-        assert_close(v @ m, np.eye(2), 1e-12)
-
-    def test_zero_matrix_gives_identity(self):
-        v = orthogonal_columns_to_diagonal(np.zeros((3, 3)))
-        assert_close(v, np.eye(3), 0)
-
-    def test_already_diagonal(self):
-        m = np.diag([0.5, 0.5]).astype(complex)
-        v = orthogonal_columns_to_diagonal(m)
-        assert_close(v, np.eye(2), 1e-12)
-        assert_close(v @ m, m, 1e-12)
-
-    def test_nonorthogonal_rejected(self):
-        m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(PreconditionError):
-            orthogonal_columns_to_diagonal(m)
-
-    def test_random_orthogonal_columns(self):
-        u = haar_unitary(5, 9)
-        m = u @ np.diag([0.9, 0.5, 0.0, 0.3, 0.0])
-        v = orthogonal_columns_to_diagonal(m)
-        assert is_unitary(v)
-        prod = v @ m
-        assert_close(prod - np.diag(np.diag(prod)), np.zeros_like(prod), 1e-9)
-        assert np.all(np.real(np.diag(prod)) >= -1e-12)
-
-
 class TestCompressRows:
     def test_single_row(self):
         v = compress_rows(np.array([[0.0, 0.0, 1.0]]), 1)
@@ -115,6 +59,14 @@ class TestCompressRows:
     def test_infeasible_rank(self):
         with pytest.raises(InfeasibleError):
             compress_rows(np.eye(3), 2)
+
+    def test_keeps_a_direction_below_rank_tol_that_fits(self):
+        # rank 1 at RANK_TOL, but its 1e-11 direction fits in t = 2 columns
+        # and must not be left past them
+        b = haar_unitary(4, 7) @ np.diag([1.0, 1e-11, 0.0, 0.0]) @ haar_unitary(4, 8)
+        v = compress_rows(b, 2)
+        assert is_unitary(v)
+        assert max_abs((b @ v)[:, 2:]) <= 1e-14
 
 
 class TestCompleteIsometry:
@@ -269,25 +221,10 @@ class TestDeterminism:
     def test_bit_identical_outputs(self):
         u = haar_unitary(6, 17)
         b = u[:2, :]
-        outs1 = (svd_diagonalize(u[:3, :3]), compress_rows(b, 2), complete_isometry(b))
-        outs2 = (svd_diagonalize(u[:3, :3]), compress_rows(b, 2), complete_isometry(b))
+        outs1 = (compress_rows(b, 2), complete_isometry(b))
+        outs2 = (compress_rows(b, 2), complete_isometry(b))
         for a, c in zip(outs1, outs2):
-            if isinstance(a, tuple):
-                for x, y in zip(a, c):
-                    assert np.array_equal(x, y)
-            else:
-                assert np.array_equal(a, c)
-
-
-def test_factorization_roundtrip_tolerances():
-    # every factorization op reproduces its input within 1e-8 max-entry norm
-    for seed in range(5):
-        u = haar_unitary(8, seed)
-        block = u[:4, :4]
-        e, d, f = svd_diagonalize(block)
-        assert max_abs(e @ d @ f - block) <= 1e-8
-        assert is_unitary(e, matcore.DEFAULT_EPS)
-        assert is_unitary(f, matcore.DEFAULT_EPS)
+            assert np.array_equal(a, c)
 
 
 class TestBatches:

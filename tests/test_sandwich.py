@@ -412,12 +412,6 @@ PINNED_SANDWICH = {
     (12, 6): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
 }
 
-# verifies at 2.8e-12, with the same count, before the two-SVD route existed
-# too: one compress_rows call in the recursion drops a singular value of
-# 6.9e-12 (below RANK_TOL), which leaves entries up to 3.4e-12 in a block the
-# recursion takes as zero
-_PINNED_KNOWN_ERROR = {("phased", 12, 6, 4)}
-
 
 def _structured(kind, da, db, seed):
     if kind == "perm":
@@ -431,16 +425,9 @@ def _structured(kind, da, db, seed):
     return np.eye(da * db, dtype=complex)
 
 
-def _pinned_case(kind, da, db, seed, expected):
-    if (kind, da, db, seed) not in _PINNED_KNOWN_ERROR:
-        return (kind, da, db, seed, expected)
-    mark = pytest.mark.xfail(strict=True, reason="compress_rows drops a 6.9e-12 singular value")
-    return pytest.param(kind, da, db, seed, expected, marks=mark)
-
-
 @pytest.mark.parametrize(
     "kind,da,db,seed,expected",
-    [_pinned_case(k, da, db, 4, n) for (da, db), row in PINNED_SANDWICH.items() for k, n in row.items()]
+    [(k, da, db, 4, n) for (da, db), row in PINNED_SANDWICH.items() for k, n in row.items()]
     + [("perm", 6, 4, 0, 13), ("perm", 6, 4, 1, 14)],
 )
 def test_pinned_gate_counts(kind, da, db, seed, expected):
