@@ -24,9 +24,8 @@ misclassifying accumulated round-off as structure.
 
 The cosine-sine step of the sandwich recursion takes the two-SVD route on a
 ``2p x 2p`` input when ``2p >= CSD_SVD_MIN_DIM`` (32, the size above which
-two SVDs beat LAPACK's ``zuncsd``) and the cosines are separated: every two
-differ by more than ``CSD_SEPARATION`` (1e-8), and each is at least that far
-from 0 and from 1.  Other inputs keep ``zuncsd`` and its bases.
+two SVDs beat LAPACK's ``zuncsd``), whatever its cosines; smaller inputs keep
+``zuncsd`` and its bases.
 
 The dense simulator refuses spaces of more than ``MAX_DENSE_DIM`` (4096)
 basis states before allocating: one 4096 x 4096 complex matrix is 256 MiB,
@@ -44,7 +43,6 @@ RECON_TOL = 1e-8
 POLAR_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 CSD_SVD_MIN_DIM = 32
-CSD_SEPARATION = 1e-8
 MAX_DENSE_DIM = 4096
 
 

@@ -384,15 +384,14 @@ def _multi_perm_gates(targets: np.ndarray, dims: tuple[int, ...]):
     if n == 2:
         return [g1, ((1,), tau2), g3]
 
-    # recurse on every branch of the middle gate with a common schedule; the
-    # middle gate's control value b becomes the last control axis
+    # recurse on every branch of the middle gate; the control schedule
+    # depends on head_dims alone, so the branches share it, and the middle
+    # gate's control value b becomes the last control axis
     subs = [_multi_perm_gates(tau2[b], head_dims) for b in range(d_last)]
-    merged = []
-    for entries in zip(*subs, strict=True):
-        sub_controls = entries[0][0]
-        if any(c != sub_controls for c, _ in entries):
-            raise AssertionError("branch schedules diverged")
-        merged.append((sub_controls + (n - 1,), np.stack([t for _, t in entries], axis=-2)))
+    merged = [
+        (entries[0][0] + (n - 1,), np.stack([t for _, t in entries], axis=-2))
+        for entries in zip(*subs, strict=True)
+    ]
     return [g1] + merged + [g3]
 
 

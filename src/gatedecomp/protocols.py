@@ -422,52 +422,36 @@ def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
     if not is_unitary(u, 1e-8):
         raise PreconditionError("input is not unitary")
     side = "A" if da <= db else "B"
-    small = min(da, db)
-    m = max(0, (small - 1).bit_length())
-    dpad = 2**m
-
+    m = max(0, (min(da, db) - 1).bit_length())
+    qubits = tuple((f"{side}{i}", 2) for i in range(m))
+    # host: the axis of the party that keeps its level and gets the ancillas;
+    # pb: the B dimension of the padded (A, B) pair
     if side == "A":
-        dims = (2,) * m + (db,)
-        total = dpad * db
-        padded = np.eye(total, dtype=complex)
-        padded[: da * db, : da * db] = u
-        parties = tuple((f"A{i}", 2) for i in range(m)) + (("B", db),)
-        host = "B"
-        qubit_axes = list(range(m))
-        local_axes = (m,) + tuple(m + 1 + i for i in range(m))
-        # reorder the padded matrix onto axes (B, t_0..t_{m-1})
-        order = [m] + list(range(m))
+        parties, host, pb = qubits + (("B", db),), m, db
     else:
-        dims = (da,) + (2,) * m
-        total = da * dpad
-        padded = np.eye(total, dtype=complex)
-        rows = np.array([a * dpad + b for a in range(da) for b in range(db)])
-        padded[np.ix_(rows, rows)] = u
-        parties = (("A", da),) + tuple((f"B{i}", 2) for i in range(m))
-        host = "A"
-        qubit_axes = list(range(1, m + 1))
-        local_axes = (0,) + tuple(m + 1 + i for i in range(m))
-        order = [0] + list(range(1, m + 1))
+        parties, host, pb = (("A", da),) + qubits, 0, 2**m
+    dims = tuple(d for _, d in parties)
+    total = int(np.prod(dims))
+    rows = (np.arange(da)[:, None] * pb + np.arange(db)).ravel()
+    padded = np.eye(total, dtype=complex)
+    padded[np.ix_(rows, rows)] = u
 
-    ancillas = tuple(Ancilla(f"t{i}", host, 2, 0) for i in range(m))
+    ancillas = tuple(Ancilla(f"t{i}", parties[host][0], 2, 0) for i in range(m))
     space = PartySpace(parties=parties, ancillas=ancillas)
 
-    if order != sorted(order):
-        k = len(order)
-        padded_local = (
-            padded.reshape(dims + dims)
-            .transpose(order + [o + k for o in order])
-            .reshape(total, total)
-        )
-    else:
-        padded_local = padded
+    # the padded matrix on axes (host, qubits...), the order of the local gate
+    qubit_axes = [i for i in range(m + 1) if i != host]
+    order = [host] + qubit_axes
+    axes = order + [o + m + 1 for o in order]
+    padded_local = padded.reshape(dims + dims).transpose(axes).reshape(total, total)
+    local_axes = (host,) + tuple(range(m + 1, 2 * m + 1))
 
     app = []
     for i, qa in enumerate(qubit_axes):
         ta = m + 1 + i
         app.append(cnot(qa, (0, 1), ta, (0, 1)))
         app.append(cnot(ta, (0, 1), qa, (0, 1)))
-    app.append(generic(tuple(sorted(local_axes)), padded_local, cut=1))
+    app.append(generic(local_axes, padded_local, cut=1))
     for i in reversed(range(m)):
         qa = qubit_axes[i]
         ta = m + 1 + i

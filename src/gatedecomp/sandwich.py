@@ -33,7 +33,6 @@ from .gateir import (
     local,
 )
 from .matcore import (
-    CSD_SEPARATION,
     CSD_SVD_MIN_DIM,
     IDENTITY_TOL,
     RECON_TOL,
@@ -79,15 +78,6 @@ def _eye_stack(*shape: int) -> np.ndarray:
 
 def _is_identity(stack: np.ndarray) -> bool:
     return max_abs(stack - np.eye(stack.shape[-1])) <= IDENTITY_TOL
-
-
-def _b_matrix(stack: np.ndarray) -> np.ndarray:
-    """Dense matrix of a B-controlled stack: branch b on the rows with B = |b>."""
-    n, d, _ = stack.shape
-    out = np.zeros((d * n, d * n), dtype=complex)
-    k = np.arange(n)
-    out.reshape(d, n, d, n)[:, k, :, k] = stack
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +126,9 @@ def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
     middle branch that is decomposed again (the 4-party cut does this) is
     then already in zuncsd's form, so its outer factors are identities and
     are stripped.
-    Clustered or degenerate cosines need no special case here, but their
-    bases differ from zuncsd's; ``_cossin`` sends them to zuncsd.
+    Clustered or degenerate cosines need no special case: any orthonormal
+    basis of a repeated singular space serves, and the cosines and sines
+    that divide are never below 1/sqrt(2).
     """
     u11, u12, u21, u22 = u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:]
     k = int(np.count_nonzero(c > np.sqrt(0.5)))
@@ -163,22 +154,14 @@ def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
     return (u1, u2), np.arctan2(sin, cos), (v1h, v2h)
 
 
-def _separated(c: np.ndarray) -> bool:
-    """Cosines pairwise more than CSD_SEPARATION apart and that far from 0 and 1."""
-    edges = np.concatenate([[1.0], c, [0.0]])  # c is nonincreasing
-    return bool(np.all(edges[:-1] - edges[1:] > CSD_SEPARATION))
-
-
 def _cossin(u: np.ndarray, p: int):
     """``((U1, U2), theta, (V1h, V2h))`` of the p, p cosine-sine split of u.
 
-    From 2p >= CSD_SVD_MIN_DIM the factors come from two SVDs when the
-    cosines are separated (``_csd_two_svd``): zuncsd's bidiagonalisation is
+    From 2p >= CSD_SVD_MIN_DIM the factors come from two SVDs
+    (``_csd_two_svd``), whatever the cosines: zuncsd's bidiagonalisation is
     level-2 BLAS and far slower there.  Below that size zuncsd is faster,
     and on structured inputs the SVD route's bases would move which gates
-    come out as identity.  Inputs with clustered cosines or cosines at 0 or
-    1, which permutations and controlled gates have, keep zuncsd at every
-    size, so their circuits stay the ones zuncsd's bases give.
+    come out as identity.  zuncsd also serves when gesdd does not converge.
     """
     if 2 * p >= CSD_SVD_MIN_DIM:
         try:
@@ -186,8 +169,7 @@ def _cossin(u: np.ndarray, p: int):
         except LinAlgError:
             pass  # gesdd did not converge; zuncsd below does
         else:
-            if _separated(c):
-                return _csd_two_svd(u, p, l1, c, r1h)
+            return _csd_two_svd(u, p, l1, c, r1h)
     return _csd_lapack(u, p)
 
 
@@ -202,11 +184,10 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
     off-diagonal blocks rotated to nonnegative diagonals is exactly the
     cosine-sine decomposition u = (E0 + E1) CS (F0 + F1); the CS factor is
     controlled from B in the computational basis with 2x2 rotation branches.
-    ``_cossin`` computes it: two SVDs for large inputs with separated
-    cosines, and LAPACK's zuncsd otherwise, which keeps zuncsd's bases, and
-    so the same circuits, on small inputs and on structured inputs with
-    degenerate angles.  Either way the factors are unitary to round-off; the
-    textbook per-column normalization is not, when an angle degenerates.
+    ``_cossin`` computes it: LAPACK's zuncsd below ``CSD_SVD_MIN_DIM`` and
+    two SVDs from that size on.  Either way the factors are unitary to
+    round-off; the textbook per-column normalization is not, when an angle
+    degenerates.
 
     A (k, 2db, 2db) stack gives stacks with a leading k axis.  The cosine-sine
     step, and the test for an input already controlled from A, run per item.
@@ -388,20 +369,13 @@ def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
 
 
 def decompose_2xd_sandwich(u, db: int | None = None) -> SandwichResult:
-    """3-gate alternating (A, B, A) form of a 2 x dB unitary.
-
-    The input goes through ``unitary_input``, as in ``decompose_sandwich``.
-    """
+    """``decompose_sandwich(u, 2, db)``, with db inferred from u when omitted."""
     u = require_square(u)
     if db is None:
         if u.shape[0] % 2:
             raise ValueError("matrix dimension is not 2 * dB")
         db = u.shape[0] // 2
-    if u.shape[0] != 2 * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(2 * db, 2 * db)}")
-    gates = _two_by_d_core(unitary_input(u), db)
-    kept, positions = _strip(gates, 2, db)
-    return SandwichResult(Circuit(bipartite_space(2, db), tuple(kept)), 3, tuple(positions), 3)
+    return decompose_sandwich(u, 2, db)
 
 
 # ---------------------------------------------------------------------------
@@ -508,88 +482,28 @@ def rank2_to_controlled(u, da: int, db: int):
 # 3-A form
 
 
-def _diag_phase_factors(u2: np.ndarray):
-    """Phases (l0, l1, r0, r1) making diag-multiplied u2 have the sign pattern
-    [[+, +], [+, -]] with entries real."""
-    a, b = u2[0, 0], u2[0, 1]
-    cc, d = u2[1, 0], u2[1, 1]
+def decompose_2xd_aform(u, db: int | None = None) -> Circuit:
+    """Three A-controlled gates with two A-locals for a 2 x dB unitary.
 
-    def ang(z):
-        return np.angle(z) if abs(z) > 1e-13 else 0.0
-
-    l0 = 1.0
-    r0 = np.exp(-1j * ang(a))
-    r1 = np.exp(-1j * ang(b))
-    if abs(b) > 1e-13 or abs(cc) > 1e-13:
-        l1 = np.exp(-1j * ang(cc)) / r0
-    else:
-        # diagonal branch: free choice; force d nonpositive real
-        l1 = -np.exp(-1j * ang(d)) / r1
-    return l0, l1, r0, r1
-
-
-def decompose_2xd_aform(u, db: int | None = None):
-    """Three A-controlled gates (with recorded A-locals) for a 2 x dB unitary.
-
-    Returns an AFormResult whose circuit interleaves the three controlled
-    gates with the two recorded local unitaries:
-    [CC, Local, CC, Local, CC].  The input goes through ``unitary_input``.
+    Returns the circuit [CC, Local, CC, Local, CC], every CC controlled from
+    A.  The outer CCs are those of the cosine-sine core.  Its middle factor,
+    controlled from B with rotation branches R(θ_b) on A, is
+    (W ⊗ I) D (W† ⊗ I) for the fixed eigenbasis W of all rotations, and D is
+    diagonal: controlled from A, branch 0 is diag_b(e^{iθ_b}) and branch 1
+    its conjugate.  The input goes through ``unitary_input``.
     """
     u = require_square(u)
     if db is None:
         db = u.shape[0] // 2
     if u.shape[0] != 2 * db:
         raise ValueError(f"matrix is {u.shape}, expected {(2 * db, 2 * db)}")
-
-    g1, g2, g3 = _two_by_d_core(unitary_input(u), db)
-
-    # reduce the middle factor by diagonal controlled multipliers absorbed
-    # into the outer gates: V2' = L V2 R with L, R bipartite diagonal
-    ldiag = np.ones(2 * db, dtype=complex)
-    rdiag = np.ones(2 * db, dtype=complex)
-    for k in range(db):
-        l0, l1, r0, r1 = _diag_phase_factors(g2[k])
-        ldiag[k] = l0
-        ldiag[db + k] = l1
-        rdiag[k] = r0
-        rdiag[db + k] = r1
-    v2 = _b_matrix(g2)
-    v2p = ldiag[:, None] * v2 * rdiag[None, :]
-
-    from .schmidt import operator_schmidt
-
-    dec = operator_schmidt(v2p, 2, db)
-    if dec.rank == 1:
-        a_part = dec.terms[0][0] * np.sqrt(2.0)
-        b_part = (np.kron(a_part.conj().T, np.eye(db)) @ v2p)[:db, :db]
-        loc_l = a_part
-        mid = controlled((0,), (1,), {(0,): b_part, (1,): b_part})
-        loc_r = np.eye(2, dtype=complex)
-    elif dec.rank == 2:
-        loc_l, mid, loc_r = rank2_to_controlled(v2p, 2, db)
-    else:
-        raise InfeasibleError(f"reduced middle factor has Schmidt rank {dec.rank}")
-
-    # fold the diagonal multipliers into the neighbouring A-controlled gates
-    lc = np.conj(ldiag)
-    rc = np.conj(rdiag)
-    left = controlled(
-        (0,),
-        (1,),
-        {
-            (0,): g1[0] @ np.diag(lc[:db]),
-            (1,): g1[1] @ np.diag(lc[db:]),
-        },
-    )
-    right = controlled(
-        (0,),
-        (1,),
-        {
-            (0,): np.diag(rc[:db]) @ g3[0],
-            (1,): np.diag(rc[db:]) @ g3[1],
-        },
-    )
-    gates = (left, local(0, loc_l), mid, local(0, loc_r), right)
+    left, mid, right = _two_by_d_core(unitary_input(u), db)
+    phase = mid[:, 0, 0] + 1j * mid[:, 1, 0]
+    diag = np.stack([np.diag(phase), np.diag(phase.conj())])
+    # every rotation [[cos θ, -sin θ], [sin θ, cos θ]] is W diag(e^{iθ}, e^{-iθ}) W†
+    w = np.array([[1, 1], [-1j, 1j]]) / np.sqrt(2)
+    cc = [ControlledGate((0,), (1,), g, np.arange(2)) for g in (left, diag, right)]
+    gates = (cc[0], local(0, w), cc[1], local(0, w.conj().T), cc[2])
     return Circuit(bipartite_space(2, db), gates)
 
 

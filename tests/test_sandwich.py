@@ -30,7 +30,6 @@ from gatedecomp.generators import (
 from gatedecomp.matcore import CSD_SVD_MIN_DIM
 from gatedecomp import sandwich
 from gatedecomp.sandwich import (
-    _b_matrix,
     _cossin,
     _csd_two_svd,
     _sandwich_gates,
@@ -45,6 +44,15 @@ CNOT = np.array(
 )
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _b_matrix(stack: np.ndarray) -> np.ndarray:
+    """Dense matrix of a B-controlled stack: branch b on the rows with B = |b>."""
+    n, d, _ = stack.shape
+    out = np.zeros((d * n, d * n), dtype=complex)
+    k = np.arange(n)
+    out.reshape(d, n, d, n)[:, k, :, k] = stack
+    return out
 
 
 def check_alternation(res):
@@ -117,6 +125,14 @@ class TestTwoByD:
     def test_rejects_nonunitary(self):
         with pytest.raises(PreconditionError):
             decompose_2xd_sandwich(np.ones((4, 4)), 2)
+
+    def test_db_one_is_one_gate(self):
+        # a 2 x 1 unitary is one gate on A, as decompose_sandwich gives it
+        u = haar_unitary(2, 9)
+        res = decompose_2xd_sandwich(u)
+        assert len(res.circuit.gates) == 1
+        check_alternation(res)
+        assert verify_decomposition(u, res.circuit).max_error <= 1e-12
 
 
 class TestAForm:
@@ -405,8 +421,8 @@ PINNED_SANDWICH = {
     (6, 4): {"perm": 13, "phased": 13, "actrl": 1, "product": 15, "identity": 1},
     (8, 3): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
     (7, 2): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
-    # cosine-sine steps at 2p >= CSD_SVD_MIN_DIM, where separated inputs
-    # take the two-SVD route and these structured ones must keep zuncsd's
+    # cosine-sine steps at 2p >= CSD_SVD_MIN_DIM, which take the two-SVD
+    # route on these structured inputs too
     (8, 8): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
     (16, 4): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
     (12, 6): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
@@ -508,7 +524,8 @@ CSD_KINDS = [
 @pytest.mark.parametrize("kind", CSD_KINDS)
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 16, 64, 128])
 def test_two_svd_route_is_accurate_on_any_input(kind, p):
-    # the route is stable without the separation test that guards it
+    # the route is stable on clustered, degenerate and edge cosines, which
+    # _cossin sends to it from the crossover on
     u = _csd_input(kind, p)
     rec, unit = _csd_errors(u, p, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
     assert rec <= 1e-13 and unit <= 1e-13
@@ -522,12 +539,18 @@ def _same_arrays(a, b):
 
 @pytest.mark.parametrize(
     "kind,p",
-    [("haar", p) for p in (1, 2, 5, CSD_SVD_MIN_DIM // 2 - 1)]
-    + [(k, p) for k in CSD_KINDS if k != "haar" for p in (CSD_SVD_MIN_DIM // 2, 40)],
+    [(k, p) for k in CSD_KINDS for p in (1, 2, 5, CSD_SVD_MIN_DIM // 2 - 1)]
+    + [(k, p) for k in CSD_KINDS for p in (CSD_SVD_MIN_DIM // 2, 40)],
 )
 def test_cossin_runs_zuncsd_below_the_crossover_and_on_unseparated_cosines(kind, p):
+    """Below CSD_SVD_MIN_DIM the step is zuncsd bit for bit; from there on it
+    is the two-SVD route bit for bit on every kind, clustered, degenerate and
+    unseparated cosines included."""
     u = _csd_input(kind, p, seed=3)
-    expected = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+    if 2 * p < CSD_SVD_MIN_DIM:
+        expected = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+    else:
+        expected = _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p]))
     assert _same_arrays(_cossin(u, p), expected)
 
 
@@ -537,6 +560,17 @@ def test_cossin_takes_the_two_svd_route_on_separated_cosines(p):
     got = _cossin(u, p)
     assert _same_arrays(got, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
     assert not _same_arrays(got, scipy.linalg.cossin(u, p=p, q=p, separate=True))
+
+
+def test_cossin_falls_back_to_zuncsd_when_gesdd_fails(monkeypatch):
+    p = CSD_SVD_MIN_DIM // 2
+    u = _csd_input("clustered", p, seed=3)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    assert _same_arrays(_cossin(u, p), scipy.linalg.cossin(u, p=p, q=p, separate=True))
 
 
 def test_cossin_raises_when_zuncsd_fails(monkeypatch):
@@ -615,3 +649,30 @@ def test_single_matrix_helpers_match_their_stacks():
         assert got.tobytes() == want[0].tobytes()
     for got, want in zip(_split(u, 4, 3), _split(u[None], 4, 3)):
         assert got.tobytes() == want[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the 3-A form
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    db=st.integers(1, 6),
+    kind=st.sampled_from(STACK_KINDS + ["perm"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aform_property(db, kind, seed):
+    if kind == "perm":
+        u = random_permutation((2, db), seed).matrix()
+    else:
+        u = _stack_item(kind, 2, db, seed)
+    c = decompose_2xd_aform(u, db)
+    validate_circuit(c)
+    assert [g.kind for g in c.gates] == [
+        "ControlledComputational", "Local", "ControlledComputational", "Local",
+        "ControlledComputational",
+    ]
+    for g in c.gates[::2]:
+        assert g.controls == (0,)
+        assert classify_gate(c.space, g).controlled_from_a
+    assert verify_decomposition(u, c, classify=False).max_error <= 1e-12

@@ -8,8 +8,10 @@ files to check that a change keeps every circuit file byte-identical:
     PYTHONPATH=src python tools/reference_circuits.py OUTDIR
 
 The first 95 circuits are the set of sandwich, block-controlled, 2 x dB,
-multiparty, 4-party, backup-protocol and XOR-protocol outputs; the rest add
-the permutation, CNOT-type, standard-gate and swap-sandwich producers.  The
+multiparty, 4-party, backup-protocol and XOR-protocol outputs; the next 17
+add the permutation, CNOT-type, standard-gate and swap-sandwich producers.
+The last ones add the transfer and two-term CNOT protocols, and structured
+inputs whose cosine-sine steps reach the two-SVD route (2p >= 32).  The
 dense circuits depend on the BLAS build, so compare HASHES files made on one
 machine.  The last line printed is the file count and a hash over all files.
 """
@@ -27,11 +29,18 @@ from gatedecomp.generators import (
     random_complex_permutation,
     random_controlled,
     random_permutation,
+    random_two_term,
     swap_conjugated_unitary,
 )
 from gatedecomp.multiparty import decompose_4party, decompose_multiparty
 from gatedecomp.permdecomp import decompose_multiparty_perm, decompose_perm3
-from gatedecomp.protocols import emit_backup_protocol, emit_xor_protocol, pp_expansion
+from gatedecomp.protocols import (
+    emit_backup_protocol,
+    emit_transfer_protocol,
+    emit_two_term_cnot,
+    emit_xor_protocol,
+    pp_expansion,
+)
 from gatedecomp.sandwich import (
     decompose_2xd_aform,
     decompose_2xd_sandwich,
@@ -114,6 +123,14 @@ put("std_cperm_34", compile_to_standard(random_complex_permutation((3, 4), 980).
 put("std_gen_33", compile_to_standard(haar_unitary(9, 981), 3, 3).circuit)
 put("std_gen_42", compile_to_standard(haar_unitary(8, 982), 4, 2).circuit)
 put("sec6_3", swap_conjugated_unitary(3, 983)[1])
+# the other protocols
+for da, db in [(2, 5), (5, 2), (1, 3)]:
+    put(f"transfer_{da}x{db}", emit_transfer_protocol(haar_unitary(da * db, 990 + da * 7 + db), da, db).circuit)
+put("two_term_cnot", emit_two_term_cnot(*random_two_term(3, 4, 995)[:4]))
+# structured inputs with cosine-sine steps of size 32 and up
+put("sw_perm_8x8", decompose_sandwich(random_permutation((8, 8), 4).matrix(), 8, 8).circuit)
+put("sw_ctrlB_16x4", decompose_sandwich(random_controlled(16, 4, 4, "B"), 16, 4).circuit)
+put("p4_perm_8_2_4_2", decompose_4party(random_permutation((8, 2, 4, 2), 4).matrix(), (8, 2, 4, 2)).circuit)
 
 total = hashlib.sha256("".join(h for _, h in files).encode()).hexdigest()
 with open(os.path.join(out, "HASHES"), "w") as fh:
