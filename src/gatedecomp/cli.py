@@ -11,6 +11,7 @@ given.  The default seed comes from the SANDWICH_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -66,7 +67,13 @@ def _default_seed() -> int:
     return int(os.environ.get("SANDWICH_SEED", "0"))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    It holds nothing read from the environment (the default seed is read
+    when a command runs), so one parser serves every ``main`` call.
+    """
     p = _Parser(prog="gatedecomp")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -49,6 +49,36 @@ def _format_float(x: float) -> str:
     return s
 
 
+# one [re, im] pair per code 2 * (re is whole) + (im is whole): "%.17g" prints
+# a whole |x| < 1e17 with no "." or exponent, where "%.1f" adds the ".0" that
+# _format_float appends; every other finite value prints "." or "e" itself
+_PAIR_FORMATS = ("[%.17g,%.17g]", "[%.17g,%.1f]", "[%.1f,%.17g]", "[%.1f,%.1f]")
+
+
+@dataclass(frozen=True)
+class _Formatted:
+    """Canonical JSON text made ahead of ``dumps_canonical``, written as is."""
+
+    text: str
+
+
+def _matrix_json(m) -> _Formatted:
+    """A complex matrix as rows of ``[re, im]`` pairs, with ``_format_float``'s tokens.
+
+    One template of ``%`` formats is built from which entries are whole, and
+    the float array fills it in one pass.
+    """
+    x = np.ascontiguousarray(m, dtype=complex)
+    x = x.view(float).reshape(*x.shape, 2)
+    if not np.isfinite(x).all():
+        raise CodecError("non-finite values cannot be serialized")
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e17)
+    codes = (2 * whole[..., 0] + whole[..., 1]).tolist()
+    pair = _PAIR_FORMATS.__getitem__
+    template = ",".join("[" + ",".join(map(pair, row)) + "]" for row in codes)
+    return _Formatted("[" + template % tuple(x.ravel().tolist()) + "]")
+
+
 def dumps_canonical(obj) -> str:
     out: list[str] = []
     _emit(obj, out)
@@ -56,7 +86,9 @@ def dumps_canonical(obj) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
+    if isinstance(obj, _Formatted):
+        out.append(obj.text)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -115,14 +147,10 @@ class MatrixFile:
     matrix: np.ndarray
 
 
-def _matrix_to_obj(m: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _obj_to_matrix(obj, path: str) -> np.ndarray:
     try:
         rows = [[complex(re, im) for re, im in row] for row in obj]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CodecError(f"{path}: bad matrix payload: {exc}") from exc
     return np.array(rows, dtype=complex)
 
@@ -151,7 +179,7 @@ def validate_matrix_kind(m: np.ndarray, dims, kind: str) -> np.ndarray:
 def save_matrix_file(path: str, m, dims, kind: str) -> None:
     m = as_matrix(m)
     m = validate_matrix_kind(m, dims, kind)
-    obj = {"kind": kind, "dims": [int(d) for d in dims], "matrix": _matrix_to_obj(m)}
+    obj = {"kind": kind, "dims": [int(d) for d in dims], "matrix": _matrix_json(m)}
     atomic_write(path, dumps_canonical(obj))
 
 
@@ -274,8 +302,8 @@ _GATE_FIELDS = {
         ("ControlledComputational", controlled, "controls:axes targets:axes branches:branches"),
         ("Local", local, "axes:axes matrix:matrix"),
         ("TwoLevelStandard", two_level,
-         "axis_a:axis pair_a:axes axis_b:axis pair_b:axes matrix:matrix"),
-        ("CNOT", cnot, "control_axis:axis control_pair:axes target_axis:axis target_pair:axes"),
+         "axis_a:int pair_a:axes axis_b:int pair_b:axes matrix:matrix"),
+        ("CNOT", cnot, "control_axis:int control_pair:axes target_axis:int target_pair:axes"),
         ("GenericBipartite", generic, "axes:axes cut:int matrix:matrix"),
     )
 }
@@ -292,18 +320,26 @@ def _branches_from_obj(v, path: str) -> dict:
     return out
 
 
+def _branches_to_obj(g) -> list:
+    """One branch per control tuple; each palette entry is formatted once for all of them."""
+    texts = [_matrix_json(m) for m in g.palette]
+    return [
+        {"control": list(k), "matrix": texts[j]}
+        for k, j in zip(np.ndindex(g.index.shape), g.index.flat)
+    ]
+
+
+# each encoder takes the gate and the field name
 _ENCODE = {
-    "axes": list,
-    "axis": lambda v: v,
-    "int": lambda v: v,
-    "matrix": _matrix_to_obj,
-    "branches": lambda v: [{"control": list(k), "matrix": _matrix_to_obj(m)} for k, m in v],
+    "axes": lambda g, name: list(getattr(g, name)),
+    "int": getattr,
+    "matrix": lambda g, name: _matrix_json(getattr(g, name)),
+    "branches": lambda g, name: _branches_to_obj(g),
 }
 
 _DECODE = {
     "axes": _axes_from_obj,
-    "axis": lambda v, path: operator.index(v),
-    "int": lambda v, path: int(v),
+    "int": lambda v, path: operator.index(v),
     "matrix": _obj_to_matrix,
     "branches": _branches_from_obj,
 }
@@ -314,7 +350,7 @@ def _gate_to_obj(g: Gate):
     if kind not in _GATE_FIELDS:
         raise CodecError(f"cannot serialize gate {type(g).__name__}")
     _, fields = _GATE_FIELDS[kind]
-    return {"kind": kind, **{name: _ENCODE[codec](getattr(g, name)) for name, codec in fields}}
+    return {"kind": kind, **{name: _ENCODE[codec](g, name) for name, codec in fields}}
 
 
 def _gate_from_obj(obj, path: str) -> Gate:
@@ -326,6 +362,12 @@ def _gate_from_obj(obj, path: str) -> Gate:
 
 
 def circuit_to_obj(c: Circuit):
+    """The circuit as an object for :func:`dumps_canonical`, not a plain JSON tree.
+
+    Matrix and branch payloads are canonical JSON text made ahead (one
+    format pass per array, one per palette entry), which only
+    ``dumps_canonical`` writes out.
+    """
     # gate order note: gates[0] is the leftmost product factor (applied last)
     met = {
         "gate_counts": {k: v for k, v in c.metrics.gate_counts},

@@ -305,6 +305,8 @@ def generic(axes, matrix, cut: int = 1) -> GenericGate:
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
     if list(axes) != sorted(axes):
         raise CircuitError("generic gate axes must be strictly increasing")
+    if not 0 <= cut <= len(axes):
+        raise CircuitError(f"generic gate cut {cut} is outside 0..{len(axes)}")
     return GenericGate(axes, as_matrix(matrix), cut)
 
 
@@ -624,13 +626,16 @@ def _classify(v: np.ndarray):
     ``ta != ta'`` exceeds ``DEFAULT_EPS``, and from B likewise on ``tb``.  Up
     to zero rows and columns, its realigned matrix is ``v`` with rows
     ``(ca, ta, ta')`` and columns ``(cb, tb, tb')``, so that matrix has the
-    Schmidt rank.
+    Schmidt rank.  Its all-zero rows and columns are dropped before the rank
+    is taken, which leaves the nonzero singular values as they are.
     """
     n_ca, n_cb, d_ta, d_tb = v.shape[:4]
     mag = np.abs(v)
     moves_a = mag.max(axis=(0, 1, 3, 5))[~np.eye(d_ta, dtype=bool)]
     moves_b = mag.max(axis=(0, 1, 2, 4))[~np.eye(d_tb, dtype=bool)]
     r = v.transpose(0, 2, 4, 1, 3, 5).reshape(n_ca * d_ta * d_ta, n_cb * d_tb * d_tb)
+    nonzero = r != 0
+    r = r[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
     return max_abs(moves_a) <= DEFAULT_EPS, max_abs(moves_b) <= DEFAULT_EPS, matrix_rank(r)
 
 

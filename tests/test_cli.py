@@ -134,6 +134,25 @@ class TestDecomposeVerifyIntegration:
         if case != "control_tuple_too_long":
             assert "c.json" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_integer_too_large_for_a_float_exits_3(self, in_tmp, capsys, command):
+        run("gen", "--kind", "swap", "--dims", "2", "2", "-o", "u.json")
+        run("decompose", "--method", "perm3", "-i", "u.json", "-o", "c.json")
+        # json.dumps writes 10**400 as an integer literal, which no float holds
+        name = "u.json" if command == "decompose" else "c.json"
+        obj = json.load(open(name))
+        payload = obj["matrix"] if command == "decompose" else obj["gates"][0]["branches"][0]["matrix"]
+        payload[0][0][0] = 10**400
+        open(name, "w").write(json.dumps(obj))
+        capsys.readouterr()
+        if command == "decompose":
+            code = run("decompose", "--method", "perm3", "-i", "u.json", "-o", "d.json")
+        else:
+            code = run("verify", "-u", "u.json", "-c", "c.json")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_verify_refuses_a_space_above_the_dense_limit(self, in_tmp, capsys):
         # the circuit declares 128 x 128 basis states; verify refuses before
         # it reads the target (missing here) or allocates the dense product

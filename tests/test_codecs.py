@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedecomp import Circuit, bipartite_space, cnot, controlled, local
 from gatedecomp import codecs
@@ -120,6 +122,18 @@ class TestCircuitFiles:
         codecs.save_circuit_file(p, c1)
         assert open(p).read() == raw
 
+    @pytest.mark.parametrize("cut", [3, -1, 1.5, "1", None])
+    def test_generic_cut_must_be_an_axis_count(self, tmp_path, cut):
+        from gatedecomp import generic
+
+        p = str(tmp_path / "c.json")
+        codecs.save_circuit_file(p, Circuit(bipartite_space(2, 2), (generic((0, 1), haar_unitary(4, 3)),)))
+        obj = json.load(open(p))
+        obj["gates"][0]["cut"] = cut
+        open(p, "w").write(json.dumps(obj))
+        with pytest.raises(CodecError, match="c.json"):
+            codecs.load_circuit_file(p)
+
 
 class TestBinaryAndTableFiles:
     def test_binary_roundtrip(self, tmp_path):
@@ -182,3 +196,59 @@ class TestGoldenFixture:
                 "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in mf.matrix],
             }
         ) == raw
+
+
+def _reference_matrix_text(m) -> str:
+    """The per-value encoder: ``_format_float`` on every real and imaginary part."""
+    f = codecs._format_float
+    return "[" + ",".join("[" + ",".join(f"[{f(v.real)},{f(v.imag)}]" for v in row) + "]" for row in m) + "]"
+
+
+_SPECIAL = (
+    0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 1e17, 1e22, -1e22, 5e-324, -5e-324, 1e-300,
+    np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+    2.0**53, 2.0**53 + 2.0, 99999999999999984.0, 0.5, 0.1, 123456.789, 4503599627370495.5,
+)
+
+
+class TestArrayEncoder:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_matches_the_per_value_encoder(self, rows, cols, data):
+        value = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+        parts = data.draw(st.lists(value, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        m = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+        assert codecs._matrix_json(m).text == _reference_matrix_text(m)
+
+    def test_special_values_byte_for_byte(self):
+        m = np.array(_SPECIAL, dtype=float).view(complex).reshape(-1, 1)
+        text = codecs._matrix_json(m).text
+        assert text == _reference_matrix_text(m)
+        for pair in ("[0.0,-0.0]", "[1.0,-3.0]", "[10000000000000000.0,-10000000000000000.0]", "[1e+17,1e+22]"):
+            assert pair in text
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_raises(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(CodecError, match="non-finite"):
+            codecs._matrix_json(m)
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = complex(0.0, bad)
+        with pytest.raises(CodecError, match="non-finite"):
+            codecs._matrix_json(m)
+
+    def test_palette_text_equals_per_branch_text(self):
+        a, b = haar_unitary(2, 11), np.array([[0, 1], [1, 0]], dtype=complex)
+        g = controlled((0, 1), (2,), {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): a, (2, 0): b, (2, 1): np.eye(2)})
+        assert len(g.palette) == 3
+        reference = {
+            "kind": g.kind,
+            "controls": list(g.controls),
+            "targets": list(g.targets),
+            "branches": [
+                {"control": list(k), "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in m]}
+                for k, m in g.branches
+            ],
+        }
+        assert codecs.dumps_canonical(codecs._gate_to_obj(g)) == codecs.dumps_canonical(reference)
