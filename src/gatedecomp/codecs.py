@@ -130,10 +130,38 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _loads(text: str, path: str):
+    """Parse ``text``; no file of these formats holds a JSON boolean.
+
+    ``complex`` and ``operator.index`` take ``true`` and ``false`` as 1 and
+    0, so a boolean is refused here, wherever it stands.  Only a text that
+    spells ``true`` or ``false`` somewhere is walked for one.
+    """
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"{path}: malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    if "true" in text or "false" in text:
+        where = _find_bool(obj, "")
+        if where is not None:
+            raise CodecError(f"{path}: unexpected boolean at {where or 'top level'}")
+    return obj
+
+
+def _find_bool(obj, where: str) -> str | None:
+    """The location of the first boolean in a parsed JSON tree, or None."""
+    if isinstance(obj, bool):
+        return where
+    if isinstance(obj, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for at, v in items:
+        found = _find_bool(v, at)
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ CNOTs via the flag-ancilla construction (one qubit per side).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,6 +466,22 @@ def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
 # rank toolkit
 
 
+def _binary_array(a) -> np.ndarray:
+    """The 0/1 matrix ``a`` as int64; ValueError unless every entry is within 1e-12 of 0 or 1."""
+    arr = np.asarray(a)
+    if arr.ndim != 2:
+        raise ValueError("expected a matrix")
+    if arr.dtype.kind in "biu":
+        ints = arr.astype(np.int64)
+    else:
+        ints = np.round(np.real(arr)).astype(np.int64)
+        if not (np.abs(arr - ints) <= 1e-12).all():
+            raise ValueError("entries must be 0 or 1")
+    if (ints >> 1).any():
+        raise ValueError("entries must be 0 or 1")
+    return ints
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     rows: int
@@ -474,7 +491,7 @@ class BinaryMatrix:
     def __post_init__(self):
         if len(self.bits) != self.rows * self.cols:
             raise ValueError("bit count does not match shape")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("entries must be 0 or 1")
 
     def array(self) -> np.ndarray:
@@ -482,23 +499,23 @@ class BinaryMatrix:
 
     @classmethod
     def from_array(cls, a) -> "BinaryMatrix":
-        arr = np.asarray(a)
-        if arr.ndim != 2:
-            raise ValueError("expected a matrix")
-        ints = np.round(np.real(arr)).astype(np.int64)
-        if max_abs(arr - ints) > 1e-12 or ((ints != 0) & (ints != 1)).any():
-            raise ValueError("entries must be 0 or 1")
-        return cls(arr.shape[0], arr.shape[1], tuple(int(x) for x in ints.reshape(-1)))
+        ints = _binary_array(a)
+        return cls(ints.shape[0], ints.shape[1], tuple(ints.ravel().tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class RankReport:
-    """Rank value or certified interval, with a re-verifiable certificate."""
+    """Rank value or certified interval, with a re-verifiable certificate.
+
+    ``nodes`` is the number of branch-and-bound nodes the binary search
+    visited (0 when the bounds met without a search).
+    """
 
     kind: str
     lower: int
     upper: int
     certificate: tuple
+    nodes: int = 0
 
     @property
     def exact(self) -> bool:
@@ -513,154 +530,242 @@ class _SearchBudget(Exception):
     pass
 
 
+# The binary-rank kernels work on row masks: row r of a 0/1 matrix is the int
+# whose bit c is entry (r, c).
+
+
+def _row_masks(a: np.ndarray) -> list[int]:
+    """The rows of the 0/1 matrix ``a`` as ints, bit c for column c."""
+    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def _bits(m: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``m``, increasing."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
+def _gf2_rank(masks) -> int:
+    """Rank over GF(2) of the rows given as masks."""
+    pivots: dict[int, int] = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = m
+                break
+            m ^= pivots[top]
+    return len(pivots)
+
+
 def _xor_factor(t: np.ndarray):
-    """Peel rank-one binary terms whose mod-2 sum is t; len == GF(2) rank."""
-    work = t.copy() % 2
+    """Peel rank-one binary terms whose mod-2 sum is t; len == GF(2) rank.
+
+    Each step takes the first 1-cell (i, j) of what is left, in row-major
+    order, and peels column j times row i; the terms are int64 vectors.
+    """
+    t = np.asarray(t)
+    rows, cols = t.shape
+    work = _row_masks(t % 2)
     terms = []
-    while work.any():
-        i, j = np.argwhere(work)[0]
-        u = work[:, j].copy()
-        v = work[i, :].copy()
-        terms.append((u, v))
-        work ^= np.outer(u, v)
+    for i in range(rows):
+        v = work[i]
+        if not v:
+            continue
+        low = v & -v
+        hit = [r for r in range(i, rows) if work[r] & low]
+        for r in hit:
+            work[r] ^= v
+        u_vec = np.zeros(rows, dtype=np.int64)
+        u_vec[hit] = 1
+        v_vec = np.zeros(cols, dtype=np.int64)
+        v_vec[list(_bits(v))] = 1
+        terms.append((u_vec, v_vec))
     return terms
 
 
-def _greedy_partition(t: np.ndarray):
-    """Disjoint all-ones rectangles summing to t; deterministic closure growth."""
-    work = t.copy()
+def _greedy_partition(masks):
+    """Disjoint all-ones rectangles covering the rows; deterministic closure growth.
+
+    The first row left is a rectangle's columns, and its rows are every row
+    still holding all of them.
+    """
+    work = list(masks)
     rects = []
-    while work.any():
-        r0, c0 = np.argwhere(work)[0]
-        cols = np.flatnonzero(work[r0])
-        rows = np.flatnonzero((work[:, cols] == 1).all(axis=1))
-        cols = np.flatnonzero((work[np.ix_(rows, range(t.shape[1]))] == 1).all(axis=0))
-        rows = np.flatnonzero((work[:, cols] == 1).all(axis=1))
-        rects.append((tuple(int(r) for r in rows), tuple(int(c) for c in cols)))
-        work[np.ix_(rows, cols)] = 0
+    for r0 in range(len(work)):
+        cm = work[r0]
+        if not cm:
+            continue
+        rows = tuple(r for r in range(r0, len(work)) if work[r] & cm == cm)
+        for r in rows:
+            work[r] &= ~cm
+        rects.append((rows, _bits(cm)))
     return rects
 
 
-def _distinct_row_partition(t: np.ndarray):
-    groups: dict[bytes, list[int]] = {}
-    for r in range(t.shape[0]):
-        if t[r].any():
-            groups.setdefault(t[r].tobytes(), []).append(r)
-    rects = []
-    for key, rows in groups.items():
-        cols = tuple(int(c) for c in np.flatnonzero(t[rows[0]]))
-        rects.append((tuple(rows), cols))
-    return rects
+def _distinct_row_partition(masks):
+    """One rectangle per distinct nonzero row, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for r, m in enumerate(masks):
+        if m:
+            groups.setdefault(m, []).append(r)
+    return [(tuple(rows), _bits(m)) for m, rows in groups.items()]
 
 
-def _fooling_bound(t: np.ndarray) -> int:
-    """Greedy set of pairwise rectangle-incompatible 1-cells (a lower bound)."""
-    cells = [tuple(x) for x in np.argwhere(t)]
-    chosen: list[tuple[int, int]] = []
-    for (r, c) in cells:
-        if all(not (t[r2, c] and t[r, c2]) for (r2, c2) in chosen):
-            chosen.append((r, c))
+def _fooling_bound(masks) -> int:
+    """Greedy set of pairwise rectangle-incompatible 1-cells (a lower bound).
+
+    Cells are taken in row-major order.  Cell (r, c) clashes with a chosen
+    (r2, c2) when (r2, c) and (r, c2) are both 1, so row r can take any of
+    its cells outside the rows of the chosen cells whose column it holds;
+    it takes the first, and a second cell of the same row always clashes.
+    """
+    chosen: list[tuple[int, int]] = []  # (row mask, column bit) per chosen cell
+    for m in masks:
+        blocked = 0
+        for row, col in chosen:
+            if m & col:
+                blocked |= row
+        free = m & ~blocked
+        if free:
+            chosen.append((m, free & -free))
     return len(chosen)
 
 
-def _max_rect_area(t: np.ndarray) -> int:
-    """Largest all-ones combinatorial rectangle, via column-subset closures."""
-    rows, cols = t.shape
-    if cols > rows:
-        return _max_rect_area(t.T)
-    best = 1
-    row_masks = [int("".join(map(str, t[r][::-1])), 2) if t[r].any() else 0 for r in range(rows)]
-    seen = set()
-    for r in range(rows):
-        mask = row_masks[r]
-        if not mask or mask in seen:
-            continue
-        seen.add(mask)
-        covering = [m for m in row_masks if m & mask == mask]
-        best = max(best, len(covering) * bin(mask).count("1"))
-    return best
+def _max_rect_area(masks) -> int:
+    """Largest all-ones rectangle.
+
+    The columns of a maximal rectangle are the intersection of its rows, so
+    it is enough to try every intersection of nonzero rows with all the rows
+    that hold it.
+    """
+    closed: set[int] = set()
+    for m in set(masks) - {0}:
+        closed |= {m & c for c in closed} | {m}
+    closed.discard(0)
+    return max(c.bit_count() * sum(m & c == c for m in masks) for c in closed)
 
 
-def _binary_partition_exact(t: np.ndarray, node_budget: int):
-    """Branch-and-bound minimum disjoint rectangle partition; None on budget."""
-    rows, cols = t.shape
-    cell_bit = {(r, c): 1 << (r * cols + c) for r in range(rows) for c in range(cols)}
-    full = 0
-    for r, c in np.argwhere(t):
-        full |= cell_bit[(int(r), int(c))]
-    if full == 0:
-        return 0, ()
-    amax = _max_rect_area(t)
-    memo: dict[int, int] = {}
-    choice: dict[int, tuple] = {}
+def _rectangles(work, cols: int):
+    """Every all-ones rectangle holding the first 1-cell, largest first.
+
+    Yields (area, rows, column mask, cell mask), with bit r * cols + c of
+    the cell mask for cell (r, c).  Equal areas come in decreasing column
+    mask, then fewer rows first, then rows in lexicographic order.  The rows
+    are drawn lazily, so a node cut off after its large rectangles never
+    builds its small ones.
+    """
+    r0 = next(r for r, m in enumerate(work) if m)
+    first = work[r0] & -work[r0]
+    spare = work[r0] ^ first
+    by_area: dict[int, list] = {}
+    sub = spare
+    while True:
+        cm = sub | first
+        others = [r for r in range(r0 + 1, len(work)) if work[r] & cm == cm]
+        width = cm.bit_count()
+        for k in range(len(others) + 1):
+            by_area.setdefault(width * (k + 1), []).append((cm, others, k))
+        if not sub:
+            break
+        sub = (sub - 1) & spare
+    for area in sorted(by_area, reverse=True):
+        for cm, others, k in by_area[area]:
+            for rs in itertools.combinations(others, k):
+                rows = (r0,) + rs
+                yield area, rows, cm, sum(cm << (r * cols) for r in rows)
+
+
+def _binary_partition_exact(masks, cols: int, lower: int, upper: int, node_budget: int):
+    """Branch-and-bound minimum disjoint rectangle partition.
+
+    ``lower`` and ``upper`` bound the partition number of the matrix with
+    row masks ``masks``.  A node is a residual set of 1-cells; it branches on
+    every rectangle that covers its first cell, largest first, and is cut
+    off by the larger of ceil(cells / largest rectangle area) and the GF(2)
+    rank of the residual (a partition into k rectangles sums to it mod 2).
+    A node stops as soon as its best partition meets its bound, so the
+    whole search stops once it meets ``lower``.  Returns
+    ``((value, rects), nodes)``, with None in place of the result once more
+    than ``node_budget`` nodes would be visited.
+    """
+    row_full = (1 << cols) - 1
+    shifts = range(0, len(masks) * cols, cols)
+    full = sum(m << s for m, s in zip(masks, shifts))
+    amax = _max_rect_area(masks)
+    memo: dict[int, tuple[int, tuple]] = {}  # residual -> (minimum, first rectangle)
+    floor = {full: lower}  # residual -> proven lower bound
     nodes = 0
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
     def solve(mask: int, limit: int) -> int:
-        """Exact minimum partition size of mask, or limit if >= limit."""
+        """Minimum partition size of mask if below limit, else a lower bound >= limit."""
         nonlocal nodes
-        if mask == 0:
-            return 0
         if mask in memo:
-            return memo[mask]
+            return memo[mask][0]
         nodes += 1
         if nodes > node_budget:
             raise _SearchBudget
-        if 1 + (popcount(mask) - 1) // amax > limit:
-            return limit
-        pos = (mask & -mask).bit_length() - 1
-        r0, c0 = divmod(pos, cols)
-        avail_cols = [c for c in range(cols) if c != c0 and (mask >> (r0 * cols + c)) & 1]
-        best = limit
-        best_rect = None
-        for csub_bits in range(1 << len(avail_cols)):
-            csub = [c0] + [avail_cols[i] for i in range(len(avail_cols)) if (csub_bits >> i) & 1]
-            col_ok_rows = [
-                r
-                for r in range(rows)
-                if r != r0 and all((mask >> (r * cols + c)) & 1 for c in csub)
-            ]
-            for rsub_bits in range(1 << len(col_ok_rows)):
-                rsub = [r0] + [
-                    col_ok_rows[i] for i in range(len(col_ok_rows)) if (rsub_bits >> i) & 1
-                ]
-                rect = 0
-                for r in rsub:
-                    for c in csub:
-                        rect |= cell_bit[(r, c)]
-                rest = mask & ~rect
-                lb = 1 + (popcount(rest) + amax - 1) // amax if rest else 1
-                if lb >= best:
-                    continue
-                sub = solve(rest, best - 1)
-                if 1 + sub < best:
-                    best = 1 + sub
-                    best_rect = (tuple(sorted(rsub)), tuple(sorted(csub)))
-        if best < limit:
-            memo[mask] = best
-            if best_rect is not None:
-                choice[mask] = best_rect
+        work = [(mask >> s) & row_full for s in shifts]
+        cells = mask.bit_count()
+        low = max(-(-cells // amax), _gf2_rank(work), floor.get(mask, 0))
+        if low >= limit:
+            return low
+        best, choice = limit, None
+        for area, rows, cm, rect in _rectangles(work, cols):
+            if 1 - (-(cells - area) // amax) >= best:
+                break  # every later rectangle is no larger
+            rest = mask & ~rect
+            sub = solve(rest, best - 1) if rest else 0
+            if 1 + sub < best:
+                best, choice = 1 + sub, (rows, cm, rect)
+                if best == low:
+                    break
+        if choice is None:
+            floor[mask] = limit
+        else:
+            memo[mask] = (best, choice)
         return best
 
     try:
-        value = solve(full, popcount(full) + 1)
+        value = solve(full, upper + 1)
     except _SearchBudget:
-        return None
+        return None, node_budget
     rects = []
     mask = full
     while mask:
-        rect = choice[mask]
-        rects.append(rect)
-        for r in rect[0]:
-            for c in rect[1]:
-                mask &= ~cell_bit[(r, c)]
-    return value, tuple(rects)
+        rows, cm, rect = memo[mask][1]
+        rects.append((rows, _bits(cm)))
+        mask &= ~rect
+    return (value, tuple(rects)), nodes
 
 
 BINARY_EXACT_MAX_DIM = 12
 BINARY_NODE_BUDGET = 300_000
+
+
+def _binary_rank(a: np.ndarray, rank: int, node_budget: int) -> RankReport:
+    """Binary rank of the 0/1 int array ``a`` whose real rank is ``rank``."""
+    if not a.any():
+        return RankReport("binary", 0, 0, ())
+    masks = _row_masks(a)
+    greedy = _greedy_partition(masks)
+    by_rows = _distinct_row_partition(masks)
+    by_cols = [(c, r) for (r, c) in _distinct_row_partition(_row_masks(a.T))]
+    upper_cert = min((greedy, by_rows, by_cols), key=len)
+    upper = len(upper_cert)
+    lower = max(rank, _fooling_bound(masks))
+    nodes = 0
+    if lower < upper and min(a.shape) <= BINARY_EXACT_MAX_DIM:
+        exact, nodes = _binary_partition_exact(masks, a.shape[1], lower, upper, node_budget)
+        if exact is not None:
+            value, rects = exact
+            return RankReport("binary", value, value, rects, nodes)
+    return RankReport("binary", lower, upper, tuple(upper_cert), nodes)
 
 
 def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankReport:
@@ -673,14 +778,15 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
       binary  minimum disjoint all-ones rectangle partition; exact via
               branch-and-bound when min(rows, cols) <= 12 within the node
               budget, otherwise a certified interval
-      nonneg  interval [rank, constructive upper]; exact only when it collapses
+      nonneg  interval [rank, constructive upper]; exact only when it
+              collapses.  On a 0/1 input the upper end and certificate are
+              the binary rank's, from one search with ``rank`` as its
+              lower bound.
     """
     if isinstance(t, BinaryMatrix):
         arr = t.array()
     else:
         arr = np.asarray(t)
-    if kind in ("xor", "binary"):
-        arr = BinaryMatrix.from_array(arr).array()
     if kind == "rank":
         a = np.asarray(arr)
         if np.iscomplexobj(a):
@@ -695,43 +801,24 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
         cert = tuple((s[i] * u[:, i], vh[i]) for i in range(r))
         return RankReport("rank", r, r, cert)
     if kind == "xor":
-        terms = _xor_factor(arr.astype(np.int64))
+        terms = _xor_factor(_binary_array(arr))
         return RankReport("xor", len(terms), len(terms), tuple(terms))
     if kind == "binary":
-        if not arr.any():
-            return RankReport("binary", 0, 0, ())
-        greedy = _greedy_partition(arr)
-        by_rows = _distinct_row_partition(arr)
-        by_cols = [(c, r) for (r, c) in _distinct_row_partition(arr.T)]
-        upper_cert = min((greedy, by_rows, by_cols), key=len)
-        upper = len(upper_cert)
-        lower = max(matrix_rank(arr), _fooling_bound(arr))
-        if lower < upper and min(arr.shape) <= BINARY_EXACT_MAX_DIM:
-            exact = _binary_partition_exact(arr, node_budget)
-            if exact is not None:
-                value, rects = exact
-                return RankReport("binary", value, value, rects)
-        return RankReport("binary", lower, upper, tuple(upper_cert))
+        b = _binary_array(arr)
+        return _binary_rank(b, matrix_rank(b), node_budget)
     if kind == "nonneg":
         a = np.real(np.asarray(arr, dtype=float))
         if (a < -1e-12).any():
             raise ValueError("nonnegative rank needs nonnegative entries")
         lower = matrix_rank(a)
-        is_binary = True
         try:
-            BinaryMatrix.from_array(a)
+            b = _binary_array(a)
         except ValueError:
-            is_binary = False
-        if is_binary:
-            b = rank_toolkit(a, "binary", node_budget)
-            upper = b.upper
-            cert = b.certificate
-        else:
             nz_rows = int(np.sum(a.any(axis=1)))
             nz_cols = int(np.sum(a.any(axis=0)))
-            upper = min(nz_rows, nz_cols)
-            cert = ()
-        return RankReport("nonneg", lower, upper, cert)
+            return RankReport("nonneg", lower, min(nz_rows, nz_cols), ())
+        rep = _binary_rank(b, lower, node_budget)
+        return RankReport("nonneg", lower, rep.upper, rep.certificate, rep.nodes)
     raise ValueError(f"unknown rank kind {kind!r}")
 
 

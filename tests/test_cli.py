@@ -153,6 +153,30 @@ class TestDecomposeVerifyIntegration:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize("case", ["matrix_entries", "control_tuples", "integer_field"])
+    def test_boolean_in_place_of_a_number_exits_3(self, in_tmp, capsys, case):
+        # json booleans pass complex() and operator.index() as 1 and 0, so
+        # each of these files loaded, and verified with exit 0, if let through
+        run("gen", "--kind", "swap", "--dims", "2", "2", "-o", "u.json")
+        run("decompose", "--method", "perm3", "-i", "u.json", "-o", "c.json")
+        name = "u.json" if case == "matrix_entries" else "c.json"
+        obj = json.load(open(name))
+        if case == "matrix_entries":
+            obj["matrix"] = [[[bool(re), bool(im)] for re, im in row] for row in obj["matrix"]]
+        elif case == "control_tuples":
+            for gate in obj["gates"]:
+                for branch in gate["branches"]:
+                    branch["control"] = [bool(x) for x in branch["control"]]
+        else:
+            obj["gates"][0]["targets"] = [True]
+        open(name, "w").write(json.dumps(obj))
+        capsys.readouterr()
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "boolean" in err
+        if case == "matrix_entries":
+            assert run("decompose", "--method", "perm3", "-i", "u.json", "-o", "d.json") == 3
+
     def test_verify_refuses_a_space_above_the_dense_limit(self, in_tmp, capsys):
         # the circuit declares 128 x 128 basis states; verify refuses before
         # it reads the target (missing here) or allocates the dense product
@@ -209,8 +233,17 @@ class TestOtherCommands:
             ("rank", '{"rows": 2, "cols": 2, "bits": 5}'),
             ("schmidt", '{"kind": "unitary", "dims": [null], "matrix": [[[1.0, 0.0]]]}'),
             ("schmidt", "7"),
+            ("rank", '{"rows": true, "cols": 1, "bits": "1"}'),
+            ("rank", '{"rows": 1, "cols": true, "bits": "1"}'),
         ],
-        ids=["binary_missing_cols", "binary_bits_not_a_string", "matrix_dims_null", "matrix_bare_integer"],
+        ids=[
+            "binary_missing_cols",
+            "binary_bits_not_a_string",
+            "matrix_dims_null",
+            "matrix_bare_integer",
+            "binary_rows_boolean",
+            "binary_cols_boolean",
+        ],
     )
     def test_malformed_input_file_exits_3(self, in_tmp, capsys, command, text):
         open("f.json", "w").write(text)

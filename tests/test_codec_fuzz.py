@@ -1,9 +1,9 @@
 """Mutated matrix and circuit files through the CLI.
 
 Valid files are broken one way at a time: truncated JSON, a missing key, a
-string, null or huge integer in place of a number, a ragged matrix row, an
-``[re, im, x]`` triple, or a bad control tuple.  Every ``decompose`` and
-``verify`` call on such a file must exit 3 with an ``error:`` line; an
+string, null, boolean or huge integer in place of a number, a ragged matrix
+row, an ``[re, im, x]`` triple, or a bad control tuple.  Every ``decompose``
+and ``verify`` call on such a file must exit 3 with an ``error:`` line; an
 exception escaping ``cli.main`` fails the test.
 """
 
@@ -107,7 +107,7 @@ def mutations(draw, text):
         del _parent(obj, path)[path[-1]]
     elif kind == "bad_number":
         path = draw(st.sampled_from([p for p, v in sites if _is_number(v)]))
-        _parent(obj, path)[path[-1]] = draw(st.sampled_from(["0.5", "x", None, HUGE, -HUGE]))
+        _parent(obj, path)[path[-1]] = draw(st.sampled_from(["0.5", "x", None, HUGE, -HUGE, True, False]))
     elif kind == "ragged_row":
         # rows of one matrix have equal lengths, and every matrix has two or more rows
         row = draw(st.sampled_from([v for p, v in sites if _is_row(p, v)]))
@@ -120,7 +120,7 @@ def mutations(draw, text):
         others = [b["control"] for b in branches if b is not branch]
         arity = len(branch["control"])
         bad = [[], [0] * (arity + 1), ["0"] * arity, [None] * arity, [-1] * arity,
-               [HUGE] * arity, [7] * arity, [0.0] * arity, 5, "0"]
+               [HUGE] * arity, [7] * arity, [0.0] * arity, [True] * arity, [False] * arity, 5, "0"]
         branch["control"] = copy.deepcopy(draw(st.sampled_from(bad + others)))
     return json.dumps(obj)
 

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedecomp import BinaryMatrix, rank_toolkit
+from gatedecomp import BinaryMatrix, protocols, rank_toolkit
 from gatedecomp.generators import example2_flags
+from gatedecomp.protocols import BINARY_NODE_BUDGET
 
 
 def xor_rank_table_4x4():
@@ -198,3 +201,167 @@ class TestOrderRelations:
                 for c in cols:
                     acc[r, c] += 1
         assert np.array_equal(acc, arr)
+
+
+def assert_partition(t, rep):
+    """The certificate is ``rep.upper`` disjoint all-ones rectangles covering t."""
+    cover = np.zeros(t.shape, dtype=np.int64)
+    for rows, cols in rep.certificate:
+        cover[np.ix_(rows, cols)] += 1
+    assert np.array_equal(cover, t)
+    assert len(rep.certificate) == rep.upper
+
+
+@st.composite
+def binary_matrices(draw, max_rows, max_cols):
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    bits = draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))
+    return np.array(bits, dtype=np.int64).reshape(r, c)
+
+
+class TestBinarySearch:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(t=binary_matrices(3, 4))
+    def test_matches_the_oracle(self, t):
+        rep = rank_toolkit(t, "binary")
+        assert rep.exact and rep.value == binary_partition_oracle(t)
+        assert_partition(t, rep)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_value_is_invariant(self, data):
+        """Row and column order, duplicate and zero lines, and transposition keep the value."""
+        t = data.draw(binary_matrices(6, 6))
+        r, c = t.shape
+        base = rank_toolkit(t, "binary")
+        assert base.exact
+        assert_partition(t, base)
+        row_perm = data.draw(st.permutations(range(r)))
+        col_perm = data.draw(st.permutations(range(c)))
+        i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, r - 1))
+        k, m = data.draw(st.integers(0, c)), data.draw(st.integers(0, c - 1))
+        variants = [
+            t[list(row_perm)][:, list(col_perm)],
+            np.insert(t, i, t[j], axis=0),
+            np.insert(t, k, t[:, m], axis=1),
+            np.insert(t, i, 0, axis=0),
+            np.insert(t, k, 0, axis=1),
+            t.T,
+        ]
+        for v in variants:
+            rep = rank_toolkit(v, "binary")
+            assert rep.exact and rep.value == base.value
+            assert_partition(v, rep)
+
+    @pytest.mark.parametrize(
+        "bits, value",
+        [
+            ("011101110000010111001000001000100011010111", 5),
+            ("111010110011010110000101100110100011111101", 4),
+        ],
+    )
+    def test_pool_matrices_exact_at_budget_5000(self, bits, value):
+        # two 6 x 7 rank inputs of the integer-cli benchmark pool (seed 11)
+        # that stayed intervals of width 1 under the area-only bound
+        t = np.array([int(b) for b in bits]).reshape(6, 7)
+        binary = rank_toolkit(t, "binary", node_budget=5000)
+        nonneg = rank_toolkit(t, "nonneg", node_budget=5000)
+        assert binary.exact and binary.value == value == nonneg.upper
+        for rep in (binary, nonneg):
+            assert 0 < rep.nodes <= 5000
+            assert_partition(t, rep)
+
+    def test_ten_by_ten_exact_at_the_default_budget(self):
+        rng = np.random.default_rng(10)
+        values = []
+        for _ in range(10):
+            t = rng.integers(0, 2, size=(10, 10))
+            rep = rank_toolkit(t, "binary")
+            assert rep.exact and rep.nodes <= BINARY_NODE_BUDGET
+            assert_partition(t, rep)
+            values.append(rep.value)
+        assert values == [10, 9, 10, 10, 9, 10, 10, 10, 10, 10]
+
+    def test_area_bound_uses_the_true_largest_rectangle(self):
+        # rows 4, 5 and 6 share columns 2, 4 and 6, a 9-cell rectangle whose
+        # columns are no row's own set; an area taken from the rows' own
+        # column sets alone (5 cells) lifts the bound ceil(cells / area) above
+        # the truth, and a search on it pruned every 6-rectangle partition
+        t = np.array([
+            [0, 1, 0, 1, 0, 0, 1],
+            [0, 1, 0, 0, 1, 1, 1],
+            [1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 1, 1, 1, 1],
+            [0, 1, 1, 0, 1, 0, 1],
+            [1, 0, 1, 1, 1, 0, 1],
+        ])
+        assert protocols._max_rect_area(protocols._row_masks(t)) == 9
+        rep = rank_toolkit(t, "binary")
+        assert rep.value == 6
+        assert_partition(t, rep)
+
+    def test_nodes_reported(self):
+        closed = rank_toolkit(np.eye(4, dtype=int), "binary")
+        assert closed.exact and closed.nodes == 0
+        t = np.array([int(b) for b in "011101110000010111001000001000100011010111"]).reshape(6, 7)
+        tiny = rank_toolkit(t, "binary", node_budget=1)
+        assert not tiny.exact and tiny.nodes == 1
+        assert_partition(t, tiny)
+
+    def test_nonneg_searches_once_with_one_rank(self, monkeypatch):
+        t = np.array([int(b) for b in "011101110000010111001000001000100011010111"]).reshape(6, 7)
+        calls = {"search": 0, "rank": 0}
+        search, rank = protocols._binary_partition_exact, protocols.matrix_rank
+
+        def counted_search(*args):
+            calls["search"] += 1
+            return search(*args)
+
+        def counted_rank(a):
+            calls["rank"] += 1
+            return rank(a)
+
+        monkeypatch.setattr(protocols, "_binary_partition_exact", counted_search)
+        monkeypatch.setattr(protocols, "matrix_rank", counted_rank)
+        for kind in ("nonneg", "binary"):
+            calls.update(search=0, rank=0)
+            rep = rank_toolkit(t, kind, node_budget=5000)
+            assert rep.upper == 5
+            assert calls == {"search": 1, "rank": 1}, kind
+
+
+def _numpy_xor_factor(t):
+    """Reference peeling on arrays: the first 1-cell (i, j) gives column j times row i."""
+    work = t.copy() % 2
+    terms = []
+    while work.any():
+        i, j = np.argwhere(work)[0]
+        u = work[:, j].copy()
+        v = work[i, :].copy()
+        terms.append((u, v))
+        work ^= np.outer(u, v)
+    return terms
+
+
+def _assert_same_terms(t):
+    got = protocols._xor_factor(t)
+    want = _numpy_xor_factor(t)
+    assert len(got) == len(want)
+    for (gu, gv), (wu, wv) in zip(got, want):
+        assert gu.dtype == wu.dtype == np.int64 and gv.dtype == wv.dtype == np.int64
+        assert gu.tobytes() == wu.tobytes() and gv.tobytes() == wv.tobytes()
+
+
+class TestXorFactorBytes:
+    def test_every_3x3(self):
+        for bits in range(1 << 9):
+            _assert_same_terms(np.array([(bits >> k) & 1 for k in range(9)], dtype=np.int64).reshape(3, 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_up_to_8x8(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        for _ in range(60):
+            r, c = (int(x) for x in rng.integers(1, 9, size=2))
+            _assert_same_terms(rng.integers(0, 2, size=(r, c)))
