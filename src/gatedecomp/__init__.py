@@ -22,12 +22,8 @@ from .gateir import (
     circuit_permutation,
     classify_gate,
     classify_matrix,
-    cnot,
     controlled,
-    generic,
-    local,
     multiparty_space,
-    two_level,
     validate_circuit,
     verify_decomposition,
 )
@@ -78,7 +74,6 @@ from .sandwich import (
     DegenerateRankTwoError,
     SandwichResult,
     decompose_2xd_aform,
-    decompose_2xd_sandwich,
     decompose_bcu3,
     decompose_sandwich,
     rank2_to_controlled,

@@ -171,15 +171,12 @@ def _as_perm(mf: codecs.MatrixFile) -> ComplexPermutation:
 
 def _flags_from_family(mf: codecs.MatrixFile) -> np.ndarray:
     """Recover the flag matrix from a pair-swap-family permutation file."""
-    dims = mf.dims
-    if len(dims) != 2 or dims[0] % 2:
-        raise PreconditionError("family input must be bipartite with even dA")
-    m, db = dims[0] // 2, dims[1]
+    da, db = mf.dims
+    if da % 2:
+        raise PreconditionError("family input must have even dA")
     u = np.round(np.real(mf.matrix)).astype(np.int64)
-    flags = np.zeros((m, db), dtype=np.int64)
-    for i in range(m):
-        for b in range(db):
-            flags[i, b] = u[(2 * i) * db + b, (2 * i + 1) * db + b]
+    i, b = np.ogrid[: da // 2, :db]
+    flags = u[2 * i * db + b, (2 * i + 1) * db + b]
     if not np.array_equal(pair_swap_family_unitary(flags), u):
         raise PreconditionError("input is not of the flagged pair-swap family form")
     return flags
@@ -191,23 +188,22 @@ def _cmd_decompose(args) -> int:
     u = mf.matrix
     method = args.method
     target = u
-    target_dims = dims
 
-    if method in ("sandwich", "aform", "bcu3", "std"):
+    if method not in ("multi", "party4"):
         if len(dims) != 2:
             raise PreconditionError(f"{method} expects a bipartite dims list")
         da, db = dims
-        if method == "sandwich":
-            circuit = decompose_sandwich(u, da, db).circuit
-        elif method == "aform":
-            if da != 2:
-                raise PreconditionError("aform requires dA = 2")
-            circuit = decompose_2xd_aform(u, db)
-        elif method == "bcu3":
-            circuit = decompose_bcu3(u, da, db).circuit
-        else:
-            mode = "complexPerm" if mf.kind in ("permutation", "complexPermutation") else "general"
-            circuit = compile_to_standard(u, da, db, mode).circuit
+    if method == "sandwich":
+        circuit = decompose_sandwich(u, da, db).circuit
+    elif method == "aform":
+        if da != 2:
+            raise PreconditionError("aform requires dA = 2")
+        circuit = decompose_2xd_aform(u, db)
+    elif method == "bcu3":
+        circuit = decompose_bcu3(u, da, db).circuit
+    elif method == "std":
+        mode = "complexPerm" if mf.kind in ("permutation", "complexPermutation") else "general"
+        circuit = compile_to_standard(u, da, db, mode).circuit
     elif method == "perm3":
         circuit = decompose_perm3(_as_perm(mf)).circuit
     elif method == "multi":
@@ -226,7 +222,6 @@ def _cmd_decompose(args) -> int:
     elif method == "lemma7":
         if mf.kind != "permutation":
             raise PreconditionError("lemma7 requires a plain permutation input")
-        da, db = dims
         perm = np.round(np.real(u)).astype(np.int64)
         res = emit_backup_protocol(perm, pp_expansion(perm, da, db), da, db)
         circuit = res.expanded
@@ -234,11 +229,9 @@ def _cmd_decompose(args) -> int:
         flags = _flags_from_family(mf)
         circuit = emit_xor_protocol(flags).expanded
     elif method == "transfer":
-        da, db = dims
         res = emit_transfer_protocol(u, da, db)
         circuit = res.circuit
         target = res.embedded
-        target_dims = res.embedded_dims
         codecs.save_matrix_file(
             args.output + ".target.json", res.embedded, res.embedded_dims, "unitary"
         )

@@ -18,14 +18,15 @@ import numpy as np
 from .gateir import (
     Ancilla,
     Circuit,
+    CnotGate,
+    ControlledGate,
     Gate,
+    GenericGate,
+    LocalGate,
     Metrics,
     PartySpace,
-    cnot,
+    TwoLevelGate,
     controlled,
-    generic,
-    local,
-    two_level,
 )
 from .matcore import as_matrix, is_unitary, max_abs
 from .permdecomp import ComplexPermutation, table_outputs
@@ -325,14 +326,14 @@ def _space_from_obj(obj) -> PartySpace:
 # per gate kind: the builder, then each JSON field in file order as
 # "name:codec"; the builder takes the fields as keyword arguments
 _GATE_FIELDS = {
-    kind: (build, [field.split(":") for field in spec.split()])
-    for kind, build, spec in (
-        ("ControlledComputational", controlled, "controls:axes targets:axes branches:branches"),
-        ("Local", local, "axes:axes matrix:matrix"),
-        ("TwoLevelStandard", two_level,
+    cls.kind: (build, [field.split(":") for field in spec.split()])
+    for cls, build, spec in (
+        (ControlledGate, controlled, "controls:axes targets:axes branches:branches"),
+        (LocalGate, LocalGate, "axes:axes matrix:matrix"),
+        (TwoLevelGate, TwoLevelGate,
          "axis_a:int pair_a:axes axis_b:int pair_b:axes matrix:matrix"),
-        ("CNOT", cnot, "control_axis:int control_pair:axes target_axis:int target_pair:axes"),
-        ("GenericBipartite", generic, "axes:axes cut:int matrix:matrix"),
+        (CnotGate, CnotGate, "control_axis:int control_pair:axes target_axis:int target_pair:axes"),
+        (GenericGate, GenericGate, "axes:axes cut:int matrix:matrix"),
     )
 }
 

@@ -133,13 +133,51 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray):
     if list(rank) == list(range(len(palette))):
         return palette, index
     remap = np.array([rank.get(s, 0) for s in same], dtype=np.intp)
-    return palette[list(rank)], remap[index]
+    return palette[list(rank)], remap[index.reshape(-1)].reshape(index.shape)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def _axes(axes, what: str) -> tuple[int, ...]:
+    """One axis or several, as a strictly increasing tuple of ints."""
+    if isinstance(axes, (int, np.integer)):
+        axes = (axes,)
+    axes = tuple(map(operator.index, axes))
+    if list(axes) != sorted(set(axes)):
+        raise CircuitError(f"{what} axes {axes} are not strictly increasing")
+    return axes
+
+
+def _axis_pairs(what: str, axis_a, pair_a, axis_b, pair_b):
+    """Two distinct axes, each with a pair of two distinct levels, as ints."""
+    axis_a, axis_b = operator.index(axis_a), operator.index(axis_b)
+    if axis_a == axis_b:
+        raise CircuitError(f"{what} must be on two distinct axes, got axis {axis_a} twice")
+    pair_a, pair_b = tuple(map(operator.index, pair_a)), tuple(map(operator.index, pair_b))
+    for pair in (pair_a, pair_b):
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise CircuitError(f"level pair {pair} is not two distinct levels")
+    return axis_a, pair_a, axis_b, pair_b
+
+
+def _payload(m, side: int | None = None) -> np.ndarray:
+    """``m`` as a finite, nonempty square complex matrix, ``side`` x ``side`` when given."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or side not in (None, len(m)):
+        want = "a square matrix" if side is None else (side, side)
+        raise CircuitError(f"gate payload has shape {m.shape}, expected {want}")
+    if not np.isfinite(m).all():
+        raise CircuitError("gate payload entries must be finite")
+    return m
+
+
+def _set(record, *values) -> None:
+    """Set the fields of a frozen record, in field order, past its frozen ``__setattr__``."""
+    vars(record).update(zip(record.__dataclass_fields__, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,26 +206,22 @@ class ControlledGate:
     kind = "ControlledComputational"
 
     def __post_init__(self):
-        controls, targets = tuple(self.controls), tuple(self.targets)
-        if list(controls) != sorted(controls) or list(targets) != sorted(targets):
-            raise CircuitError("control/target axes must be strictly increasing")
+        controls, targets = _axes(self.controls, "control"), _axes(self.targets, "target")
         if set(controls) & set(targets):
             raise CircuitError("control and target axes overlap")
         palette = np.asarray(self.palette, dtype=complex)
         index = np.asarray(self.index, dtype=np.intp)
-        if palette.ndim != 3 or palette.shape[1] != palette.shape[2]:
+        if palette.ndim != 3 or palette.shape[1] != palette.shape[2] or not palette.shape[1]:
             raise CircuitError(f"palette has shape {palette.shape}, expected (k, d, d)")
         if not np.isfinite(palette).all():
             raise CircuitError("branch entries must be finite")
-        if index.ndim != len(controls):
+        if index.ndim != len(controls) or not index.size:
             raise CircuitError(f"control index of shape {index.shape} for controls {controls}")
-        if index.size and (index.min() < 0 or index.max() >= len(palette)):
+        flat = index.reshape(-1).tolist()  # Python min and max beat numpy's on a few entries
+        if min(flat) < 0 or max(flat) >= len(palette):
             raise CircuitError("control index names no palette entry")
         palette, index = _canonical_palette(palette, index)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "palette", _read_only(palette))
-        object.__setattr__(self, "index", _read_only(index))
+        _set(self, controls, targets, _read_only(palette), _read_only(index))
 
     def branch(self, ctrl: tuple[int, ...]) -> np.ndarray:
         ctrl = tuple(ctrl)
@@ -217,13 +251,13 @@ def controlled(controls, targets, branches: dict) -> ControlledGate:
     shape = tuple(max(col) + 1 for col in zip(*keys))
     if len(keys) != math.prod(shape):
         raise CircuitError("controlled gate does not cover every control tuple exactly once")
-    mats = [as_matrix(m) for m in branches.values()]
+    mats = [_payload(m) for m in branches.values()]
     if len({m.shape for m in mats}) > 1:
         raise CircuitError(f"branches have different shapes {sorted({m.shape for m in mats})}")
     index = np.empty(shape, dtype=np.intp)
     for j, key in enumerate(keys):
         index[key] = j
-    return ControlledGate(controls, tuple(targets), np.stack(mats), index)
+    return ControlledGate(controls, targets, np.stack(mats), index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,12 +269,8 @@ class LocalGate:
 
     kind = "Local"
 
-
-def local(axes, matrix) -> LocalGate:
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    if list(axes) != sorted(axes):
-        raise CircuitError("local gate axes must be strictly increasing")
-    return LocalGate(axes, as_matrix(matrix))
+    def __post_init__(self):
+        _set(self, _axes(self.axes, "local gate"), _payload(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,12 +289,9 @@ class TwoLevelGate:
 
     kind = "TwoLevelStandard"
 
-
-def two_level(axis_a, pair_a, axis_b, pair_b, matrix) -> TwoLevelGate:
-    m = as_matrix(matrix)
-    if m.shape != (4, 4):
-        raise CircuitError("two-level gate payload must be 4x4")
-    return TwoLevelGate(axis_a, tuple(pair_a), axis_b, tuple(pair_b), m)
+    def __post_init__(self):
+        axes = _axis_pairs("a two-level gate", self.axis_a, self.pair_a, self.axis_b, self.pair_b)
+        _set(self, *axes, _payload(self.matrix, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +305,9 @@ class CnotGate:
 
     kind = "CNOT"
 
-
-def cnot(control_axis, control_pair, target_axis, target_pair) -> CnotGate:
-    if control_axis == target_axis:
-        raise CircuitError("CNOT control and target must be distinct axes")
-    return CnotGate(control_axis, tuple(control_pair), target_axis, tuple(target_pair))
+    def __post_init__(self):
+        _set(self, *_axis_pairs("a CNOT", self.control_axis, self.control_pair,
+                                self.target_axis, self.target_pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,19 +325,17 @@ class GenericGate:
 
     kind = "GenericBipartite"
 
-
-def generic(axes, matrix, cut: int = 1) -> GenericGate:
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    if list(axes) != sorted(axes):
-        raise CircuitError("generic gate axes must be strictly increasing")
-    if not 0 <= cut <= len(axes):
-        raise CircuitError(f"generic gate cut {cut} is outside 0..{len(axes)}")
-    return GenericGate(axes, as_matrix(matrix), cut)
+    def __post_init__(self):
+        axes, cut = _axes(self.axes, "generic gate"), operator.index(self.cut)
+        if not 0 <= cut <= len(axes):
+            raise CircuitError(f"generic gate cut {cut} is outside 0..{len(axes)}")
+        _set(self, axes, _payload(self.matrix), cut)
 
 
 Gate = ControlledGate | LocalGate | TwoLevelGate | CnotGate | GenericGate
 
-GATE_KINDS = ("ControlledComputational", "Local", "TwoLevelStandard", "CNOT", "GenericBipartite")
+# the order of ``gate_counts`` in metrics and circuit files
+GATE_KINDS = tuple(cls.kind for cls in Gate.__args__)
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +390,16 @@ def recompute_metrics(c: Circuit) -> Metrics:
 # lowered form: every gate as a uniformly controlled gate
 
 
-def _checked_axes(dims, controls, targets):
-    controls, targets = tuple(controls), tuple(targets)
-    axes = controls + targets
-    for ax in axes:
-        if not 0 <= ax < len(dims):
-            raise CircuitError(f"gate references axis {ax} outside the space")
-    if len(set(axes)) != len(axes):
-        raise CircuitError(f"gate axes {axes} repeat an axis")
-    return controls, targets
+def _dim(dims, ax: int) -> int:
+    if not 0 <= ax < len(dims):
+        raise CircuitError(f"gate references axis {ax} outside the space")
+    return dims[ax]
 
 
 def _checked_pair(d: int, pair) -> tuple[int, int]:
-    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= v < d for v in pair):
-        raise CircuitError(f"level pair {tuple(pair)} is not two distinct levels below {d}")
-    return tuple(pair)
+    if not all(0 <= v < d for v in pair):
+        raise CircuitError(f"level pair {pair} has a level outside 0..{d - 1}")
+    return pair
 
 
 def _lower(dims, g: Gate):
@@ -393,36 +411,33 @@ def _lower(dims, g: Gate):
     order.  Local, generic and two-level gates have no controls; a CNOT has
     one, and its palette is ``[identity, swap]`` with the swap of
     ``target_pair`` at ``control_pair[1]``.  This is the one place that reads
-    the kind of a gate for simulation and checks its structure against the
-    space.
+    the kind of a gate for simulation.  Construction has checked each
+    record on its own; what is checked here needs the space's dims: axes in
+    range, the control index's shape, level pairs and the branch shape.
     """
     if isinstance(g, ControlledGate):
-        controls, targets = _checked_axes(dims, g.controls, g.targets)
-        ctrl_dims = tuple(dims[ax] for ax in controls)
+        controls, targets = g.controls, g.targets
+        ctrl_dims = tuple(_dim(dims, ax) for ax in controls)
         if g.index.shape != ctrl_dims:
             raise CircuitError(
                 f"control index has shape {g.index.shape} on control dims {ctrl_dims}: "
                 "the gate does not cover every control tuple exactly once"
             )
         palette, index = g.palette, g.index.reshape(-1)
-        if index.size and (index.min() < 0 or index.max() >= len(palette)):
-            raise CircuitError("control index names no palette entry")
     elif isinstance(g, (LocalGate, GenericGate)):
-        controls, targets = _checked_axes(dims, (), g.axes)
+        controls, targets = (), g.axes
         palette, index = g.matrix[None], np.zeros(1, dtype=np.intp)
     elif isinstance(g, TwoLevelGate):
-        controls, targets = _checked_axes(dims, (), (g.axis_a, g.axis_b))
-        if g.matrix.shape != (4, 4):
-            raise CircuitError(f"two-level payload has shape {g.matrix.shape}, expected (4, 4)")
-        da, db = dims[g.axis_a], dims[g.axis_b]
+        controls, targets = (), (g.axis_a, g.axis_b)
+        da, db = _dim(dims, g.axis_a), _dim(dims, g.axis_b)
         pa, pb = _checked_pair(da, g.pair_a), _checked_pair(db, g.pair_b)
         quad = [a * db + b for a in pa for b in pb]
         branch = np.eye(da * db, dtype=complex)
         branch[np.ix_(quad, quad)] = g.matrix
         palette, index = branch[None], np.zeros(1, dtype=np.intp)
     elif isinstance(g, CnotGate):
-        controls, targets = _checked_axes(dims, (g.control_axis,), (g.target_axis,))
-        dc, dt = dims[g.control_axis], dims[g.target_axis]
+        controls, targets = (g.control_axis,), (g.target_axis,)
+        dc, dt = _dim(dims, g.control_axis), _dim(dims, g.target_axis)
         fire = _checked_pair(dc, g.control_pair)[1]
         k0, k1 = _checked_pair(dt, g.target_pair)
         swap = np.arange(dt)
@@ -431,11 +446,10 @@ def _lower(dims, g: Gate):
         index = (np.arange(dc) == fire).astype(np.intp)
     else:
         raise CircuitError(f"unknown gate record {type(g).__name__}")
-    dt = math.prod(dims[ax] for ax in targets)
+    dt = math.prod(_dim(dims, ax) for ax in targets)
     if palette.shape[1:] != (dt, dt):
         raise CircuitError(f"branches have shape {palette.shape[1:]}, expected {(dt, dt)}")
     return controls, targets, palette, index
-
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .gateir import Circuit, ControlledGate, PartySpace, generic
+from .gateir import Circuit, ControlledGate, GenericGate, PartySpace
 from .permdecomp import ComplexPermutation, decompose_perm3
 
 
@@ -116,7 +116,7 @@ def swap_conjugated_unitary(d: int, seed: int):
             lifted.append(ControlledGate((1,), (2,), g.palette, g.index))
         else:  # controlled from B, acting on the D slot
             lifted.append(ControlledGate((2,), (1,), g.palette, g.index))
-    middle = generic((0, 1), v, cut=2)
+    middle = GenericGate((0, 1), v, cut=2)
     space = PartySpace(parties=(("C", d), ("D", d), ("B", d)))
     circuit = Circuit(space, tuple(lifted) + (middle,) + tuple(lifted))
     return u, circuit, (d, d, d)

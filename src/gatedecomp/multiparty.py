@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, ControlledGate, multiparty_space
+from .gateir import Circuit, multiparty_space
 from .matcore import PreconditionError, require_square, unitary_input
-from .sandwich import _eye_stack, _is_identity, _sandwich_gates
+from .sandwich import _controlled_records, _sandwich_gates
 
 
 def multiparty_bound(dims) -> int:
@@ -91,17 +91,10 @@ def _multi_gates(u: np.ndarray, dims: tuple[int, ...]):
 
 
 def _finalize(spec, dims, bound: int) -> MultipartiteSandwichResult:
-    kept = [(c, t, s) for c, t, s in spec if not _is_identity(s)]
-    if not kept:
-        n = len(dims)
-        ident = _eye_stack(math.prod(dims[:-1]), dims[-1])
-        kept = [(tuple(range(n - 1)), n - 1, ident.reshape(dims[:-1] + ident.shape[1:]))]
-    records = []
-    for c, t, s in kept:
-        ctrl_dims, d = s.shape[:-2], s.shape[-1]
-        index = np.arange(math.prod(ctrl_dims)).reshape(ctrl_dims)
-        records.append(ControlledGate(c, (t,), s.reshape(-1, d, d), index))
-    patterns = tuple(c for c, _, _ in kept)
+    if len(spec) > bound:
+        raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")
+    records, kept = _controlled_records(spec)
+    patterns = tuple(spec[i][0] for i in kept)
     circuit = Circuit(multiparty_space(dims), records)
     return MultipartiteSandwichResult(circuit, bound, patterns, len(spec))
 
@@ -118,10 +111,7 @@ def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
         raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
     u = unitary_input(u)
     spec = [(c, t, s[0]) for c, t, s in _multi_gates(u[None], dims)]
-    bound = multiparty_bound(dims)
-    if len(spec) > bound:
-        raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")
-    return _finalize(spec, dims, bound)
+    return _finalize(spec, dims, multiparty_bound(dims))
 
 
 def decompose_4party(u, dims) -> MultipartiteSandwichResult:
@@ -154,7 +144,4 @@ def decompose_4party(u, dims) -> MultipartiteSandwichResult:
         else:
             heads = (((0, 2, 3), 1), ((1, 2, 3), 0))
             spec += [heads[i % 2] + (s[j],) for i, s in enumerate(cd)]
-    bound = fourparty_bound(da, db, dc, dd)
-    if len(spec) > bound:
-        raise AssertionError(f"schedule length {len(spec)} exceeds bound {bound}")
-    return _finalize(spec, dims, bound)
+    return _finalize(spec, dims, fourparty_bound(da, db, dc, dd))

@@ -19,11 +19,11 @@ import numpy as np
 from .gateir import (
     Ancilla,
     Circuit,
+    CnotGate,
     ControlledGate,
+    GenericGate,
     PartySpace,
-    cnot,
     controlled,
-    generic,
 )
 from .matcore import DEFAULT_EPS, PreconditionError, as_matrix, is_unitary, max_abs
 from .matcore import perm_matrix, require_square
@@ -156,8 +156,8 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    v_flag = generic((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, x), cut=1)
-    copy = cnot(2, (0, 1), 3, (0, 1))
+    v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, x), cut=1)
+    copy = CnotGate(2, (0, 1), 3, (0, 1))
     w_gate = controlled((3,), (1,), {(0,): v1, (1,): v2})
     gates = (v_flag, copy, w_gate, copy, v_flag)
     return Circuit(space, gates).with_ebit_estimate(1.0)
@@ -360,7 +360,7 @@ def _flag_palindrome(flag_controls, flag_axis, copy_axis, apply_targets, index, 
     application order agree.
     """
     flag = ControlledGate(flag_controls, (flag_axis,), _FLAG_PALETTE, index)
-    copy = cnot(flag_axis, (0, 1), copy_axis, (0, 1))
+    copy = CnotGate(flag_axis, (0, 1), copy_axis, (0, 1))
     apply_gate = ControlledGate((copy_axis,), apply_targets, palette, np.arange(2))
     return [flag, copy, apply_gate, copy, flag]
 
@@ -450,14 +450,14 @@ def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
     app = []
     for i, qa in enumerate(qubit_axes):
         ta = m + 1 + i
-        app.append(cnot(qa, (0, 1), ta, (0, 1)))
-        app.append(cnot(ta, (0, 1), qa, (0, 1)))
-    app.append(generic(local_axes, padded_local, cut=1))
+        app.append(CnotGate(qa, (0, 1), ta, (0, 1)))
+        app.append(CnotGate(ta, (0, 1), qa, (0, 1)))
+    app.append(GenericGate(local_axes, padded_local, cut=1))
     for i in reversed(range(m)):
         qa = qubit_axes[i]
         ta = m + 1 + i
-        app.append(cnot(ta, (0, 1), qa, (0, 1)))
-        app.append(cnot(qa, (0, 1), ta, (0, 1)))
+        app.append(CnotGate(ta, (0, 1), qa, (0, 1)))
+        app.append(CnotGate(qa, (0, 1), ta, (0, 1)))
     circuit = Circuit(space, tuple(reversed(app)))
     return TransferResult(circuit, padded, dims, m, side)
 
@@ -537,7 +537,16 @@ class _SearchBudget(Exception):
 def _row_masks(a: np.ndarray) -> list[int]:
     """The rows of the 0/1 matrix ``a`` as ints, bit c for column c."""
     packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in packed]
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """The inverse of ``_row_masks``: one int64 0/1 row of length n per mask."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.astype(np.int64)
 
 
 def _bits(m: int) -> tuple[int, ...]:
@@ -567,26 +576,27 @@ def _xor_factor(t: np.ndarray):
     """Peel rank-one binary terms whose mod-2 sum is t; len == GF(2) rank.
 
     Each step takes the first 1-cell (i, j) of what is left, in row-major
-    order, and peels column j times row i; the terms are int64 vectors.
+    order, and peels column j times row i.  The peeling keeps each term's
+    rows and columns as masks; term k is then the int64 pair ``(u[k], v[k])``
+    of one u array and one v array.
     """
     t = np.asarray(t)
     rows, cols = t.shape
     work = _row_masks(t % 2)
-    terms = []
+    u_masks, v_masks = [], []
     for i in range(rows):
         v = work[i]
         if not v:
             continue
         low = v & -v
-        hit = [r for r in range(i, rows) if work[r] & low]
-        for r in hit:
-            work[r] ^= v
-        u_vec = np.zeros(rows, dtype=np.int64)
-        u_vec[hit] = 1
-        v_vec = np.zeros(cols, dtype=np.int64)
-        v_vec[list(_bits(v))] = 1
-        terms.append((u_vec, v_vec))
-    return terms
+        hit = 0
+        for r in range(i, rows):
+            if work[r] & low:
+                work[r] ^= v
+                hit |= 1 << r
+        u_masks.append(hit)
+        v_masks.append(v)
+    return list(zip(_mask_rows(u_masks, rows), _mask_rows(v_masks, cols)))
 
 
 def _greedy_partition(masks):

@@ -27,10 +27,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .gateir import (
     Circuit,
     ControlledGate,
+    GenericGate,
+    LocalGate,
     bipartite_space,
     controlled,
-    generic,
-    local,
 )
 from .matcore import (
     CSD_SVD_MIN_DIM,
@@ -347,13 +347,24 @@ class SandwichResult:
     length: int
 
 
-def _strip(gates: list, da: int, db: int):
-    """Records of the non-identity gates of one item's list, with their positions."""
-    kept = [(i + 1, g) for i, g in enumerate(gates) if not _is_identity(g)]
+def _controlled_records(spec: list):
+    """Records of the non-identity gates of ``spec``, and their places in it.
+
+    ``spec`` lists ``(controls, target, stack)`` in product order, where
+    ``stack`` has shape ``ctrl_dims + (d, d)``: one axis per control axis,
+    then the branch on the target.  When every gate is an identity, an exact
+    identity in the place of the first is kept, so no circuit is empty.
+    """
+    kept = [i for i, (_, _, s) in enumerate(spec) if not _is_identity(s)]
     if not kept:
-        kept = [(1, _eye_stack(da, db))]
-    records = [ControlledGate(((p - 1) % 2,), (p % 2,), g, np.arange(len(g))) for p, g in kept]
-    return records, [p for p, _ in kept]
+        c, t, s = spec[0]
+        spec, kept = [(c, t, _eye_stack(*s.shape[:-1]))], [0]
+    records = []
+    for i in kept:
+        c, t, s = spec[i]
+        palette = s.reshape(-1, *s.shape[-2:])
+        records.append(ControlledGate(c, (t,), palette, np.arange(len(palette)).reshape(s.shape[:-2])))
+    return records, kept
 
 
 def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
@@ -363,19 +374,9 @@ def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
         raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
     u = unitary_input(u)
     gates = [g[0] for g in _sandwich_gates(u[None], da, db)]
-    kept, positions = _strip(gates, da, db)
-    circuit = Circuit(bipartite_space(da, db), tuple(kept))
-    return SandwichResult(circuit, sandwich_bound(da), tuple(positions), len(gates))
-
-
-def decompose_2xd_sandwich(u, db: int | None = None) -> SandwichResult:
-    """``decompose_sandwich(u, 2, db)``, with db inferred from u when omitted."""
-    u = require_square(u)
-    if db is None:
-        if u.shape[0] % 2:
-            raise ValueError("matrix dimension is not 2 * dB")
-        db = u.shape[0] // 2
-    return decompose_sandwich(u, 2, db)
+    records, kept = _controlled_records([((i % 2,), 1 - i % 2, g) for i, g in enumerate(gates)])
+    circuit = Circuit(bipartite_space(da, db), tuple(records))
+    return SandwichResult(circuit, sandwich_bound(da), tuple(i + 1 for i in kept), len(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +504,7 @@ def decompose_2xd_aform(u, db: int | None = None) -> Circuit:
     # every rotation [[cos θ, -sin θ], [sin θ, cos θ]] is W diag(e^{iθ}, e^{-iθ}) W†
     w = np.array([[1, 1], [-1j, 1j]]) / np.sqrt(2)
     cc = [ControlledGate((0,), (1,), g, np.arange(2)) for g in (left, diag, right)]
-    gates = (cc[0], local(0, w), cc[1], local(0, w.conj().T), cc[2])
+    gates = (cc[0], LocalGate(0, w), cc[1], LocalGate(0, w.conj().T), cc[2])
     return Circuit(bipartite_space(2, db), gates)
 
 
@@ -564,9 +565,5 @@ def decompose_bcu3(u, da: int, db: int) -> BcuFactorization:
     if max(errs) > RECON_TOL:
         raise InfeasibleError(f"block-controlled structure check failed: {errs}")
     space = bipartite_space(da, db)
-    gates = (
-        generic((0, 1), x, cut=1),
-        generic((0, 1), wd, cut=1),
-        generic((0, 1), vd, cut=1),
-    )
+    gates = tuple(GenericGate((0, 1), m, cut=1) for m in (x, wd, vd))
     return BcuFactorization(Circuit(space, gates), x, wd, vd, y, errs)

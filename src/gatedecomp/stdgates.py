@@ -22,9 +22,9 @@ import numpy as np
 from .gateir import (
     Circuit,
     ControlledGate,
+    LocalGate,
+    TwoLevelGate,
     bipartite_space,
-    local,
-    two_level,
 )
 from .matcore import (
     IDENTITY_TOL,
@@ -82,10 +82,10 @@ def _phase_pair_gates(phases, ctrl_level: int, da: int, db: int, side: str):
             continue
         if side == "A":
             mat = np.diag([1.0, 1.0, x1, x2]).astype(complex)
-            gates.append(two_level(0, (other, ctrl_level), 1, (2 * r, 2 * r + 1), mat))
+            gates.append(TwoLevelGate(0, (other, ctrl_level), 1, (2 * r, 2 * r + 1), mat))
         else:
             mat = np.diag([1.0, x1, 1.0, x2]).astype(complex)
-            gates.append(two_level(0, (2 * r, 2 * r + 1), 1, (other, ctrl_level), mat))
+            gates.append(TwoLevelGate(0, (2 * r, 2 * r + 1), 1, (other, ctrl_level), mat))
     return gates
 
 
@@ -125,14 +125,14 @@ def compile_controlled_to_standard(gate: ControlledGate, da: int, db: int) -> St
         # phase-pair two-level gates
         ctrl_phase = np.ones(d_ctrl, dtype=complex)
         ctrl_phase[k] = ph_last
-        records.append(local(tail_axis, q))
-        records.append(local(1 - tail_axis, np.diag(ctrl_phase)))
+        records.append(LocalGate(tail_axis, q))
+        records.append(LocalGate(1 - tail_axis, np.diag(ctrl_phase)))
         std = _phase_pair_gates(list(w_norm), k, da, db, side)
         count += len(std)
         records.extend(std)
-        records.append(local(tail_axis, q.conj().T))
+        records.append(LocalGate(tail_axis, q.conj().T))
     if max_abs(last - np.eye(d_tgt)) > IDENTITY_TOL:
-        records.append(local(tail_axis, last))
+        records.append(LocalGate(tail_axis, last))
     budget = StandardGateBudget.evaluate("controlledA", d_ctrl, d_tgt)
     space = bipartite_space(da, db)
     return StandardCompilation(Circuit(space, tuple(records)), count, budget)
@@ -240,13 +240,13 @@ def compile_perm_to_cnot_type(cp: ComplexPermutation) -> CnotCompilation:
             reduced = stage[v][base_inv]
             for (s, t) in _cycle_transpositions(reduced):
                 if side == "A":
-                    records.append(two_level(0, (0, v), 1, (s, t), _CNOT_CTRL_A))
+                    records.append(TwoLevelGate(0, (0, v), 1, (s, t), _CNOT_CTRL_A))
                 else:
-                    records.append(two_level(0, (s, t), 1, (0, v), _CNOT_CTRL_B))
+                    records.append(TwoLevelGate(0, (s, t), 1, (0, v), _CNOT_CTRL_B))
                 cnot_count += 1
         if (base != np.arange(base.size)).any():
             axis = 1 if side == "A" else 0
-            records.append(local(axis, perm_matrix(base)))
+            records.append(LocalGate(axis, perm_matrix(base)))
             local_transpositions += len(_cycle_transpositions(base))
 
     emit_stage(ps.sigma1, "A")

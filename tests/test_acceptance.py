@@ -21,7 +21,6 @@ from gatedecomp import (
     compile_to_standard,
     controlled,
     decompose_2xd_aform,
-    decompose_2xd_sandwich,
     decompose_4party,
     decompose_bcu3,
     decompose_multiparty,
@@ -95,7 +94,7 @@ def test_criterion_02_two_by_d_forms():
     """3-sandwich and 3-A forms for dB in {2..8} with gate classification."""
     for db in range(2, 9):
         u = haar_unitary(2 * db, 31 * db)
-        res = decompose_2xd_sandwich(u, db)
+        res = decompose_sandwich(u, 2, db)
         assert res.length == 3
         rep = verify_decomposition(u, res.circuit, classify=False)
         assert rep.max_error <= 1e-8

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gatedecomp import Circuit, bipartite_space, cli, cnot, codecs
+from gatedecomp import Circuit, CnotGate, bipartite_space, cli, codecs
 from gatedecomp.cli import main
 
 
@@ -181,7 +181,7 @@ class TestDecomposeVerifyIntegration:
         # the circuit declares 128 x 128 basis states; verify refuses before
         # it reads the target (missing here) or allocates the dense product
         space = bipartite_space(128, 128)
-        codecs.save_circuit_file("c.json", Circuit(space, (cnot(0, (0, 1), 1, (0, 1)),)))
+        codecs.save_circuit_file("c.json", Circuit(space, (CnotGate(0, (0, 1), 1, (0, 1)),)))
         capsys.readouterr()
         assert run("verify", "-u", "missing.json", "-c", "c.json") == 3
         assert "dense limit" in capsys.readouterr().err
@@ -189,6 +189,17 @@ class TestDecomposeVerifyIntegration:
     def test_aform_wrong_da_exits_3(self, in_tmp):
         run("gen", "--kind", "haar", "--dims", "3", "2", "--seed", "1", "-o", "u.json")
         assert run("decompose", "--method", "aform", "-i", "u.json", "-o", "c.json") == 3
+
+    @pytest.mark.parametrize(
+        "method",
+        ["sandwich", "aform", "bcu3", "perm3", "std", "std-cnot", "lemma7", "xor-protocol", "transfer"],
+    )
+    def test_two_party_method_on_three_parties_exits_3(self, in_tmp, capsys, method):
+        # a permutation, so that the methods which need one reach the dims check
+        run("gen", "--kind", "perm", "--dims", "2", "2", "2", "--seed", "1", "-o", "u.json")
+        capsys.readouterr()
+        assert run("decompose", "--method", method, "-i", "u.json", "-o", "c.json") == 3
+        assert capsys.readouterr().err == f"error: {method} expects a bipartite dims list\n"
 
     def test_std_cnot_rejects_nonperm(self, in_tmp):
         run("gen", "--kind", "haar", "--dims", "2", "2", "--seed", "2", "-o", "u.json")

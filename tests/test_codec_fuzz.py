@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedecomp import Ancilla, Circuit, PartySpace, apply_circuit, bipartite_space, cli, cnot
-from gatedecomp import codecs, controlled, generic, local, two_level
+from gatedecomp import Ancilla, Circuit, CnotGate, GenericGate, LocalGate, PartySpace, TwoLevelGate
+from gatedecomp import apply_circuit, bipartite_space, cli, codecs, controlled
 from gatedecomp.generators import haar_unitary, random_permutation
 
 HUGE = 10**400
@@ -32,14 +32,14 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     gates = (
         controlled((0,), (1,), {(0,): np.eye(2), (1,): haar_unitary(2, 1)}),
-        local(1, haar_unitary(2, 2)),
-        two_level(0, (0, 1), 1, (0, 1), CNOT44),
-        cnot(1, (0, 1), 0, (0, 1)),
-        generic((0, 1), haar_unitary(4, 3), cut=1),
+        LocalGate(1, haar_unitary(2, 2)),
+        TwoLevelGate(0, (0, 1), 1, (0, 1), CNOT44),
+        CnotGate(1, (0, 1), 0, (0, 1)),
+        GenericGate((0, 1), haar_unitary(4, 3), cut=1),
     )
     # the ancilla is flipped and flipped back, so the target is the parties' product
     space = PartySpace(parties=(("A", 2), ("B", 2)), ancillas=(Ancilla("a", "A", 2, 0),))
-    flip = local(2, np.array([[0, 1], [1, 0]]))
+    flip = LocalGate(2, np.array([[0, 1], [1, 0]]))
     circuit = Circuit(space, (flip,) + gates + (flip,))
     paths = {name: str(d / f"{name}.json") for name in ("unitary", "perm", "circuit", "target", "bad")}
     codecs.save_matrix_file(paths["unitary"], haar_unitary(4, 5), (2, 2), "unitary")

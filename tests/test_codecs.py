@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedecomp import Circuit, bipartite_space, cnot, controlled, local
+from gatedecomp import Circuit, CnotGate, LocalGate, bipartite_space, controlled
 from gatedecomp import codecs
 from gatedecomp.codecs import CodecError
 from gatedecomp.generators import haar_unitary, random_permutation, swap_unitary
@@ -74,8 +74,8 @@ class TestMatrixFiles:
 class TestCircuitFiles:
     def _circuit(self):
         g1 = controlled((0,), (1,), {(0,): np.eye(2), (1,): haar_unitary(2, 5)})
-        g2 = cnot(0, (0, 1), 1, (0, 1))
-        g3 = local(0, haar_unitary(2, 6))
+        g2 = CnotGate(0, (0, 1), 1, (0, 1))
+        g3 = LocalGate(0, haar_unitary(2, 6))
         return Circuit(bipartite_space(2, 2), (g1, g2, g3)).with_ebit_estimate(1.0)
 
     def test_roundtrip_byte_identical(self, tmp_path):
@@ -97,7 +97,7 @@ class TestCircuitFiles:
         assert c1.metrics.ebit_estimate == 1.0
 
     def test_all_gate_kinds_roundtrip(self, tmp_path):
-        from gatedecomp import generic, two_level, Ancilla, PartySpace
+        from gatedecomp import GenericGate, TwoLevelGate, Ancilla, PartySpace
         from gatedecomp import apply_circuit
 
         space = PartySpace(
@@ -108,10 +108,10 @@ class TestCircuitFiles:
         )
         gates = (
             controlled((0,), (1,), {(0,): np.eye(2), (1,): haar_unitary(2, 1)}),
-            local(2, haar_unitary(2, 2)),
-            two_level(0, (0, 1), 1, (0, 1), cnot44),
-            cnot(0, (0, 1), 2, (0, 1)),
-            generic((0, 1), haar_unitary(4, 3), cut=1),
+            LocalGate(2, haar_unitary(2, 2)),
+            TwoLevelGate(0, (0, 1), 1, (0, 1), cnot44),
+            CnotGate(0, (0, 1), 2, (0, 1)),
+            GenericGate((0, 1), haar_unitary(4, 3), cut=1),
         )
         c = Circuit(space, gates)
         p = str(tmp_path / "all.json")
@@ -124,10 +124,10 @@ class TestCircuitFiles:
 
     @pytest.mark.parametrize("cut", [3, -1, 1.5, "1", None])
     def test_generic_cut_must_be_an_axis_count(self, tmp_path, cut):
-        from gatedecomp import generic
+        from gatedecomp import GenericGate
 
         p = str(tmp_path / "c.json")
-        codecs.save_circuit_file(p, Circuit(bipartite_space(2, 2), (generic((0, 1), haar_unitary(4, 3)),)))
+        codecs.save_circuit_file(p, Circuit(bipartite_space(2, 2), (GenericGate((0, 1), haar_unitary(4, 3)),)))
         obj = json.load(open(p))
         obj["gates"][0]["cut"] = cut
         open(p, "w").write(json.dumps(obj))

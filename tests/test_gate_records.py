@@ -1,17 +1,34 @@
-"""Controlled-gate records across the producers: palette invariant and file bytes.
+"""Gate records across the producers: palette invariant, construction, file bytes.
 
 A controlled gate stores each distinct branch once (``palette``) plus an
 integer ``index`` over its control dimensions.  Every producer must emit
 records whose palette is canonical, and the integer path must keep writing
-the same circuit files byte for byte.
+the same circuit files byte for byte.  Every record kind checks itself at
+construction, so what constructs also saves and loads back.
 """
 
 import hashlib
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedecomp import ControlledGate, codecs
+from gatedecomp import (
+    Circuit,
+    CnotGate,
+    ControlledGate,
+    GenericGate,
+    LocalGate,
+    TwoLevelGate,
+    codecs,
+    controlled,
+    multiparty_space,
+)
+from gatedecomp.gateir import GATE_KINDS, CircuitError
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -31,7 +48,6 @@ from gatedecomp.protocols import (
 )
 from gatedecomp.sandwich import (
     decompose_2xd_aform,
-    decompose_2xd_sandwich,
     decompose_sandwich,
     rank2_to_controlled,
 )
@@ -111,7 +127,7 @@ PRODUCERS = {
     "sandwich_haar_5x3": lambda: decompose_sandwich(haar_unitary(15, 23), 5, 3).circuit,
     "sandwich_ctrlB_4x2": lambda: decompose_sandwich(random_controlled(4, 2, 24, "B"), 4, 2).circuit,
     "sandwich_identity_3x3": lambda: decompose_sandwich(np.eye(9), 3, 3).circuit,
-    "two_by_d_sandwich": lambda: decompose_2xd_sandwich(haar_unitary(6, 21), 3).circuit,
+    "two_by_d_sandwich": lambda: decompose_sandwich(haar_unitary(6, 21), 2, 3).circuit,
     "two_by_d_aform": lambda: decompose_2xd_aform(haar_unitary(6, 21), 3),
     "rank2_to_controlled": _rank2_gate,
     "multiparty_2x3x2": lambda: decompose_multiparty(haar_unitary(12, 25), (2, 3, 2)).circuit,
@@ -161,3 +177,108 @@ def test_constructor_merges_orders_and_drops_entries():
     assert g.index.tolist() == [0, 0, 1, 0]
     assert [k for k, _ in g.branches] == [(0,), (1,), (2,), (3,)]
     assert np.array_equal(g.branch((2,)), eye)
+
+
+# ---------------------------------------------------------------------------
+# every kind: construction refuses a malformed record, and a record
+# that constructs saves and reloads to the same bytes
+
+U4 = haar_unitary(4, 5)
+EYE2 = np.eye(2)
+
+REFUSED = {
+    "controlled_unsorted_controls": lambda: ControlledGate((1, 0), (2,), EYE2[None], np.zeros((2, 2), int)),
+    "controlled_repeated_target": lambda: ControlledGate((0,), (1, 1), np.eye(4)[None], np.zeros(2, int)),
+    "controlled_overlap": lambda: ControlledGate((0,), (0,), EYE2[None], np.zeros(2, int)),
+    "controlled_empty_control_axis": lambda: ControlledGate((0,), (1,), EYE2[None], np.zeros(0, int)),
+    "controlled_empty_branch": lambda: ControlledGate((0,), (1,), np.zeros((1, 0, 0)), np.zeros(2, int)),
+    "controlled_index_past_palette": lambda: ControlledGate((0,), (1,), EYE2[None], np.array([0, 1])),
+    "controlled_index_rank": lambda: ControlledGate((0,), (1,), EYE2[None], np.zeros((2, 2), int)),
+    "controlled_non_finite": lambda: ControlledGate((0,), (1,), np.full((1, 2, 2), np.nan), np.zeros(2, int)),
+    "dict_unsorted_controls": lambda: controlled((1, 0), (2,), {(0, 0): EYE2}),
+    "dict_not_square": lambda: controlled((0,), (1,), {(0,): np.ones((2, 3))}),
+    "local_unsorted": lambda: LocalGate((1, 0), U4),
+    "local_repeated": lambda: LocalGate((0, 0), U4),
+    "local_not_square": lambda: LocalGate(0, np.ones((2, 3))),
+    "local_empty": lambda: LocalGate(0, np.zeros((0, 0))),
+    "local_non_finite": lambda: LocalGate(0, np.diag([1.0, np.inf])),
+    "two_level_not_4x4": lambda: TwoLevelGate(0, (0, 1), 1, (0, 1), EYE2),
+    "two_level_one_axis": lambda: TwoLevelGate(1, (0, 1), 1, (0, 1), U4),
+    "two_level_equal_levels": lambda: TwoLevelGate(0, (1, 1), 1, (0, 1), U4),
+    "two_level_three_levels": lambda: TwoLevelGate(0, (0, 1), 1, (0, 1, 2), U4),
+    "cnot_one_axis": lambda: CnotGate(1, (0, 1), 1, (0, 1)),
+    "cnot_equal_levels": lambda: CnotGate(0, (0, 1), 1, (1, 1)),
+    "generic_unsorted": lambda: GenericGate((1, 0), U4),
+    "generic_cut_above": lambda: GenericGate((0, 1), U4, 5),
+    "generic_cut_below": lambda: GenericGate((0, 1), U4, -1),
+    "generic_non_finite": lambda: GenericGate((0, 1), np.full((4, 4), np.nan)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_construction_refuses_a_malformed_record(name):
+    with pytest.raises(CircuitError):
+        REFUSED[name]()
+
+
+# a 2 x 3 x 2 space: every drawn record fits it, whether or not it is a
+# valid gate there (axes, pairs and payload sizes are drawn independently)
+SPACE = multiparty_space((2, 3, 2))
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e17, -3.0, 2.0 / 3.0])
+
+
+@st.composite
+def _matrix(draw, side=None):
+    n = side or draw(st.integers(1, 4))
+    values = draw(st.lists(ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
+    return (np.array(values[::2]) + 1j * np.array(values[1::2])).reshape(n, n)
+
+
+@st.composite
+def _axes(draw, min_size=0):
+    return tuple(sorted(draw(st.sets(st.integers(0, 2), min_size=min_size))))
+
+
+@st.composite
+def _pair(draw):
+    return tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+
+
+@st.composite
+def _record(draw):
+    kind = draw(st.sampled_from(GATE_KINDS))
+    if kind == ControlledGate.kind:
+        controls = draw(_axes())
+        targets = draw(_axes(min_size=1).filter(lambda t: not set(t) & set(controls)))
+        shape = tuple(draw(st.integers(1, 3)) for _ in controls)
+        palette = np.stack([draw(_matrix(2)) for _ in range(draw(st.integers(1, 3)))])
+        index = np.array(draw(st.lists(st.integers(0, len(palette) - 1), min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+        return ControlledGate(controls, targets, palette, index)
+    if kind == LocalGate.kind:
+        return LocalGate(draw(_axes()), draw(_matrix()))
+    if kind == GenericGate.kind:
+        axes = draw(_axes())
+        return GenericGate(axes, draw(_matrix()), draw(st.integers(0, len(axes))))
+    a, b = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+    if kind == TwoLevelGate.kind:
+        return TwoLevelGate(a, draw(_pair()), b, draw(_pair()), draw(_matrix(4)))
+    return CnotGate(a, draw(_pair()), b, draw(_pair()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_record(), min_size=1, max_size=4))
+def test_every_constructed_record_round_trips_to_the_same_bytes(gates):
+    c = Circuit(SPACE, gates)
+    text = codecs.dumps_canonical(codecs.circuit_to_obj(c))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.json")
+        codecs.save_circuit_file(path, c)
+        back = codecs.load_circuit_file(path)
+    assert [g.kind for g in back.gates] == [g.kind for g in gates]
+    assert codecs.dumps_canonical(codecs.circuit_to_obj(back)) == text
+
+
+def test_kind_names_are_the_classes_in_gate_count_order():
+    assert GATE_KINDS == ("ControlledComputational", "Local", "TwoLevelStandard", "CNOT", "GenericBipartite")
+    assert GATE_KINDS == tuple(cls.kind for cls in (ControlledGate, LocalGate, TwoLevelGate, CnotGate, GenericGate))

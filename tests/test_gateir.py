@@ -11,6 +11,8 @@ from gatedecomp import (
     Circuit,
     CnotGate,
     ControlledGate,
+    GenericGate,
+    LocalGate,
     PartySpace,
     TwoLevelGate,
     apply_circuit,
@@ -18,12 +20,8 @@ from gatedecomp import (
     circuit_permutation,
     classify_gate,
     classify_matrix,
-    cnot,
     controlled,
-    generic,
-    local,
     multiparty_space,
-    two_level,
     validate_circuit,
     verify_decomposition,
 )
@@ -46,7 +44,7 @@ CNOT = np.array(
 
 
 def cnot_gate():
-    return cnot(0, (0, 1), 1, (0, 1))
+    return CnotGate(0, (0, 1), 1, (0, 1))
 
 
 class TestApplyCircuit:
@@ -81,8 +79,8 @@ class TestApplyCircuit:
 
     def test_gate_order_is_product_order(self):
         # gates[0] is the left factor: U = M0 @ M1
-        a = local(0, haar_unitary(2, 1))
-        b = local(0, haar_unitary(2, 2))
+        a = LocalGate(0, haar_unitary(2, 1))
+        b = LocalGate(0, haar_unitary(2, 2))
         c = Circuit(bipartite_space(2, 2), (a, b))
         expected = np.kron(a.matrix @ b.matrix, np.eye(2))
         assert_close(apply_circuit(c), expected, 1e-12)
@@ -110,7 +108,7 @@ class TestApplyCircuit:
             gate_matrix(c.space, c.gates[0])
 
     def test_two_level_embedding(self):
-        g = two_level(0, (0, 1), 1, (0, 1), CNOT)
+        g = TwoLevelGate(0, (0, 1), 1, (0, 1), CNOT)
         c = Circuit(bipartite_space(2, 3), (g,))
         m = apply_circuit(c)
         expected = np.eye(6, dtype=complex)
@@ -120,7 +118,7 @@ class TestApplyCircuit:
     def test_generic_gate_on_subset_of_axes(self):
         u = haar_unitary(4, 9)
         space = PartySpace(parties=(("A", 2), ("B", 2), ("C", 3)))
-        m = apply_circuit(Circuit(space, (generic((0, 1), u, cut=1),)))
+        m = apply_circuit(Circuit(space, (GenericGate((0, 1), u, cut=1),)))
         assert_close(m, np.kron(u, np.eye(3)), 1e-12)
 
 
@@ -133,14 +131,14 @@ class TestVerifyDecomposition:
 
     def test_swap_three_gate_identity(self):
         # the alternating three-CNOT realization of SWAP
-        g1 = cnot(0, (0, 1), 1, (0, 1))
-        g2 = cnot(1, (0, 1), 0, (0, 1))
+        g1 = CnotGate(0, (0, 1), 1, (0, 1))
+        g2 = CnotGate(1, (0, 1), 0, (0, 1))
         c = Circuit(bipartite_space(2, 2), (g1, g2, g1))
         rep = verify_decomposition(swap_unitary(2), c)
         assert rep.max_error <= 1e-12
 
     def test_corrupted_circuit_fails(self):
-        c = Circuit(bipartite_space(2, 2), (cnot_gate(), local(0, X)))
+        c = Circuit(bipartite_space(2, 2), (cnot_gate(), LocalGate(0, X)))
         rep = verify_decomposition(CNOT, c)
         assert not rep.passed
         assert rep.max_error > 1e-8
@@ -150,7 +148,7 @@ class TestVerifyDecomposition:
             parties=(("A", 2), ("B", 2)), ancillas=(Ancilla("a", "A", 2, 0),)
         )
         # CNOT applied on the parties, ancilla untouched
-        c = Circuit(space, (cnot(0, (0, 1), 1, (0, 1)),))
+        c = Circuit(space, (CnotGate(0, (0, 1), 1, (0, 1)),))
         rep = verify_decomposition(CNOT, c)
         assert rep.passed and rep.ancilla_restored
 
@@ -158,7 +156,7 @@ class TestVerifyDecomposition:
         space = PartySpace(
             parties=(("A", 2), ("B", 2)), ancillas=(Ancilla("a", "A", 2, 0),)
         )
-        c = Circuit(space, (local(2, X),))  # flips the ancilla: pure leakage
+        c = Circuit(space, (LocalGate(2, X),))  # flips the ancilla: pure leakage
         rep = verify_decomposition(np.eye(4), c)
         assert not rep.ancilla_restored
         assert rep.leakage == 1.0
@@ -191,7 +189,7 @@ class TestMetrics:
             parties=(("A", 2), ("B", 2)),
             ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
         )
-        gates = (cnot(2, (0, 1), 3, (0, 1)), cnot(0, (0, 1), 1, (0, 1)))
+        gates = (CnotGate(2, (0, 1), 3, (0, 1)), CnotGate(0, (0, 1), 1, (0, 1)))
         c = Circuit(space, gates).with_ebit_estimate(2.0)
         met = recompute_metrics(c)
         assert met == c.metrics
@@ -202,7 +200,7 @@ class TestMetrics:
         space = PartySpace(
             parties=(("A", 2), ("B", 2)), ancillas=(Ancilla("a", "A", 2, 0),)
         )
-        c = Circuit(space, (cnot(0, (0, 1), 2, (0, 1)),))
+        c = Circuit(space, (CnotGate(0, (0, 1), 2, (0, 1)),))
         assert c.metrics.nonlocal_cnot == 0
 
 
@@ -220,19 +218,19 @@ class TestValidation:
             validate_circuit(c)
 
     def test_two_level_rank_enforced(self):
-        g = two_level(0, (0, 1), 1, (0, 1), swap_unitary(2))
+        g = TwoLevelGate(0, (0, 1), 1, (0, 1), swap_unitary(2))
         c = Circuit(bipartite_space(2, 2), (g,))
         with pytest.raises(CircuitError, match="Schmidt rank"):
             validate_circuit(c)
 
     def test_good_circuit_passes(self):
-        c = Circuit(bipartite_space(2, 2), (cnot_gate(), local(0, X)))
+        c = Circuit(bipartite_space(2, 2), (cnot_gate(), LocalGate(0, X)))
         validate_circuit(c)
 
 
 class TestExactPermutationSimulation:
     def test_matches_dense_on_permutation_circuit(self):
-        g1 = cnot(0, (0, 1), 1, (0, 1))
+        g1 = CnotGate(0, (0, 1), 1, (0, 1))
         g2 = controlled((1,), (0,), {(0,): np.eye(2, dtype=complex), (1,): X})
         c = Circuit(bipartite_space(2, 2), (g1, g2))
         t, p = circuit_permutation(c)
@@ -242,7 +240,7 @@ class TestExactPermutationSimulation:
         assert_close(rebuilt, dense, 0)
 
     def test_rejects_non_permutation(self):
-        c = Circuit(bipartite_space(2, 2), (local(0, haar_unitary(2, 3)),))
+        c = Circuit(bipartite_space(2, 2), (LocalGate(0, haar_unitary(2, 3)),))
         with pytest.raises(CircuitError):
             circuit_permutation(c)
 
@@ -346,14 +344,14 @@ def gates(draw, dims, perm_only):
         pool = [_payload(draw, tdims, perm_only) for _ in range(2)]
         return controlled(controls, targets, {k: pool[draw(st.integers(0, 1))] for k in keys})
     if kind == "local":
-        return local(order[0], _payload(draw, (dims[order[0]],), perm_only, single))
+        return LocalGate(order[0], _payload(draw, (dims[order[0]],), perm_only, single))
     if kind == "generic":
         axes = sorted(order[: draw(st.integers(1, 2))])
-        return generic(axes, _payload(draw, [dims[ax] for ax in axes], perm_only, single))
+        return GenericGate(axes, _payload(draw, [dims[ax] for ax in axes], perm_only, single))
     a, b = order[0], order[1]  # either axis may come first
     if kind == "two_level":
-        return two_level(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]), _payload(draw, (2, 2), perm_only, single))
-    return cnot(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]))
+        return TwoLevelGate(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]), _payload(draw, (2, 2), perm_only, single))
+    return CnotGate(a, _pair(draw, dims[a]), b, _pair(draw, dims[b]))
 
 
 def _dense_classify(m, da: int, db: int):

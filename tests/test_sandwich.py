@@ -11,7 +11,6 @@ from gatedecomp import (
     bipartite_space,
     classify_gate,
     decompose_2xd_aform,
-    decompose_2xd_sandwich,
     decompose_bcu3,
     decompose_sandwich,
     rank2_to_controlled,
@@ -82,12 +81,12 @@ class TestSandwichBound:
 
 class TestTwoByD:
     def test_identity(self):
-        res = decompose_2xd_sandwich(np.eye(6), 3)
+        res = decompose_sandwich(np.eye(6), 2, 3)
         rep = verify_decomposition(np.eye(6), res.circuit)
         assert rep.max_error <= 1e-12
 
     def test_cnot_shortcut(self):
-        res = decompose_2xd_sandwich(CNOT, 2)
+        res = decompose_sandwich(CNOT, 2, 2)
         rep = verify_decomposition(CNOT, res.circuit)
         assert rep.max_error <= 1e-12
         # already controlled: a single nontrivial A-side gate survives
@@ -97,7 +96,7 @@ class TestTwoByD:
     @pytest.mark.parametrize("db", [2, 3, 4, 5, 8])
     def test_seeded_three_gates(self, db):
         u = haar_unitary(2 * db, 40 + db)
-        res = decompose_2xd_sandwich(u, db)
+        res = decompose_sandwich(u, 2, db)
         assert res.length == 3
         check_alternation(res)
         rep = verify_decomposition(u, res.circuit)
@@ -118,18 +117,18 @@ class TestTwoByD:
         rows = [1, 2, 4, 5]
         u[np.ix_(rows, rows)] = inner
         assert is_unitary(u)
-        res = decompose_2xd_sandwich(u, 3)
+        res = decompose_sandwich(u, 2, 3)
         rep = verify_decomposition(u, res.circuit)
         assert rep.max_error <= 1e-8
 
     def test_rejects_nonunitary(self):
         with pytest.raises(PreconditionError):
-            decompose_2xd_sandwich(np.ones((4, 4)), 2)
+            decompose_sandwich(np.ones((4, 4)), 2, 2)
 
     def test_db_one_is_one_gate(self):
-        # a 2 x 1 unitary is one gate on A, as decompose_sandwich gives it
+        # a 2 x 1 unitary is one gate on A
         u = haar_unitary(2, 9)
-        res = decompose_2xd_sandwich(u)
+        res = decompose_sandwich(u, 2, 1)
         assert len(res.circuit.gates) == 1
         check_alternation(res)
         assert verify_decomposition(u, res.circuit).max_error <= 1e-12

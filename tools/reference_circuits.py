@@ -43,7 +43,6 @@ from gatedecomp.protocols import (
 )
 from gatedecomp.sandwich import (
     decompose_2xd_aform,
-    decompose_2xd_sandwich,
     decompose_bcu3,
     decompose_sandwich,
 )
@@ -74,10 +73,10 @@ for da, db in [(2, 3), (3, 4), (5, 2), (6, 5)]:
     put(f"bcu3_{da}x{db}", decompose_bcu3(haar_unitary(da * db, 300 + da * 11 + db), da, db).circuit)
 for db in (1, 2, 3, 5):
     u = haar_unitary(2 * db, 400 + db)
-    put(f"2xd_sw_{db}", decompose_2xd_sandwich(u, db).circuit)
+    put(f"2xd_sw_{db}", decompose_sandwich(u, 2, db).circuit)
     put(f"2xd_af_{db}", decompose_2xd_aform(u, db))
 u = random_controlled(2, 3, 450, "A")
-put("2xd_sw_ctrlA", decompose_2xd_sandwich(u, 3).circuit)
+put("2xd_sw_ctrlA", decompose_sandwich(u, 2, 3).circuit)
 put("2xd_af_ctrlA", decompose_2xd_aform(u, 3))
 for dims in [(2, 2, 2), (2, 2, 3, 3), (2,) * 6, (3,) * 4, (4,) * 4, (3, 2, 4)]:
     n = int(np.prod(dims))
