@@ -36,19 +36,6 @@ from .schmidt import operator_schmidt
 from .stdgates import compile_perm_to_cnot_type, compile_to_standard
 
 GEN_KINDS = ("haar", "perm", "swap", "example1", "example2", "sec6-swap-sandwich")
-METHODS = (
-    "sandwich",
-    "aform",
-    "bcu3",
-    "perm3",
-    "multi",
-    "party4",
-    "std",
-    "std-cnot",
-    "lemma7",
-    "xor-protocol",
-    "transfer",
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,14 +150,23 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _as_perm(mf: codecs.MatrixFile) -> ComplexPermutation:
-    if mf.kind not in ("permutation", "complexPermutation"):
-        raise PreconditionError(f"method requires a permutation input, got {mf.kind!r}")
-    return ComplexPermutation.from_matrix(mf.matrix, mf.dims)
+PERM_KINDS = ("permutation", "complexPermutation")
+PLAIN_PERM = ("permutation",)
 
 
-def _flags_from_family(mf: codecs.MatrixFile) -> np.ndarray:
-    """Recover the flag matrix from a pair-swap-family permutation file."""
+def _perm(mf: codecs.MatrixFile, kinds=PERM_KINDS) -> np.ndarray:
+    """The file's matrix; PreconditionError unless the file is of one of ``kinds``."""
+    if mf.kind not in kinds:
+        raise PreconditionError(f"method requires a {' or '.join(kinds)} input, got {mf.kind!r}")
+    return mf.matrix
+
+
+def _cperm(mf: codecs.MatrixFile, kinds=PERM_KINDS) -> ComplexPermutation:
+    return ComplexPermutation.from_matrix(_perm(mf, kinds), mf.dims)
+
+
+def _xor_protocol(mf, out):
+    """The XOR protocol of the flag matrix recovered from a pair-swap-family file."""
     da, db = mf.dims
     if da % 2:
         raise PreconditionError("family input must have even dA")
@@ -179,65 +175,69 @@ def _flags_from_family(mf: codecs.MatrixFile) -> np.ndarray:
     flags = u[2 * i * db + b, (2 * i + 1) * db + b]
     if not np.array_equal(pair_swap_family_unitary(flags), u):
         raise PreconditionError("input is not of the flagged pair-swap family form")
-    return flags
+    return emit_xor_protocol(flags).expanded, mf.matrix
+
+
+def _aform(mf, out):
+    da, db = mf.dims
+    if da != 2:
+        raise PreconditionError("the 3-A form requires dA = 2")
+    return decompose_2xd_aform(mf.matrix, db), mf.matrix
+
+
+def _multi(mf, out):
+    if mf.kind not in PERM_KINDS:
+        return decompose_multiparty(mf.matrix, mf.dims).circuit, mf.matrix
+    if len(mf.dims) == 2:
+        return decompose_perm3(_cperm(mf)).circuit, mf.matrix
+    return decompose_multiparty_perm(_cperm(mf)), mf.matrix
+
+
+def _std_cnot(mf, out):
+    return compile_perm_to_cnot_type(_cperm(mf, PLAIN_PERM)).circuit, mf.matrix
+
+
+def _std(mf, out):
+    mode = "complexPerm" if mf.kind in PERM_KINDS else "general"
+    return compile_to_standard(mf.matrix, *mf.dims, mode).circuit, mf.matrix
+
+
+def _lemma7(mf, out):
+    perm = np.round(np.real(_perm(mf, PLAIN_PERM))).astype(np.int64)
+    return emit_backup_protocol(perm, pp_expansion(perm, *mf.dims), *mf.dims).expanded, mf.matrix
+
+
+def _transfer(mf, out):
+    res = emit_transfer_protocol(mf.matrix, *mf.dims)
+    codecs.save_matrix_file(out + ".target.json", res.embedded, res.embedded_dims, "unitary")
+    print(f"embedded target written to {out}.target.json")
+    return res.circuit, res.embedded
+
+
+# method -> (bipartite_only, build): build(mf, out) gives the circuit and the matrix
+# it must reproduce; a bipartite_only method needs a two-party file
+_DECOMPOSE = {
+    "sandwich": (True, lambda mf, out: (decompose_sandwich(mf.matrix, *mf.dims).circuit, mf.matrix)),
+    "aform": (True, _aform),
+    "bcu3": (True, lambda mf, out: (decompose_bcu3(mf.matrix, *mf.dims).circuit, mf.matrix)),
+    "perm3": (True, lambda mf, out: (decompose_perm3(_cperm(mf)).circuit, mf.matrix)),
+    "multi": (False, _multi),
+    "party4": (False, lambda mf, out: (decompose_4party(mf.matrix, mf.dims).circuit, mf.matrix)),
+    "std": (True, _std),
+    "std-cnot": (True, _std_cnot),
+    "lemma7": (True, _lemma7),
+    "xor-protocol": (True, _xor_protocol),
+    "transfer": (True, _transfer),
+}
+METHODS = tuple(_DECOMPOSE)
 
 
 def _cmd_decompose(args) -> int:
     mf = codecs.load_matrix_file(args.input)
-    dims = mf.dims
-    u = mf.matrix
-    method = args.method
-    target = u
-
-    if method not in ("multi", "party4"):
-        if len(dims) != 2:
-            raise PreconditionError(f"{method} expects a bipartite dims list")
-        da, db = dims
-    if method == "sandwich":
-        circuit = decompose_sandwich(u, da, db).circuit
-    elif method == "aform":
-        if da != 2:
-            raise PreconditionError("aform requires dA = 2")
-        circuit = decompose_2xd_aform(u, db)
-    elif method == "bcu3":
-        circuit = decompose_bcu3(u, da, db).circuit
-    elif method == "std":
-        mode = "complexPerm" if mf.kind in ("permutation", "complexPermutation") else "general"
-        circuit = compile_to_standard(u, da, db, mode).circuit
-    elif method == "perm3":
-        circuit = decompose_perm3(_as_perm(mf)).circuit
-    elif method == "multi":
-        if len(dims) == 2 and mf.kind in ("permutation", "complexPermutation"):
-            circuit = decompose_perm3(_as_perm(mf)).circuit
-        elif mf.kind in ("permutation", "complexPermutation"):
-            circuit = decompose_multiparty_perm(_as_perm(mf))
-        else:
-            circuit = decompose_multiparty(u, dims).circuit
-    elif method == "party4":
-        circuit = decompose_4party(u, dims).circuit
-    elif method == "std-cnot":
-        if mf.kind != "permutation":
-            raise PreconditionError("std-cnot requires a plain permutation input")
-        circuit = compile_perm_to_cnot_type(_as_perm(mf)).circuit
-    elif method == "lemma7":
-        if mf.kind != "permutation":
-            raise PreconditionError("lemma7 requires a plain permutation input")
-        perm = np.round(np.real(u)).astype(np.int64)
-        res = emit_backup_protocol(perm, pp_expansion(perm, da, db), da, db)
-        circuit = res.expanded
-    elif method == "xor-protocol":
-        flags = _flags_from_family(mf)
-        circuit = emit_xor_protocol(flags).expanded
-    elif method == "transfer":
-        res = emit_transfer_protocol(u, da, db)
-        circuit = res.circuit
-        target = res.embedded
-        codecs.save_matrix_file(
-            args.output + ".target.json", res.embedded, res.embedded_dims, "unitary"
-        )
-        print(f"embedded target written to {args.output}.target.json")
-    else:  # pragma: no cover
-        raise PreconditionError(f"unhandled method {method!r}")
+    bipartite_only, build = _DECOMPOSE[args.method]
+    if bipartite_only and len(mf.dims) != 2:
+        raise PreconditionError(f"{args.method} expects a bipartite dims list")
+    circuit, target = build(mf, args.output)
 
     if not args.no_verify:
         report = verify_decomposition(target, circuit, tol=args.tol, classify=False)

@@ -28,7 +28,7 @@ from .gateir import (
     TwoLevelGate,
     controlled,
 )
-from .matcore import as_matrix, is_unitary, max_abs
+from .matcore import as_matrix, checked_dims, is_unitary, max_abs
 from .permdecomp import ComplexPermutation, table_outputs
 from .protocols import BinaryMatrix
 
@@ -235,7 +235,7 @@ def _matrix_file_from_obj(obj, path: str) -> MatrixFile:
     for key in ("kind", "dims", "matrix"):
         if key not in obj:
             raise CodecError(f"{path}: missing field {key!r}")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = checked_dims(obj["dims"])
     m = _obj_to_matrix(obj["matrix"], path)
     n = math.prod(dims)
     if m.shape != (n, n):
@@ -264,8 +264,8 @@ def load_binary_file(path: str) -> BinaryMatrix:
 def _binary_from_obj(obj, path: str) -> BinaryMatrix:
     if "bits" in obj:
         bits = tuple(int(c) for c in obj["bits"])
-        return BinaryMatrix(int(obj["rows"]), int(obj["cols"]), bits)
-    mf = load_matrix_file(path)
+        return BinaryMatrix(*checked_dims((obj["rows"], obj["cols"])), bits)
+    mf = _matrix_file_from_obj(obj, path)
     if mf.kind != "binary":
         raise CodecError(f"{path}: not a binary matrix file")
     return BinaryMatrix.from_array(np.real(mf.matrix))
@@ -293,7 +293,7 @@ def load_table_file(path: str) -> ComplexPermutation:
 
 
 def _table_from_obj(obj, path: str) -> ComplexPermutation:
-    da, db = (int(d) for d in obj["dims"])
+    da, db = checked_dims(obj["dims"])
     out_a, out_b = table_outputs(obj["table"], da, db)
     targets = tuple(int(t) for t in (out_a * db + out_b).reshape(-1))
     return ComplexPermutation((da, db), targets, (1.0,) * (da * db))
@@ -314,10 +314,11 @@ def _space_to_obj(space: PartySpace):
 
 
 def _space_from_obj(obj) -> PartySpace:
+    """The space; ``PartySpace`` refuses a party dim below 1 or an ancilla init outside its dim."""
     return PartySpace(
-        parties=tuple((p["name"], int(p["dim"])) for p in obj["parties"]),
+        parties=tuple((p["name"], operator.index(p["dim"])) for p in obj["parties"]),
         ancillas=tuple(
-            Ancilla(a["name"], a["host"], int(a["dim"]), int(a["init"]))
+            Ancilla(a["name"], a["host"], operator.index(a["dim"]), operator.index(a["init"]))
             for a in obj.get("ancillas", [])
         ),
     )
@@ -424,8 +425,8 @@ def _circuit_from_obj(obj, path: str) -> Circuit:
     gates = tuple(_gate_from_obj(g, path) for g in obj["gates"])
     met_obj = obj.get("metrics") or {}
     ebit = met_obj.get("ebit_estimate")
-    counts = tuple((k, int(v)) for k, v in met_obj.get("gate_counts", {}).items())
-    metrics = Metrics(counts, int(met_obj.get("nonlocal_cnot", 0)), ebit)
+    counts = tuple((k, operator.index(v)) for k, v in met_obj.get("gate_counts", {}).items())
+    metrics = Metrics(counts, operator.index(met_obj.get("nonlocal_cnot", 0)), ebit)
     return Circuit(space, gates, metrics)
 
 

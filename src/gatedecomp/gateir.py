@@ -94,7 +94,10 @@ class PartySpace:
         return math.prod(self.dims)
 
     def axis_host(self, axis: int) -> str:
+        """The party at ``axis``, or the host of the ancilla there; CircuitError outside the space."""
         n = len(self.parties)
+        if not 0 <= axis < n + len(self.ancillas):
+            raise CircuitError(f"gate references axis {axis} outside the space")
         if axis < n:
             return self.parties[axis][0]
         return self.ancillas[axis - n].host

@@ -15,7 +15,8 @@ nothing for such a branch or phase.  A 2 x dB node whose off-diagonal blocks
 are at most this in every entry counts as already controlled from A, so its
 cosine-sine step is skipped and those blocks count as zero.
 
-A decomposition entry point accepts a unitary to ``RECON_TOL`` and works on
+Every dense decomposition entry point checks its input with
+``unitary_input(u, dims)``, which accepts a unitary to ``RECON_TOL`` and gives
 its polar factor once ``max|U U† - I|`` exceeds ``POLAR_TOL`` (1e-12), so that
 the completions inside it see rows orthonormal to round-off.
 
@@ -33,6 +34,9 @@ and a product holds a few at once.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -94,16 +98,29 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
     )
 
 
-def unitary_input(m) -> np.ndarray:
-    """A square input checked unitary to ``RECON_TOL``, polished when it drifts.
+def checked_dims(dims) -> tuple[int, ...]:
+    """``dims`` as ints (``operator.index``); PreconditionError for one below 1."""
+    dims = tuple(operator.index(d) for d in dims)
+    if min(dims, default=1) < 1:
+        raise PreconditionError(f"dimension {min(dims)} is below 1")
+    return dims
 
-    Raises PreconditionError unless both M M† - I and M† M - I have
-    max-entry norm <= RECON_TOL.  When max|M M† - I| > POLAR_TOL the polar factor
-    W Vh of the SVD M = W S Vh, the nearest unitary, is returned instead of
-    M; an input unitary to POLAR_TOL is returned as it is, with no SVD.
+
+def unitary_input(m, dims) -> np.ndarray:
+    """The input contract of every dense decomposition entry point.
+
+    ``dims`` must be integers (``operator.index``) of at least 1
+    (PreconditionError), and ``m`` a finite square matrix of side prod(dims)
+    (ValueError) with max-entry norms of M M† - I and M† M - I at most
+    RECON_TOL (PreconditionError).  When max|M M† - I| > POLAR_TOL the polar
+    factor W Vh of the SVD M = W S Vh, the nearest unitary, is returned
+    instead of M; an input unitary to POLAR_TOL is returned as it is.
     """
+    n = math.prod(checked_dims(dims))
     a = require_square(m)
-    eye = np.eye(a.shape[0])
+    if a.shape[0] != n:
+        raise ValueError(f"matrix is {a.shape}, expected {(n, n)}")
+    eye = np.eye(n)
     drift = max_abs(a @ a.conj().T - eye)
     if drift > RECON_TOL or max_abs(a.conj().T @ a - eye) > RECON_TOL:
         raise PreconditionError("input is not unitary")

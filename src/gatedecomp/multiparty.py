@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gateir import Circuit, multiparty_space
-from .matcore import PreconditionError, require_square, unitary_input
+from .matcore import PreconditionError, unitary_input
 from .sandwich import _controlled_records, _sandwich_gates
 
 
@@ -101,31 +101,25 @@ def _finalize(spec, dims, bound: int) -> MultipartiteSandwichResult:
 
 def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
     """Generalized sandwich form over the party-1-first recursion."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    u = unitary_input(u, dims)
     if len(dims) < 2:
         raise PreconditionError("need at least two parties")
     if any(d < 2 for d in dims):
         raise PreconditionError("party dimensions must be >= 2")
-    u = require_square(u)
-    if u.shape[0] != math.prod(dims):
-        raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
-    u = unitary_input(u)
     spec = [(c, t, s[0]) for c, t, s in _multi_gates(u[None], dims)]
     return _finalize(spec, dims, multiparty_bound(dims))
 
 
 def decompose_4party(u, dims) -> MultipartiteSandwichResult:
     """Generalized sandwich form for four parties via the AB|CD cut."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    u = unitary_input(u, dims)
     if len(dims) != 4:
         raise PreconditionError("expected exactly four parties")
     if any(d < 2 for d in dims):
         raise PreconditionError("party dimensions must be >= 2")
     da, db, dc, dd = dims
-    u = require_square(u)
-    if u.shape[0] != math.prod(dims):
-        raise ValueError(f"matrix is {u.shape}, expected dim {math.prod(dims)}")
-    u = unitary_input(u)
 
     gates = [g[0] for g in _sandwich_gates(u[None], da * db, dc * dd)]
     # the branches of every AB-controlled gate go down as one stack, and those

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gateir import Circuit, ControlledGate, bipartite_space, multiparty_space
-from .matcore import PreconditionError, as_matrix, perm_matrix
+from .matcore import PreconditionError, as_matrix, checked_dims, perm_matrix
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ComplexPermutation:
     @classmethod
     def from_matrix(cls, m, dims) -> "ComplexPermutation":
         a = as_matrix(m)
-        dims = tuple(int(d) for d in dims)
+        dims = checked_dims(dims)
         n = math.prod(dims)
         if a.shape != (n, n):
             raise ValueError(f"matrix is {a.shape}, expected {(n, n)}")

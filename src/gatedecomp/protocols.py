@@ -25,8 +25,8 @@ from .gateir import (
     PartySpace,
     controlled,
 )
-from .matcore import DEFAULT_EPS, PreconditionError, as_matrix, is_unitary, max_abs
-from .matcore import perm_matrix, require_square
+from .matcore import DEFAULT_EPS, PreconditionError, is_unitary, max_abs
+from .matcore import perm_matrix, require_square, unitary_input
 from .schmidt import _rank, _svd, matrix_rank, schmidt_rank
 
 
@@ -34,14 +34,12 @@ from .schmidt import _rank, _svd, matrix_rank, schmidt_rank
 # partial-permutation expansions
 
 
-def _check_partial_permutation(u) -> np.ndarray:
-    a = as_matrix(u)
-    b = np.real(a)
-    if max_abs(a - np.round(b)) > 1e-12:
-        raise PreconditionError("entries must be 0/1")
-    b = np.round(b).astype(np.int64)
-    if ((b != 0) & (b != 1)).any():
-        raise PreconditionError("entries must be 0/1")
+def _check_partial_permutation(u, da: int, db: int) -> np.ndarray:
+    """``u`` as an int64 0/1 matrix of side dA dB with at most one 1 per row and column."""
+    b = _binary_array(u)
+    n = da * db
+    if b.shape != (n, n):
+        raise ValueError(f"matrix is {b.shape}, expected {(n, n)}")
     if (b.sum(axis=0) > 1).any() or (b.sum(axis=1) > 1).any():
         raise PreconditionError("more than one nonzero in a row or column")
     return b
@@ -96,9 +94,7 @@ def pp_expansion(u, da: int, db: int) -> PartialPermExpansion:
     with fewer terms is returned, so q never exceeds
     min(dA^2, dB^2, dA*r, dB*r, 2^r) with r the Schmidt rank.
     """
-    b = _check_partial_permutation(u)
-    if b.shape != (da * db, da * db):
-        raise ValueError(f"matrix is {b.shape}, expected {(da * db, da * db)}")
+    b = _check_partial_permutation(u, da, db)
     terms_b = _group_blocks(b, da, db)
     # transposed grouping: distinct dA x dA blocks indexed by B coordinates
     swapped = (
@@ -296,9 +292,7 @@ def emit_backup_protocol(u, expansion: PartialPermExpansion, da: int, db: int) -
     qubits a and b, and the final flip of c is folded into the last A-side
     gate.  Exact reconstruction; the ebit estimate equals the two-term count.
     """
-    b = _check_partial_permutation(u)
-    if b.shape != (da * db, da * db):
-        raise ValueError(f"matrix is {b.shape}, expected {(da * db, da * db)}")
+    b = _check_partial_permutation(u, da, db)
     if (b.sum(axis=0) != 1).any() or (b.sum(axis=1) != 1).any():
         raise PreconditionError("protocol input must be a full permutation")
     if max_abs(expansion.reconstruct() - b) != 0.0:
@@ -417,11 +411,8 @@ class TransferResult:
 
 
 def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
-    u = require_square(u)
-    if u.shape[0] != da * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
-    if not is_unitary(u, 1e-8):
-        raise PreconditionError("input is not unitary")
+    """The transfer circuit of ``u`` (see ``TransferResult``); ``unitary_input`` checks ``u``."""
+    u = unitary_input(u, (da, db))
     side = "A" if da <= db else "B"
     m = max(0, (min(da, db) - 1).bit_length())
     qubits = tuple((f"{side}{i}", 2) for i in range(m))
@@ -467,18 +458,19 @@ def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
 
 
 def _binary_array(a) -> np.ndarray:
-    """The 0/1 matrix ``a`` as int64; ValueError unless every entry is within 1e-12 of 0 or 1."""
+    """``a`` as an int64 matrix; PreconditionError unless each entry is within 1e-12 of 0 or 1."""
     arr = np.asarray(a)
     if arr.ndim != 2:
-        raise ValueError("expected a matrix")
+        raise PreconditionError("expected a matrix")
     if arr.dtype.kind in "biu":
         ints = arr.astype(np.int64)
     else:
-        ints = np.round(np.real(arr)).astype(np.int64)
-        if not (np.abs(arr - ints) <= 1e-12).all():
-            raise ValueError("entries must be 0 or 1")
+        near = np.round(np.real(arr))
+        if not (np.abs(arr - near) <= 1e-12).all():  # also refuses NaN and inf
+            raise PreconditionError("entries must be 0 or 1")
+        ints = near.astype(np.int64)
     if (ints >> 1).any():
-        raise ValueError("entries must be 0 or 1")
+        raise PreconditionError("entries must be 0 or 1")
     return ints
 
 

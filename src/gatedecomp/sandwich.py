@@ -41,7 +41,6 @@ from .matcore import (
     complete_isometry,
     compress_rows,
     max_abs,
-    require_square,
     unitary_input,
 )
 
@@ -369,10 +368,7 @@ def _controlled_records(spec: list):
 
 def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
     """Sandwich form of a bipartite unitary with at most g(da) gates."""
-    u = require_square(u)
-    if u.shape[0] != da * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
-    u = unitary_input(u)
+    u = unitary_input(u, (da, db))
     gates = [g[0] for g in _sandwich_gates(u[None], da, db)]
     records, kept = _controlled_records([((i % 2,), 1 - i % 2, g) for i, g in enumerate(gates)])
     circuit = Circuit(bipartite_space(da, db), tuple(records))
@@ -429,7 +425,8 @@ def rank2_to_controlled(u, da: int, db: int):
 
     Writes U = A1 (x) B1 + A2 (x) B2, solves det(alpha*A1 + beta*A2) = 0 for
     the two rank-one root operators |x_j><y_j|, and rotates the (orthonormal,
-    by unitarity) bases {x_j}, {y_j} to the computational basis.
+    by unitarity) bases {x_j}, {y_j} to the computational basis.  The input
+    goes through ``unitary_input``.
 
     Returns:
         (loc_l, gate, loc_r): 2x2 locals and a ControlledGate record with
@@ -437,7 +434,7 @@ def rank2_to_controlled(u, da: int, db: int):
     """
     from .schmidt import operator_schmidt
 
-    u = require_square(u)
+    u = unitary_input(u, (da, db))
     if da != 2:
         raise PreconditionError("controlling side must have dimension 2")
     dec = operator_schmidt(u, da, db)
@@ -483,7 +480,7 @@ def rank2_to_controlled(u, da: int, db: int):
 # 3-A form
 
 
-def decompose_2xd_aform(u, db: int | None = None) -> Circuit:
+def decompose_2xd_aform(u, db: int) -> Circuit:
     """Three A-controlled gates with two A-locals for a 2 x dB unitary.
 
     Returns the circuit [CC, Local, CC, Local, CC], every CC controlled from
@@ -491,14 +488,9 @@ def decompose_2xd_aform(u, db: int | None = None) -> Circuit:
     controlled from B with rotation branches R(θ_b) on A, is
     (W ⊗ I) D (W† ⊗ I) for the fixed eigenbasis W of all rotations, and D is
     diagonal: controlled from A, branch 0 is diag_b(e^{iθ_b}) and branch 1
-    its conjugate.  The input goes through ``unitary_input``.
+    its conjugate.  The input goes through ``unitary_input`` with dims (2, dB).
     """
-    u = require_square(u)
-    if db is None:
-        db = u.shape[0] // 2
-    if u.shape[0] != 2 * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(2 * db, 2 * db)}")
-    left, mid, right = _two_by_d_core(unitary_input(u), db)
+    left, mid, right = _two_by_d_core(unitary_input(u, (2, db)), db)
     phase = mid[:, 0, 0] + 1j * mid[:, 1, 0]
     diag = np.stack([np.diag(phase), np.diag(phase.conj())])
     # every rotation [[cos θ, -sin θ], [sin θ, cos θ]] is W diag(e^{iθ}, e^{-iθ}) W†
@@ -538,12 +530,9 @@ def decompose_bcu3(u, da: int, db: int) -> BcuFactorization:
     W† = W0† ⊕ I and V† = I ⊕ V'† are built here, because the circuit records
     them as generic gates and the block-pattern errors are measured on them.
     """
-    u = require_square(u)
+    u = unitary_input(u, (da, db))
     if da < 2:
         raise PreconditionError("A side must have dimension >= 2")
-    if u.shape[0] != da * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
-    u = unitary_input(u)
     y = da // 2
     yd = y * db
     vp, w0, x = _split(u, da, db)

@@ -31,7 +31,6 @@ from .matcore import (
     PreconditionError,
     max_abs,
     perm_matrix,
-    require_square,
     unitary_eig,
 )
 from .permdecomp import ComplexPermutation, decompose_perm3
@@ -143,11 +142,9 @@ def compile_to_standard(u, da: int, db: int, mode: str = "general") -> StandardC
 
     ``general`` runs the sandwich decomposition and compiles each controlled
     layer; ``complexPerm`` requires a complex-permutation input and goes
-    through the exact 3-gate permutation form first.
+    through the exact 3-gate permutation form first.  Each route checks the
+    input itself (``decompose_sandwich``, ``ComplexPermutation.from_matrix``).
     """
-    u = require_square(u)
-    if u.shape[0] != da * db:
-        raise ValueError(f"matrix is {u.shape}, expected {(da * db, da * db)}")
     if mode == "general":
         layers = decompose_sandwich(u, da, db).circuit.gates
         budget = StandardGateBudget.evaluate("general", da, db)

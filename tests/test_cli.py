@@ -206,6 +206,50 @@ class TestDecomposeVerifyIntegration:
         assert run("decompose", "--method", "std-cnot", "-i", "u.json", "-o", "c.json") == 3
 
 
+class TestIntegerFields:
+    """Integer fields are JSON integers, and sizes are at least 1."""
+
+    @pytest.mark.parametrize("dims", [[2.5, 2], ["2", "2"], [-2, -2]], ids=["float", "string", "negative"])
+    @pytest.mark.parametrize("method", ["perm3", "sandwich"])
+    def test_matrix_dims_exit_3(self, in_tmp, capsys, dims, method):
+        # the error names the file, which numpy's reshape text for negative dims did not
+        run("gen", "--kind", "perm", "--dims", "2", "2", "--seed", "1", "-o", "u.json")
+        obj = json.load(open("u.json"))
+        obj["dims"] = dims
+        open("u.json", "w").write(json.dumps(obj))
+        capsys.readouterr()
+        assert run("decompose", "--method", method, "-i", "u.json", "-o", "c.json") == 3
+        assert capsys.readouterr().err.startswith("error: u.json: ")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("party_dim", 3.7), ("party_dim", "3"), ("ancilla_dim", 2.0), ("ancilla_init", "0")],
+    )
+    def test_circuit_space_fields_exit_3(self, in_tmp, capsys, field, value):
+        run("gen", "--kind", "perm", "--dims", "3", "2", "--seed", "1", "-o", "u.json")
+        assert run("decompose", "--method", "lemma7", "-i", "u.json", "-o", "c.json") == 0
+        obj = json.load(open("c.json"))
+        space = obj["space"]
+        if field == "party_dim":
+            space["parties"][0]["dim"] = value
+        else:
+            space["ancillas"][0][field.split("_")[1]] = value
+        open("c.json", "w").write(json.dumps(obj))
+        capsys.readouterr()
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 3
+        assert capsys.readouterr().err.startswith("error: c.json: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"rows": 2.0, "cols": 2, "bits": "0110"}', '{"rows": -1, "cols": -1, "bits": "1"}'],
+        ids=["float_rows", "negative_sizes"],
+    )
+    def test_binary_sizes_exit_3(self, in_tmp, capsys, text):
+        open("t.json", "w").write(text)
+        assert run("rank", "-i", "t.json", "--kind", "xor") == 3
+        assert capsys.readouterr().err.startswith("error: t.json: ")
+
+
 class TestOtherCommands:
     def test_schmidt_swap(self, in_tmp, capsys):
         run("gen", "--kind", "swap", "--dims", "3", "3", "-o", "u.json")

@@ -173,6 +173,23 @@ class TestBinaryAndTableFiles:
         with pytest.raises(CodecError, match="t.json"):
             codecs.load_table_file(p)
 
+    @pytest.mark.parametrize("dims", [[2.0, 2], ["2", "2"], [0, 2]])
+    def test_table_dims_are_integers_of_at_least_1(self, tmp_path, dims):
+        p = str(tmp_path / "t.json")
+        table = [[a, b, a, b] for a in range(2) for b in range(2)]
+        codecs.atomic_write(p, json.dumps({"dims": dims, "table": table}))
+        with pytest.raises(CodecError, match="t.json"):
+            codecs.load_table_file(p)
+
+    def test_binary_matrix_kind_file_is_parsed_once(self, tmp_path, monkeypatch):
+        p = str(tmp_path / "b.json")
+        codecs.save_matrix_file(p, np.array([[1, 0], [1, 1]]), (2, 1), "binary")
+        parsed = []
+        loads = codecs._loads
+        monkeypatch.setattr(codecs, "_loads", lambda text, path: parsed.append(path) or loads(text, path))
+        assert codecs.load_binary_file(p) == BinaryMatrix(2, 2, (1, 0, 1, 1))
+        assert parsed == [p]
+
 
 class TestGoldenFixture:
     def test_shipped_fixed_instance_loads_and_validates(self):

@@ -203,6 +203,17 @@ class TestMetrics:
         c = Circuit(space, (CnotGate(0, (0, 1), 2, (0, 1)),))
         assert c.metrics.nonlocal_cnot == 0
 
+    @pytest.mark.parametrize("control, target", [(0, 5), (-1, 1)])
+    def test_cnot_axis_outside_the_space_refused(self, control, target):
+        # axis 5 once raised a bare IndexError here, and axis -1 was read as
+        # party B, so the CNOT counted as local
+        space = PartySpace(
+            parties=(("A", 2), ("B", 2)), ancillas=(Ancilla("a", "A", 2, 0),)
+        )
+        bad = target if control == 0 else control
+        with pytest.raises(CircuitError, match=f"axis {bad} outside the space"):
+            Circuit(space, (CnotGate(control, (0, 1), target, (0, 1)),))
+
 
 class TestValidation:
     def test_nonunitary_branch_rejected(self):

@@ -193,18 +193,18 @@ class TestOrthonormalCompletion:
 class TestUnitaryInput:
     def test_exact_unitary_returned_as_is(self):
         u = haar_unitary(12, 4)
-        assert unitary_input(u) is u
+        assert unitary_input(u, (3, 4)) is u
 
     def test_drifting_input_polished(self):
         noisy = noisy_haar(12, 5, 1e-9)
         assert is_unitary(noisy, 1e-8) and not is_unitary(noisy, matcore.POLAR_TOL)
-        out = unitary_input(noisy)
+        out = unitary_input(noisy, (12,))
         assert_close(out @ out.conj().T, np.eye(12), 1e-13)
         assert_close(out, noisy, 1e-8)
 
     def test_nonunitary_rejected(self):
         with pytest.raises(PreconditionError):
-            unitary_input(np.diag([1.0, 1.0 + 1e-7]))
+            unitary_input(np.diag([1.0, 1.0 + 1e-7]), (2,))
 
 
 class TestUnitaryEig:

@@ -12,6 +12,7 @@ from gatedecomp import (
     pair_swap_family_unitary,
     analyze_pair_swap_family,
     pp_expansion,
+    rank_toolkit,
     verify_decomposition,
 )
 from gatedecomp.matcore import PreconditionError, max_abs
@@ -77,6 +78,22 @@ class TestPpExpansion:
     def test_rejects_non_permutation(self):
         with pytest.raises(PreconditionError):
             pp_expansion(np.ones((4, 4)), 2, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda u: pp_expansion(u, 2, 2), lambda u: emit_backup_protocol(u, None, 2, 2)],
+        ids=["pp_expansion", "emit_backup_protocol"],
+    )
+    def test_one_zero_one_rule_and_shape_check(self, call):
+        with pytest.raises(ValueError, match=r"matrix is \(6, 6\), expected \(4, 4\)"):
+            call(np.eye(6))
+        for off in (1e-9, 1e-9j, np.nan):
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+                call(np.eye(4) + off)
+
+    def test_rank_toolkit_refuses_non_binary_with_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+            rank_toolkit(np.array([[2, 0], [0, 1]]), "xor")
 
 
 class TestTwoTermCnot:
