@@ -154,15 +154,11 @@ PERM_KINDS = ("permutation", "complexPermutation")
 PLAIN_PERM = ("permutation",)
 
 
-def _perm(mf: codecs.MatrixFile, kinds=PERM_KINDS) -> np.ndarray:
-    """The file's matrix; PreconditionError unless the file is of one of ``kinds``."""
+def _perm(mf: codecs.MatrixFile, kinds=PERM_KINDS) -> ComplexPermutation:
+    """The file's permutation; PreconditionError unless the file is of one of ``kinds``."""
     if mf.kind not in kinds:
         raise PreconditionError(f"method requires a {' or '.join(kinds)} input, got {mf.kind!r}")
-    return mf.matrix
-
-
-def _cperm(mf: codecs.MatrixFile, kinds=PERM_KINDS) -> ComplexPermutation:
-    return ComplexPermutation.from_matrix(_perm(mf, kinds), mf.dims)
+    return mf.value
 
 
 def _xor_protocol(mf, out):
@@ -189,12 +185,12 @@ def _multi(mf, out):
     if mf.kind not in PERM_KINDS:
         return decompose_multiparty(mf.matrix, mf.dims).circuit, mf.matrix
     if len(mf.dims) == 2:
-        return decompose_perm3(_cperm(mf)).circuit, mf.matrix
-    return decompose_multiparty_perm(_cperm(mf)), mf.matrix
+        return decompose_perm3(mf.value).circuit, mf.matrix
+    return decompose_multiparty_perm(mf.value), mf.matrix
 
 
 def _std_cnot(mf, out):
-    return compile_perm_to_cnot_type(_cperm(mf, PLAIN_PERM)).circuit, mf.matrix
+    return compile_perm_to_cnot_type(_perm(mf, PLAIN_PERM)).circuit, mf.matrix
 
 
 def _std(mf, out):
@@ -203,7 +199,8 @@ def _std(mf, out):
 
 
 def _lemma7(mf, out):
-    perm = np.round(np.real(_perm(mf, PLAIN_PERM))).astype(np.int64)
+    _perm(mf, PLAIN_PERM)
+    perm = np.round(np.real(mf.matrix)).astype(np.int64)
     return emit_backup_protocol(perm, pp_expansion(perm, *mf.dims), *mf.dims).expanded, mf.matrix
 
 
@@ -220,7 +217,7 @@ _DECOMPOSE = {
     "sandwich": (True, lambda mf, out: (decompose_sandwich(mf.matrix, *mf.dims).circuit, mf.matrix)),
     "aform": (True, _aform),
     "bcu3": (True, lambda mf, out: (decompose_bcu3(mf.matrix, *mf.dims).circuit, mf.matrix)),
-    "perm3": (True, lambda mf, out: (decompose_perm3(_cperm(mf)).circuit, mf.matrix)),
+    "perm3": (True, lambda mf, out: (decompose_perm3(_perm(mf)).circuit, mf.matrix)),
     "multi": (False, _multi),
     "party4": (False, lambda mf, out: (decompose_4party(mf.matrix, mf.dims).circuit, mf.matrix)),
     "std": (True, _std),

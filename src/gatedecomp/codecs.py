@@ -28,7 +28,7 @@ from .gateir import (
     TwoLevelGate,
     controlled,
 )
-from .matcore import as_matrix, checked_dims, is_unitary, max_abs
+from .matcore import RECON_TOL, as_matrix, checked_dims, is_unitary, max_abs
 from .permdecomp import ComplexPermutation, table_outputs
 from .protocols import BinaryMatrix
 
@@ -171,9 +171,14 @@ def _find_bool(obj, where: str) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class MatrixFile:
+    """A loaded matrix file; ``value`` is what its kind check built: the
+    ``ComplexPermutation`` of a (complex) permutation file, the
+    ``BinaryMatrix`` of a binary file, None for a unitary file."""
+
     kind: str
     dims: tuple[int, ...]
     matrix: np.ndarray
+    value: ComplexPermutation | BinaryMatrix | None
 
 
 def _obj_to_matrix(obj, path: str) -> np.ndarray:
@@ -184,30 +189,30 @@ def _obj_to_matrix(obj, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def validate_matrix_kind(m: np.ndarray, dims, kind: str) -> np.ndarray:
-    """Check (and for permutations, snap) the matrix against its declared kind."""
+def validate_matrix_kind(m: np.ndarray, dims, kind: str):
+    """Check (and for permutations, snap) the matrix against its declared kind.
+
+    Returns ``(matrix, value)``, ``value`` as in ``MatrixFile``.  A unitary
+    passes on the library's input rule, ``is_unitary`` to ``RECON_TOL``.
+    """
     if kind not in MATRIX_KINDS:
         raise CodecError(f"unknown matrix kind {kind!r}")
     if kind == "binary":
-        BinaryMatrix.from_array(m)
-        return m
+        return m, BinaryMatrix.from_array(m)
     if kind == "unitary":
-        if not is_unitary(m, 1e-9):
-            raise CodecError("matrix fails unitarity validation at 1e-9")
-        return m
+        if not is_unitary(m, RECON_TOL):
+            raise CodecError(f"matrix fails unitarity validation at {RECON_TOL:g}")
+        return m, None
     if kind == "permutation":
         snapped = np.round(np.real(m))
         if max_abs(m - snapped) > 1e-12 or ((snapped != 0) & (snapped != 1)).any():
             raise CodecError("permutation file entries must be within 1e-12 of {0,1}")
-        ComplexPermutation.from_matrix(snapped, dims)
-        return snapped.astype(complex)
-    ComplexPermutation.from_matrix(m, dims)
-    return m
+        m = snapped.astype(complex)
+    return m, ComplexPermutation.from_matrix(m, dims)
 
 
 def save_matrix_file(path: str, m, dims, kind: str) -> None:
-    m = as_matrix(m)
-    m = validate_matrix_kind(m, dims, kind)
+    m, _ = validate_matrix_kind(as_matrix(m), dims, kind)
     obj = {"kind": kind, "dims": [int(d) for d in dims], "matrix": _matrix_json(m)}
     atomic_write(path, dumps_canonical(obj))
 
@@ -240,8 +245,7 @@ def _matrix_file_from_obj(obj, path: str) -> MatrixFile:
     n = math.prod(dims)
     if m.shape != (n, n):
         raise CodecError(f"{path}: matrix is {m.shape}, dims imply {(n, n)}")
-    m = validate_matrix_kind(m, dims, obj["kind"])
-    return MatrixFile(obj["kind"], dims, m)
+    return MatrixFile(obj["kind"], dims, *validate_matrix_kind(m, dims, obj["kind"]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def _binary_from_obj(obj, path: str) -> BinaryMatrix:
     mf = _matrix_file_from_obj(obj, path)
     if mf.kind != "binary":
         raise CodecError(f"{path}: not a binary matrix file")
-    return BinaryMatrix.from_array(np.real(mf.matrix))
+    return mf.value
 
 
 # ---------------------------------------------------------------------------

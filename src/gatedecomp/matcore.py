@@ -131,8 +131,19 @@ def unitary_input(m, dims) -> np.ndarray:
 
 
 def perm_matrix(perm) -> np.ndarray:
-    """Permutation matrix (complex) that sends basis vector j to ``perm[j]``."""
+    """Permutation matrix (complex) that sends basis vector j to ``perm[j]``.
+
+    A stack of tables, shape ``(..., d)``, gives the stack of their matrices,
+    shape ``(..., d, d)``.
+    """
     perm = np.asarray(perm)
+    if perm.ndim > 1:
+        d = perm.shape[-1]
+        m = np.zeros(perm.shape + (d,), dtype=complex)
+        # the items' (d, d) blocks one after another are the rows of one (-1, d) view
+        rows = perm + np.arange(0, perm.size, d).reshape(perm.shape[:-1] + (1,))
+        m.reshape(-1, d)[rows, np.arange(d)] = 1.0
+        return m
     m = np.zeros((perm.size, perm.size), dtype=complex)
     m[perm, np.arange(perm.size)] = 1.0
     return m

@@ -1,11 +1,12 @@
 """Generalized sandwich forms for n-party unitaries.
 
 Every emitted gate is controlled in the computational basis from n-1 fixed
-parties.  The n-party recursion cuts party 1 from the rest; the dedicated
-4-party routine cuts AB from CD, which wins in some dimension regimes.  Gate
-counts are bounded by the closed-form products evaluated by
-``multiparty_bound`` and ``fourparty_bound``; identity stripping happens only
-after bound accounting so the reported counts stay conservative.
+parties.  One recursion makes both forms: a sandwich across a cut of the
+parties whose gates' branches are decomposed again.  The n-party form cuts
+party 1 from the rest, the 4-party form AB from CD, which wins in some
+dimension regimes.  Gate counts are bounded by the closed-form products
+evaluated by ``multiparty_bound`` and ``fourparty_bound``; identity stripping
+happens only after bound accounting so the reported counts stay conservative.
 """
 
 from __future__ import annotations
@@ -49,44 +50,51 @@ class MultipartiteSandwichResult:
     full_count: int
 
 
-def _stacked(parts: list) -> np.ndarray:
-    """``np.concatenate(parts)``, emptying ``parts`` so that only the result holds the data."""
+def _stacked(gates: list, first: int) -> np.ndarray:
+    """The branches of ``gates[first::2]`` as one (-1, d, d) stack.
+
+    Those entries of ``gates`` become None, so only the result holds the data.
+    """
+    parts = gates[first::2]
+    gates[first::2] = [None] * len(parts)
     out = np.concatenate(parts)
-    parts.clear()
-    return out
+    return out.reshape((-1,) + out.shape[-2:])
 
 
-def _multi_gates(u: np.ndarray, dims: tuple[int, ...]):
+def _multi_gates(u: np.ndarray, dims: tuple[int, ...], cut: int = 1):
     """(controls, target, stack) triples in product order; fixed schedule.
 
     ``u`` is a (k, N, N) stack of inputs and every ``stack`` has shape
     ``(k,) + ctrl_dims + (d, d)``: after the item axis, its leading axes run
     over the control parties in order and d is the target party's dimension.
-    The schedule depends on ``dims`` alone, so every branch of every
-    party-0-controlled gate goes down in one recursive call, and lifting its
-    sub-schedule is a reshape.
+    The sandwich across ``dims[:cut] | dims[cut:]`` depends on ``dims`` and
+    ``cut`` alone, so the branches of all gates controlled from one side go
+    down in one recursive call on the other side, and lifting a sub-schedule
+    is a reshape.
     """
     n = len(dims)
     if n == 1:
         return [((), 0, u)]
-    k, d0, m = len(u), dims[0], math.prod(dims[1:])
-    gates = _sandwich_gates(u, d0, m)
+    k, left, right = len(u), dims[:cut], dims[cut:]
+    gates = _sandwich_gates(u, math.prod(left), math.prod(right))
     del u
-    a_ctrl = gates[0::2]
-    gates[0::2] = [None] * len(a_ctrl)
-    # the branches of the party-0-controlled gates, each (k, d0, m, m), as one
-    # stack that only the recursive call holds
-    subs = _multi_gates(_stacked(a_ctrl).reshape(-1, m, m), dims[1:])
-    lifted = [
-        ((0,) + tuple(c + 1 for c in ctrl), tgt + 1, s.reshape((-1, k, d0) + s.shape[1:]))
-        for ctrl, tgt, s in subs
+    from_left = [
+        (tuple(range(cut)) + tuple(c + cut for c in ctrl), tgt + cut,
+         s.reshape((-1, k) + left + s.shape[1:]))
+        for ctrl, tgt, s in _multi_gates(_stacked(gates, 0), right)
+    ]
+    # a sub-schedule's control axes lie in the left group, so they move to
+    # before the right group's
+    from_right = [
+        (ctrl + tuple(range(cut, n)), tgt,
+         np.moveaxis(s.reshape((-1, k) + right + s.shape[1:]),
+                     range(-2 - len(ctrl), -2), range(2, 2 + len(ctrl))))
+        for ctrl, tgt, s in _multi_gates(_stacked(gates, 1), left)
     ]
     out = []
-    for pos, g in enumerate(gates):
-        if pos % 2 == 0:
-            out.extend((c, t, s[pos // 2]) for c, t, s in lifted)
-        else:
-            out.append((tuple(range(1, n)), 0, g.reshape((k,) + dims[1:] + g.shape[2:])))
+    for pos in range(len(gates)):
+        side = from_right if pos % 2 else from_left
+        out.extend((c, t, s[pos // 2]) for c, t, s in side)
     return out
 
 
@@ -112,30 +120,12 @@ def decompose_multiparty(u, dims) -> MultipartiteSandwichResult:
 
 
 def decompose_4party(u, dims) -> MultipartiteSandwichResult:
-    """Generalized sandwich form for four parties via the AB|CD cut."""
+    """Generalized sandwich form for four parties: the recursion cut AB|CD."""
     dims = tuple(dims)
     u = unitary_input(u, dims)
     if len(dims) != 4:
         raise PreconditionError("expected exactly four parties")
     if any(d < 2 for d in dims):
         raise PreconditionError("party dimensions must be >= 2")
-    da, db, dc, dd = dims
-
-    gates = [g[0] for g in _sandwich_gates(u[None], da * db, dc * dd)]
-    # the branches of every AB-controlled gate go down as one stack, and those
-    # of every CD-controlled gate as another; gate j's part is entry j after
-    # the reshape.  AB-controlled: keys (ka, kb, v); CD-controlled: (v, kc, kd)
-    ab = _sandwich_gates(np.concatenate(gates[0::2]), dc, dd)
-    ab = [s.reshape((-1, da, db) + s.shape[1:]) for s in ab]
-    cd = _sandwich_gates(np.concatenate(gates[1::2]), da, db)
-    cd = [np.moveaxis(s.reshape((-1, dc, dd) + s.shape[1:]), 3, 1) for s in cd]
-    spec = []
-    for pos in range(len(gates)):
-        j = pos // 2
-        if pos % 2 == 0:
-            heads = (((0, 1, 2), 3), ((0, 1, 3), 2))
-            spec += [heads[i % 2] + (s[j],) for i, s in enumerate(ab)]
-        else:
-            heads = (((0, 2, 3), 1), ((1, 2, 3), 0))
-            spec += [heads[i % 2] + (s[j],) for i, s in enumerate(cd)]
-    return _finalize(spec, dims, fourparty_bound(da, db, dc, dd))
+    spec = [(c, t, s[0]) for c, t, s in _multi_gates(u[None], dims, 2)]
+    return _finalize(spec, dims, fourparty_bound(*dims))

@@ -256,10 +256,11 @@ def _perm_gate(controls, targets, tables: np.ndarray, phases=None) -> Controlled
     rows = tables.reshape(-1, d)
     if phases is None:
         rows, index = np.unique(rows, axis=0, return_inverse=True)
-        palette = np.zeros((len(rows), d, d), dtype=complex)
-        palette[np.arange(len(rows))[:, None], rows, np.arange(d)] = 1.0
+        palette = perm_matrix(rows)
     else:
         index = np.arange(len(rows))
+        # a product, not phases written in place: the circuit files hold the
+        # -0.0 entries that the product writes
         pairs = zip(rows, phases.reshape(-1, d))
         palette = np.stack([perm_matrix(t) @ np.diag(p) for t, p in pairs])
     return ControlledGate(controls, targets, palette, index.reshape(tables.shape[:-1]))

@@ -23,7 +23,6 @@ from .gateir import (
     ControlledGate,
     GenericGate,
     PartySpace,
-    controlled,
 )
 from .matcore import DEFAULT_EPS, PreconditionError, is_unitary, max_abs
 from .matcore import perm_matrix, require_square, unitary_input
@@ -130,6 +129,31 @@ def _check_projector_pair(p1, p2):
     return p1, p2
 
 
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _with_identity(branch: np.ndarray) -> np.ndarray:
+    """The two-term palette [identity, branch]: index 1 applies ``branch``."""
+    return np.stack([np.eye(len(branch), dtype=complex), branch])
+
+
+_FLAG_PALETTE = _with_identity(_X)
+
+
+def _flag_palindrome(flag, flag_axis, copy_axis, apply_targets, palette):
+    """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
+
+    The gate ``flag`` flips the flag qubit on ``flag_axis`` where the second
+    term applies; a CNOT copies it to the other side's flag qubit on
+    ``copy_axis``, which applies ``palette[0]`` (flag 0) or ``palette[1]``
+    (flag 1) on ``apply_targets``; the copy and the flag are then undone.
+    The list is a palindrome, so product order and application order agree.
+    """
+    copy = CnotGate(flag_axis, (0, 1), copy_axis, (0, 1))
+    apply_gate = ControlledGate((copy_axis,), apply_targets, palette, np.arange(2))
+    return [flag, copy, apply_gate, copy, flag]
+
+
 def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
     """Implement P1 (x) V1 + P2 (x) V2 with one flag qubit per side and 2 CNOTs.
 
@@ -151,12 +175,9 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
         parties=(("A", da), ("B", db)),
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, x), cut=1)
-    copy = CnotGate(2, (0, 1), 3, (0, 1))
-    w_gate = controlled((3,), (1,), {(0,): v1, (1,): v2})
-    gates = (v_flag, copy, w_gate, copy, v_flag)
-    return Circuit(space, gates).with_ebit_estimate(1.0)
+    v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
+    gates = _flag_palindrome(v_flag, 2, 3, (1,), np.stack([v1, v2]))
+    return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +237,6 @@ class BackupProtocolResult:
     cnot_count: int
 
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def _with_identity(branch: np.ndarray) -> np.ndarray:
-    """The two-term palette [identity, branch]: index 1 applies ``branch``."""
-    return np.stack([np.eye(len(branch), dtype=complex), branch])
-
-
-_FLAG_PALETTE = _with_identity(_X)
-
-
 def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_backup: bool):
     """Application-order gates for one expansion term, on axes (A=0, (B,c)=(1,2)).
 
@@ -257,23 +267,19 @@ def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_back
         btil = _chain_closure(map_b, db)
         if (btil != np.arange(db)).any():
             # column permutation within the rectangle rows, on the c=0 copy
-            s = np.zeros((dbc, dbc), dtype=complex)
-            for b in range(db):
-                s[2 * btil[b], 2 * b] = 1.0
-                s[2 * b + 1, 2 * b + 1] = 1.0
-            gates.append(ControlledGate((0,), (1, 2), _with_identity(s), on_a(ins_a)))
+            t = np.arange(dbc)
+            t[0::2] = 2 * btil
+            s = _with_identity(perm_matrix(t))
+            gates.append(ControlledGate((0,), (1, 2), s, on_a(ins_a)))
         if (pi != np.arange(da)).any():
             gates.append(ControlledGate((1, 2), (0,), _with_identity(pi_mat), on_bc(ins_b, 0)))
         return gates
 
     # move the rectangle to the backup copy at the target columns
-    s = np.eye(dbc, dtype=complex)
+    t = np.arange(dbc)
     for b in ins_b:
-        s[:, 2 * b] = 0.0
-        s[:, 2 * map_b[b] + 1] = 0.0
-        s[2 * map_b[b] + 1, 2 * b] = 1.0
-        s[2 * b, 2 * map_b[b] + 1] = 1.0
-    move = _with_identity(s)
+        t[2 * b], t[2 * map_b[b] + 1] = 2 * map_b[b] + 1, 2 * b
+    move = _with_identity(perm_matrix(t))
     gates.append(ControlledGate((0,), (1, 2), move, on_a(ins_a)))
     # permute into the target rows inside the backup copy
     if (pi != np.arange(da)).any():
@@ -343,22 +349,6 @@ def _absorb_final_flip(prod_gates: list, da: int, db: int) -> list:
     raise AssertionError("no A-controlled gate to absorb the flag flip")
 
 
-def _flag_palindrome(flag_controls, flag_axis, copy_axis, apply_targets, index, palette):
-    """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
-
-    The flag qubit on ``flag_axis`` is flipped where the 0/1 ``index`` over
-    the values of ``flag_controls`` is 1; a CNOT copies it to the other
-    side's flag qubit on ``copy_axis``, which applies ``palette[0]`` (flag 0)
-    or ``palette[1]`` (flag 1) on ``apply_targets``; the copy and the flag
-    are then undone.  The list is a palindrome, so product order and
-    application order agree.
-    """
-    flag = ControlledGate(flag_controls, (flag_axis,), _FLAG_PALETTE, index)
-    copy = CnotGate(flag_axis, (0, 1), copy_axis, (0, 1))
-    apply_gate = ControlledGate((copy_axis,), apply_targets, palette, np.arange(2))
-    return [flag, copy, apply_gate, copy, flag]
-
-
 def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     """Replace each two-term gate with the 2-CNOT flag construction.
 
@@ -373,17 +363,17 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     out = []
     n_two_term = 0
     for g in prod_gates:
-        from_a = g.controls == (0,)
+        if g.controls == (0,):
+            controls, targets, flag_axis, copy_axis = (0,), (1, 4), 2, 3
+        else:
+            controls, targets, flag_axis, copy_axis = (1, 4), (0,), 3, 2
         if len(g.palette) == 1:
             # single-valued gate: apply directly (local to one side)
-            controls, targets = ((0,), (1, 4)) if from_a else ((1, 4), (0,))
             out.append(ControlledGate(controls, targets, g.palette, g.index))
             continue
         n_two_term += 1
-        if from_a:
-            out.extend(_flag_palindrome((0,), 2, 3, (1, 4), g.index, g.palette))
-        else:
-            out.extend(_flag_palindrome((1, 4), 3, 2, (0,), g.index, g.palette))
+        flag = ControlledGate(controls, (flag_axis,), _FLAG_PALETTE, g.index)
+        out.extend(_flag_palindrome(flag, flag_axis, copy_axis, targets, g.palette))
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -836,7 +826,7 @@ def pair_swap_family_unitary(flags) -> np.ndarray:
 
         U = sum_i [pair_i projector (x) (I - C_i) + pair_i swap (x) C_i].
     """
-    f = BinaryMatrix.from_array(flags).array()
+    f = _binary_array(flags)
     m, db = f.shape
     da = 2 * m
     u = np.zeros((da * db, da * db), dtype=np.int64)
@@ -900,7 +890,7 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
     of T and may exceed its binary rank.  When binary rank is not computed
     exactly, its lower end is checked against the bound.
     """
-    f = BinaryMatrix.from_array(flags).array()
+    f = _binary_array(flags)
     m, db = f.shape
     da = 2 * m
     u = pair_swap_family_unitary(f)
@@ -955,17 +945,13 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     of pair swaps flagged by u.  Overlapping supports cancel mod 2, which is
     exactly how the family unitary composes.
     """
-    f = BinaryMatrix.from_array(flags).array()
+    f = _binary_array(flags)
     m, db = f.shape
     da = 2 * m
     terms = _xor_factor(f)
 
-    def pair_swaps(u_vec) -> np.ndarray:
-        out = np.zeros((da, da), dtype=complex)
-        for i in range(m):
-            blk = np.array([[0, 1], [1, 0]]) if u_vec[i] else np.eye(2)
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
-        return out
+    def pair_swaps(u_vec) -> np.ndarray:  # swaps the pairs (2i, 2i + 1) that u_vec flags
+        return perm_matrix((np.arange(da).reshape(m, 2) ^ u_vec[:, None]).ravel())
 
     palettes = [_with_identity(pair_swaps(u_vec)) for u_vec, _ in terms]
     base_gates = [ControlledGate((1,), (0,), p, v_vec) for p, (_, v_vec) in zip(palettes, terms)]
@@ -979,6 +965,7 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     )
     xgates = []
     for p, (_, v_vec) in zip(palettes, terms):
-        xgates.extend(_flag_palindrome((1,), 3, 2, (0,), v_vec, p))
+        flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
+        xgates.extend(_flag_palindrome(flag, 3, 2, (0,), p))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -6,6 +6,8 @@ import pytest
 
 from gatedecomp import Circuit, CnotGate, bipartite_space, cli, codecs
 from gatedecomp.cli import main
+from gatedecomp.generators import haar_unitary
+from gatedecomp.permdecomp import ComplexPermutation
 
 
 def run(*argv):
@@ -204,6 +206,38 @@ class TestDecomposeVerifyIntegration:
     def test_std_cnot_rejects_nonperm(self, in_tmp):
         run("gen", "--kind", "haar", "--dims", "2", "2", "--seed", "2", "-o", "u.json")
         assert run("decompose", "--method", "std-cnot", "-i", "u.json", "-o", "c.json") == 3
+
+    @pytest.mark.parametrize("method", ["perm3", "std-cnot", "multi"])
+    def test_permutation_methods_build_one_complex_permutation(self, in_tmp, monkeypatch, method):
+        # the one the file's kind check builds
+        run("gen", "--kind", "perm", "--dims", "3", "4", "--seed", "2", "-o", "p.json")
+        built = []
+        from_matrix = ComplexPermutation.from_matrix.__func__
+        monkeypatch.setattr(
+            ComplexPermutation, "from_matrix",
+            classmethod(lambda cls, m, dims: built.append(dims) or from_matrix(cls, m, dims)),
+        )
+        assert run("decompose", "--method", method, "-i", "p.json", "-o", "c.json") == 0
+        assert built == [(3, 4)]
+
+
+class TestUnitaryFileRule:
+    """A unitary file passes on the library's contract: drift up to 1e-8."""
+
+    @staticmethod
+    def write(u):
+        matrix = [[[z.real, z.imag] for z in row] for row in u]
+        codecs.atomic_write("u.json", json.dumps({"kind": "unitary", "dims": [2, 3], "matrix": matrix}))
+
+    def test_drift_within_the_contract_decomposes_and_verifies(self, in_tmp):
+        self.write(haar_unitary(6, 3) * (1 + 3e-9))
+        assert run("decompose", "--method", "sandwich", "-i", "u.json", "-o", "c.json") == 0
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 0
+
+    def test_drift_past_the_contract_exits_3(self, in_tmp, capsys):
+        self.write(haar_unitary(6, 3) * (1 + 3e-9) * (1 + 1e-7))
+        assert run("decompose", "--method", "sandwich", "-i", "u.json", "-o", "c.json") == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestIntegerFields:

@@ -42,6 +42,22 @@ class TestMatrixFiles:
         mf = codecs.load_matrix_file(p)
         assert np.array_equal(mf.matrix, u)  # bit-exact
 
+    def test_unitary_kind_takes_the_library_rule(self, tmp_path):
+        # drift up to RECON_TOL (1e-8) in U U† - I saves and loads as it is
+        p = str(tmp_path / "u.json")
+        u = haar_unitary(6, 3) * (1 + 3e-9)
+        codecs.save_matrix_file(p, u, (2, 3), "unitary")
+        mf = codecs.load_matrix_file(p)
+        assert np.array_equal(mf.matrix, u) and mf.value is None
+        with pytest.raises(CodecError, match="unitarity"):
+            codecs.save_matrix_file(p, u * (1 + 1e-7), (2, 3), "unitary")
+
+    def test_permutation_kinds_keep_their_permutation(self, tmp_path):
+        p = str(tmp_path / "p.json")
+        cp = random_permutation((3, 2), 4)
+        codecs.save_matrix_file(p, cp.matrix(), (3, 2), "permutation")
+        assert codecs.load_matrix_file(p).value == cp
+
     def test_kind_validation_on_load(self, tmp_path):
         p = str(tmp_path / "bad.json")
         obj = {
@@ -189,6 +205,16 @@ class TestBinaryAndTableFiles:
         monkeypatch.setattr(codecs, "_loads", lambda text, path: parsed.append(path) or loads(text, path))
         assert codecs.load_binary_file(p) == BinaryMatrix(2, 2, (1, 0, 1, 1))
         assert parsed == [p]
+
+    def test_binary_matrix_kind_file_builds_one_binary_matrix(self, tmp_path, monkeypatch):
+        p = str(tmp_path / "b.json")
+        codecs.save_matrix_file(p, np.array([[1, 0], [1, 1]]), (2, 1), "binary")
+        built = []
+        check = BinaryMatrix.__post_init__
+        monkeypatch.setattr(BinaryMatrix, "__post_init__", lambda self: built.append(self) or check(self))
+        b = codecs.load_binary_file(p)
+        assert built == [b]
+        assert b == BinaryMatrix(2, 2, (1, 0, 1, 1))
 
 
 class TestGoldenFixture:

@@ -10,6 +10,7 @@ from gatedecomp.matcore import (
     compress_rows,
     is_unitary,
     max_abs,
+    perm_matrix,
     unitary_eig,
     unitary_input,
 )
@@ -205,6 +206,24 @@ class TestUnitaryInput:
     def test_nonunitary_rejected(self):
         with pytest.raises(PreconditionError):
             unitary_input(np.diag([1.0, 1.0 + 1e-7]), (2,))
+
+
+class TestPermMatrix:
+    def test_one_table(self):
+        # column j holds its 1 in row perm[j]; every other entry is +0.0
+        expected = np.zeros((4, 4), dtype=complex)
+        for j, row in enumerate([2, 0, 3, 1]):
+            expected[row, j] = 1.0
+        m = perm_matrix(np.array([2, 0, 3, 1]))
+        assert m.dtype == complex and m.tobytes() == expected.tobytes()
+
+    def test_stack_of_tables_gives_each_table_its_bytes(self):
+        rng = np.random.default_rng(3)
+        tables = np.array([[rng.permutation(5) for _ in range(3)] for _ in range(2)])
+        stack = perm_matrix(tables)
+        assert stack.shape == (2, 3, 5, 5)
+        for i, j in np.ndindex(2, 3):
+            assert stack[i, j].tobytes() == perm_matrix(tables[i, j]).tobytes()
 
 
 class TestUnitaryEig:

@@ -247,13 +247,14 @@ def test_fourparty_cut_recurses_on_whole_branch_stacks(monkeypatch):
     assert [c for c in calls if c[1:] == (3, 3)] == [(16 * 9, 3, 3), (15 * 9, 3, 3)]
 
 
-def test_multi_gates_stack_gives_the_bytes_of_single_calls():
-    dims = (2, 3, 2)
-    items = [haar_unitary(12, 3), np.eye(12), random_controlled(2, 6, 4, "A"), haar_unitary(12, 5)]
+@pytest.mark.parametrize("dims,cut", [((2, 3, 2), 1), ((2, 2, 3, 2), 2)], ids=["cut1", "cut2"])
+def test_multi_gates_stack_gives_the_bytes_of_single_calls(dims, cut):
+    n = int(np.prod(dims))
+    items = [haar_unitary(n, 3), np.eye(n), random_controlled(2, n // 2, 4, "A"), haar_unitary(n, 5)]
     u = np.stack(items).astype(complex)
-    stacked = _multi_gates(u, dims)
+    stacked = _multi_gates(u, dims, cut)
     for j in range(len(u)):
-        alone = _multi_gates(u[j][None], dims)
+        alone = _multi_gates(u[j][None], dims, cut)
         assert [(c, t) for c, t, _ in alone] == [(c, t) for c, t, _ in stacked]
         for (_, _, s), (_, _, a) in zip(stacked, alone):
             assert s[j].tobytes() == a[0].tobytes()
