@@ -194,8 +194,9 @@ def _std_cnot(mf, out):
 
 
 def _std(mf, out):
-    mode = "complexPerm" if mf.kind in PERM_KINDS else "general"
-    return compile_to_standard(mf.matrix, *mf.dims, mode).circuit, mf.matrix
+    if mf.kind in PERM_KINDS:  # the file's permutation, built once by its kind check
+        return compile_to_standard(mf.value, *mf.dims, "complexPerm").circuit, mf.matrix
+    return compile_to_standard(mf.matrix, *mf.dims, "general").circuit, mf.matrix
 
 
 def _lemma7(mf, out):

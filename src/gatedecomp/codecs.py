@@ -82,14 +82,50 @@ def _matrix_json(m) -> _Formatted:
 
 def dumps_canonical(obj) -> str:
     out: list[str] = []
-    _emit(obj, out)
+    _emit(obj, out, {})
     return "".join(out)
 
 
-def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, _Formatted):
+def _emit(obj, out: list[str], quoted: dict[str, str]) -> None:
+    """Append the canonical JSON of ``obj`` to ``out``.
+
+    The exact types of a circuit object are tested first, and every other
+    object goes through ``_emit_other``.  ``quoted`` maps each string already
+    written in this ``dumps_canonical`` call, dict key or value, to its JSON
+    text, so a circuit of many gates quotes its few distinct strings once.
+    """
+    kind = type(obj)
+    if kind is _Formatted:
         out.append(obj.text)
-    elif obj is None:
+    elif kind is dict:
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            k = str(k)
+            out.append(quoted.get(k) or quoted.setdefault(k, json.dumps(k)))
+            out.append(":")
+            _emit(v, out, quoted)
+        out.append("}")
+    elif kind is list or kind is tuple:
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(v, out, quoted)
+        out.append("]")
+    elif kind is str:
+        out.append(quoted.get(obj) or quoted.setdefault(obj, json.dumps(obj)))
+    elif kind is int:
+        out.append(str(obj))
+    else:
+        _emit_other(obj, out, quoted)
+
+
+def _emit_other(obj, out: list[str], quoted: dict[str, str]) -> None:
+    """``_emit`` of an object of no type it tests: None, a bool, a float, a
+    numpy scalar, or a subclass of int, str, list, tuple or dict."""
+    if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -104,21 +140,9 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
+        _emit(list(obj), out, quoted)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
+        _emit(dict(obj), out, quoted)
     else:
         raise CodecError(f"cannot serialize {type(obj).__name__}")
 

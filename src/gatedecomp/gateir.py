@@ -20,12 +20,21 @@ lowered to one form, ``(controls, targets, palette, index)``:
 order.  Lowering is also where a gate's structure is checked against the
 space.  One kernel applies a lowered gate to a block of state columns by a
 batched matmul over the (controls, targets, rest) regrouping of the state;
-dense simulation, gate embedding and the exact permutation tables use it.
-Classification reads the lowered palette and index without applying them.
+dense simulation and gate embedding use it.  Classification reads the
+lowered palette and index without applying them.
+
+Exact permutation tables (``circuit_permutation``) are paid for per circuit
+rather than per gate.  Gates are lowered in batches of ``DECODE_CHUNK``
+palette values, and the palettes of one branch size in a batch are tested
+and read as one stack, so the decode's working memory stays near 300 KB
+however long the circuit is.  Per gate, one gather spreads its table over
+the states, through an index grid built once per pair of control and target
+axes, and one more composes it with the result so far.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -124,14 +133,26 @@ def multiparty_space(dims) -> PartySpace:
 # gate records
 
 
-def _canonical_palette(palette: np.ndarray, index: np.ndarray):
-    """Merge equal palette entries, drop unused ones, order the rest by first use."""
+def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
+    """Merge equal palette entries, drop unused ones, order the rest by first use.
+
+    ``flat`` is ``index`` as a row-major list.  One or two entries, the
+    palettes of most records, are settled by a few comparisons; more take one
+    pass over the index.
+    """
     # equal means equal bytes: np.array_equal would also merge -0.0 with 0.0,
     # and the merged entry would change the bytes of the circuit file
+    if len(palette) == 1:
+        return palette, index
+    if len(palette) == 2:
+        first = flat[0]
+        if 1 - first not in flat or palette[0].tobytes() == palette[1].tobytes():
+            return palette[first : first + 1], np.zeros_like(index)
+        return (palette, index) if first == 0 else (palette[[1, 0]], 1 - index)
     seen: dict[bytes, int] = {}
     same = [seen.setdefault(p.tobytes(), j) for j, p in enumerate(palette)]
     rank: dict[int, int] = {}  # kept entry -> its new position, in first-use order
-    for j in index.reshape(-1).tolist():
+    for j in flat:
         rank.setdefault(same[j], len(rank))
     if list(rank) == list(range(len(palette))):
         return palette, index
@@ -149,6 +170,19 @@ def _axes(axes, what: str) -> tuple[int, ...]:
     """One axis or several, as a strictly increasing tuple of ints."""
     if isinstance(axes, (int, np.integer)):
         axes = (axes,)
+    if type(axes) is tuple:
+        # the entries' types are part of the key: 1.0 == 1, but it is no axis
+        return _tuple_axes(axes, tuple(map(type, axes)), what)
+    return _checked_axes(axes, what)
+
+
+@functools.lru_cache(maxsize=256)
+def _tuple_axes(axes: tuple, types: tuple, what: str) -> tuple[int, ...]:
+    """``_checked_axes`` memoised: the records of one circuit share a few axis tuples."""
+    return _checked_axes(axes, what)
+
+
+def _checked_axes(axes, what: str) -> tuple[int, ...]:
     axes = tuple(map(operator.index, axes))
     if list(axes) != sorted(set(axes)):
         raise CircuitError(f"{what} axes {axes} are not strictly increasing")
@@ -223,7 +257,7 @@ class ControlledGate:
         flat = index.reshape(-1).tolist()  # Python min and max beat numpy's on a few entries
         if min(flat) < 0 or max(flat) >= len(palette):
             raise CircuitError("control index names no palette entry")
-        palette, index = _canonical_palette(palette, index)
+        palette, index = _canonical_palette(palette, index, flat)
         _set(self, controls, targets, _read_only(palette), _read_only(index))
 
     def branch(self, ctrl: tuple[int, ...]) -> np.ndarray:
@@ -505,28 +539,82 @@ def apply_circuit(c: Circuit) -> np.ndarray:
     return out
 
 
-def _permutation_table(dims, lowered):
-    """(targets, phases) of a lowered gate whose branches are complex permutations.
+# palette values (complex entries of branch matrices) that the permutation
+# decode lowers and tests per batch.  A batch's stack and masks take about
+# 20 bytes a value, some 300 KB, which stays in cache; batches of 32 K values
+# and more made circuits of large branches up to twice as slow
+DECODE_CHUNK = 1 << 14
 
-    Each palette entry is tested and read once; the control index spreads the
-    result over the control tuples.
+
+def _decode(stack: np.ndarray):
+    """``(rows, vals, bad)`` of a ``(k, d, d)`` stack of branch matrices.
+
+    ``rows[p, j]`` is the row of the first nonzero in column j of entry p
+    and ``vals[p, j]`` its value.  ``bad[p]`` marks an entry that is not a
+    complex permutation.  Entry p is one exactly when every ``vals[p, j]``
+    is within 1e-12 of the unit circle (so no column is zero), it has d
+    nonzeros in all (so no column has two) and ``rows[p]`` is a permutation
+    (so no row has two).
     """
-    controls, targets, palette, index = lowered
-    nonzero = palette != 0
-    if (nonzero.sum(axis=1) != 1).any() or (nonzero.sum(axis=2) != 1).any():
-        raise CircuitError("gate is not a complex permutation")
-    rows = nonzero.argmax(axis=1)  # rows[p, j]: image level of target level j
-    vals = np.take_along_axis(palette, rows[:, None, :], axis=1)[:, 0, :]
-    if (np.abs(np.abs(vals) - 1.0) > 1e-12).any():
-        raise CircuitError("gate is not a complex permutation")
-    rows, vals = rows[index], vals[index]
-    total = math.prod(dims)
-    idx, _ = _grouped(dims, controls, targets, np.arange(total).reshape(dims))
-    out_t = np.empty(total, dtype=np.int64)
-    out_p = np.empty(total, dtype=complex)
-    out_t[idx] = idx[np.arange(len(index))[:, None], rows]
-    out_p[idx] = vals[:, :, None]
-    return out_t, out_p
+    k, d, _ = stack.shape
+    nonzero = stack != 0
+    rows = nonzero.argmax(axis=1)
+    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
+    bad = np.count_nonzero(nonzero.reshape(k, -1), axis=1) != d
+    bad |= (np.sort(rows, axis=1) != np.arange(d)).any(axis=1)
+    return rows, vals, bad | (np.abs(np.abs(vals) - 1.0) > 1e-12).any(axis=1)
+
+
+def _lowered_batches(c: Circuit):
+    """The lowered gates of ``c`` in order, in batches of ``DECODE_CHUNK`` palette values.
+
+    Yields ``(first, batch)``, with ``first`` the number of the batch's
+    first gate; a batch ends at the gate that brings it to
+    ``DECODE_CHUNK`` values or more.  A gate that fails to lower ends the
+    batch before it, and its CircuitError is raised once that batch has
+    been taken, so a bad gate before it is reported first.
+    """
+    dims = c.space.dims
+    first, batch, size = 0, [], 0
+    for i, g in enumerate(c.gates):
+        try:
+            lowered = _lower(dims, g)
+        except CircuitError as exc:
+            if batch:
+                yield first, batch
+            raise CircuitError(f"gate {i}: {exc}") from exc
+        batch.append(lowered)
+        size += lowered[2].size
+        if size >= DECODE_CHUNK:
+            yield first, batch
+            first, batch, size = i + 1, [], 0
+    if batch:
+        yield first, batch
+
+
+def _permutation_tables(first: int, batch) -> list:
+    """``(rows, vals)`` of the palette of each lowered gate, as in ``_decode``.
+
+    The palettes of one branch size are stacked and decoded together.
+    Raises CircuitError naming the first gate, counted from ``first``, with
+    an entry that is not a complex permutation.
+    """
+    by_side: dict[int, list[int]] = {}
+    for j, (_, _, palette, _) in enumerate(batch):
+        by_side.setdefault(palette.shape[1], []).append(j)
+    tables: list = [None] * len(batch)
+    bad_gates = []
+    for members in by_side.values():
+        palettes = [batch[j][2] for j in members]
+        rows, vals, bad = _decode(palettes[0] if len(palettes) == 1 else np.concatenate(palettes))
+        ends = np.cumsum([len(p) for p in palettes])
+        if bad.any():  # the gate whose entries end past the first bad one
+            bad_gates.append(members[np.searchsorted(ends, bad.argmax(), side="right")])
+        for j, lo, hi in zip(members, [0, *ends.tolist()], ends.tolist()):
+            tables[j] = rows[lo:hi], vals[lo:hi]
+    if bad_gates:
+        raise CircuitError(f"gate {first + min(bad_gates)}: gate is not a complex permutation")
+    return tables
 
 
 def circuit_permutation(c: Circuit):
@@ -535,20 +623,44 @@ def circuit_permutation(c: Circuit):
     ``targets[i]`` is the image basis index of |i> and ``phases[i]`` the
     accumulated phase, computed with integer arithmetic and exact phase
     products.  Raises CircuitError if some gate is not a complex permutation.
+
+    The gates are lowered and their palettes decoded in batches
+    (``_lowered_batches``, ``_permutation_tables``).  What is left per gate
+    is spreading its table over the states and the composition, through an
+    index grid built once per pair of control and target axes
+    (``_table_grid``).
     """
     dims = c.space.dims
-    total = c.space.total_dim
-    targets = np.arange(total, dtype=np.int64)
-    phases = np.ones(total, dtype=complex)
-    for i, g in enumerate(c.gates):
-        try:
-            gt, gp = _permutation_table(dims, _lower(dims, g))
-        except CircuitError as exc:
-            raise CircuitError(f"gate {i}: {exc}") from exc
-        # product order: current result is applied after g
-        targets = targets[gt]
-        phases = phases[gt] * gp
+    targets = np.arange(c.space.total_dim, dtype=np.int64)
+    phases = np.ones(c.space.total_dim, dtype=complex)
+    grids: dict = {}
+    for first, batch in _lowered_batches(c):
+        for (controls, axes, _, index), (rows, vals) in zip(batch, _permutation_tables(first, batch)):
+            if (controls, axes) not in grids:
+                grids[controls, axes] = _table_grid(dims, controls, axes)
+            cell, base, offset = grids[controls, axes]
+            # gate table: state x goes to x with its target levels replaced by their image
+            image = base + offset[rows[index]].ravel()[cell]
+            # product order: the current result is applied after this gate
+            targets = targets[image]
+            phases = phases[image] * vals[index].ravel()[cell]
     return targets, phases
+
+
+def _table_grid(dims, controls, targets):
+    """``(cell, base, offset)``: how a gate on these axes moves the basis states.
+
+    State x has control tuple t and target levels j; ``cell[x]`` is
+    ``t * d_targets + j``, ``offset[j]`` is what the target levels j add to a
+    state's number, and ``base[x]`` is x without them.
+    """
+    idx, _ = _grouped(dims, controls, targets, np.arange(math.prod(dims)).reshape(dims))
+    offset = idx[0, :, 0] - idx[0, 0, 0]
+    cell = np.empty(idx.size, dtype=np.intp)
+    cell[idx] = np.arange(idx.shape[0] * idx.shape[1]).reshape(idx.shape[:2] + (1,))
+    base = np.empty(idx.size, dtype=np.intp)
+    base[idx] = idx - offset[:, None]
+    return cell, base, offset
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,13 @@ class PartialPermExpansion:
     schmidt_rank: int
 
     def reconstruct(self) -> np.ndarray:
-        da = self.terms[0][0].shape[0]
-        db = self.terms[0][1].shape[0]
-        out = np.zeros((da * db, da * db), dtype=np.int64)
-        for a, b in self.terms:
-            out += np.kron(a, b)
-        return out
+        """The sum of the terms' Kronecker products, as one integer matmul."""
+        a = np.stack([a for a, _ in self.terms])
+        b = np.stack([b for _, b in self.terms])
+        (q, da, _), db = a.shape, b.shape[1]
+        # sum_j A_j[i, k] B_j[r, s] over j, reordered from (i, k, r, s) to (i, r, k, s)
+        out = (a.reshape(q, -1).T @ b.reshape(q, -1)).reshape(da, da, db, db)
+        return out.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def _group_blocks(b: np.ndarray, da: int, db: int):
@@ -134,23 +135,27 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def _with_identity(branch: np.ndarray) -> np.ndarray:
     """The two-term palette [identity, branch]: index 1 applies ``branch``."""
-    return np.stack([np.eye(len(branch), dtype=complex), branch])
+    d = len(branch)
+    out = np.zeros((2, d, d), dtype=complex)
+    out[0].flat[:: d + 1] = 1.0
+    out[1] = branch
+    return out
 
 
 _FLAG_PALETTE = _with_identity(_X)
 
 
-def _flag_palindrome(flag, flag_axis, copy_axis, apply_targets, palette):
+def _flag_palindrome(flag, copy, apply_targets, palette):
     """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
 
-    The gate ``flag`` flips the flag qubit on ``flag_axis`` where the second
-    term applies; a CNOT copies it to the other side's flag qubit on
-    ``copy_axis``, which applies ``palette[0]`` (flag 0) or ``palette[1]``
-    (flag 1) on ``apply_targets``; the copy and the flag are then undone.
-    The list is a palindrome, so product order and application order agree.
+    The gate ``flag`` flips the flag qubit where the second term applies;
+    the CNOT ``copy`` copies it to the other side's flag qubit, which
+    applies ``palette[0]`` (flag 0) or ``palette[1]`` (flag 1) on
+    ``apply_targets``; the copy and the flag are then undone.  The list is a
+    palindrome, so product order and application order agree.  Records are
+    immutable, so one ``copy`` serves every gate of a circuit.
     """
-    copy = CnotGate(flag_axis, (0, 1), copy_axis, (0, 1))
-    apply_gate = ControlledGate((copy_axis,), apply_targets, palette, np.arange(2))
+    apply_gate = ControlledGate((copy.target_axis,), apply_targets, palette, np.arange(2))
     return [flag, copy, apply_gate, copy, flag]
 
 
@@ -176,7 +181,7 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
     v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
-    gates = _flag_palindrome(v_flag, 2, 3, (1,), np.stack([v1, v2]))
+    gates = _flag_palindrome(v_flag, CnotGate(2, (0, 1), 3, (0, 1)), (1,), np.stack([v1, v2]))
     return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
@@ -218,7 +223,7 @@ def _chain_closure(mapping: dict[int, int], n: int) -> np.ndarray:
 def _pp_support(m: np.ndarray):
     """(ins, outs, mapping in->out) of a partial permutation matrix."""
     outs_idx, ins_idx = np.nonzero(m)
-    mapping = {int(i): int(o) for o, i in zip(outs_idx, ins_idx)}
+    mapping = dict(zip(ins_idx.tolist(), outs_idx.tolist()))
     return set(mapping), set(mapping.values()), mapping
 
 
@@ -237,15 +242,16 @@ class BackupProtocolResult:
     cnot_count: int
 
 
-def _term_gates(a_mat: np.ndarray, b_mat: np.ndarray, da: int, db: int, use_backup: bool):
+def _term_gates(support_a, support_b, da: int, db: int, use_backup: bool):
     """Application-order gates for one expansion term, on axes (A=0, (B,c)=(1,2)).
 
-    Branch matrices are over the (B, c) pair, row-major (b-major, c-minor).
-    Every gate applies one branch on an active set of control values and the
+    The term is given by the ``_pp_support`` of its two factors.  Branch
+    matrices are over the (B, c) pair, row-major (b-major, c-minor).  Every
+    gate applies one branch on an active set of control values and the
     identity elsewhere; the active set is a 0/1 control index.
     """
-    ins_a, outs_a, map_a = _pp_support(a_mat)
-    ins_b, outs_b, map_b = _pp_support(b_mat)
+    ins_a, outs_a, map_a = support_a
+    ins_b, outs_b, map_b = support_b
     dbc = 2 * db
     gates = []
 
@@ -304,17 +310,13 @@ def emit_backup_protocol(u, expansion: PartialPermExpansion, da: int, db: int) -
     if max_abs(expansion.reconstruct() - b) != 0.0:
         raise PreconditionError("expansion does not reproduce the permutation")
 
-    terms = expansion.terms
-    in_place_flags = []
-    for a_mat, b_mat in terms:
-        ia, oa, _ = _pp_support(a_mat)
-        ib, ob, _ = _pp_support(b_mat)
-        in_place_flags.append(ia == oa and ib == ob)
-    use_backup = not all(in_place_flags)
+    supports = [(_pp_support(a_mat), _pp_support(b_mat)) for a_mat, b_mat in expansion.terms]
+    # (ins, outs, mapping): a term is in place when each factor maps its ins onto themselves
+    use_backup = not all(sa[0] == sa[1] and sb[0] == sb[1] for sa, sb in supports)
 
     app_gates: list[ControlledGate] = []
-    for a_mat, b_mat in terms:
-        app_gates.extend(_term_gates(a_mat, b_mat, da, db, use_backup))
+    for sa, sb in supports:
+        app_gates.extend(_term_gates(sa, sb, da, db, use_backup))
 
     prod_gates = list(reversed(app_gates))
     if use_backup:
@@ -360,20 +362,22 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
         parties=(("A", da), ("B", db)),
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0), Ancilla("c", "B", 2, 0)),
     )
+    # per side of the control: controls, targets, flag axis and the CNOT copying the flag
+    sides = {
+        (0,): ((0,), (1, 4), 2, CnotGate(2, (0, 1), 3, (0, 1))),
+        (1, 2): ((1, 4), (0,), 3, CnotGate(3, (0, 1), 2, (0, 1))),
+    }
     out = []
     n_two_term = 0
     for g in prod_gates:
-        if g.controls == (0,):
-            controls, targets, flag_axis, copy_axis = (0,), (1, 4), 2, 3
-        else:
-            controls, targets, flag_axis, copy_axis = (1, 4), (0,), 3, 2
+        controls, targets, flag_axis, copy = sides[g.controls]
         if len(g.palette) == 1:
             # single-valued gate: apply directly (local to one side)
             out.append(ControlledGate(controls, targets, g.palette, g.index))
             continue
         n_two_term += 1
         flag = ControlledGate(controls, (flag_axis,), _FLAG_PALETTE, g.index)
-        out.extend(_flag_palindrome(flag, flag_axis, copy_axis, targets, g.palette))
+        out.extend(_flag_palindrome(flag, copy, targets, g.palette))
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -964,8 +968,9 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
     xgates = []
+    copy = CnotGate(3, (0, 1), 2, (0, 1))
     for p, (_, v_vec) in zip(palettes, terms):
         flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
-        xgates.extend(_flag_palindrome(flag, 3, 2, (0,), p))
+        xgates.extend(_flag_palindrome(flag, copy, (0,), p))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -141,15 +141,21 @@ def compile_to_standard(u, da: int, db: int, mode: str = "general") -> StandardC
     """Compile a bipartite unitary to standard gates plus locals.
 
     ``general`` runs the sandwich decomposition and compiles each controlled
-    layer; ``complexPerm`` requires a complex-permutation input and goes
-    through the exact 3-gate permutation form first.  Each route checks the
-    input itself (``decompose_sandwich``, ``ComplexPermutation.from_matrix``).
+    layer; ``complexPerm`` requires a complex-permutation input, a matrix or
+    a ``ComplexPermutation`` on dims (dA, dB), and goes through the exact
+    3-gate permutation form first.  Each route checks a matrix itself
+    (``decompose_sandwich``, ``ComplexPermutation.from_matrix``).
     """
     if mode == "general":
         layers = decompose_sandwich(u, da, db).circuit.gates
         budget = StandardGateBudget.evaluate("general", da, db)
     elif mode == "complexPerm":
-        cp = ComplexPermutation.from_matrix(u, (da, db))
+        if isinstance(u, ComplexPermutation):
+            cp = u
+            if cp.dims != (da, db):
+                raise ValueError(f"permutation on dims {cp.dims}, expected {(da, db)}")
+        else:
+            cp = ComplexPermutation.from_matrix(u, (da, db))
         layers = decompose_perm3(cp).circuit.gates
         budget = StandardGateBudget.evaluate("complexPerm", da, db)
     else:

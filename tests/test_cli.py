@@ -207,7 +207,7 @@ class TestDecomposeVerifyIntegration:
         run("gen", "--kind", "haar", "--dims", "2", "2", "--seed", "2", "-o", "u.json")
         assert run("decompose", "--method", "std-cnot", "-i", "u.json", "-o", "c.json") == 3
 
-    @pytest.mark.parametrize("method", ["perm3", "std-cnot", "multi"])
+    @pytest.mark.parametrize("method", ["perm3", "std", "std-cnot", "multi"])
     def test_permutation_methods_build_one_complex_permutation(self, in_tmp, monkeypatch, method):
         # the one the file's kind check builds
         run("gen", "--kind", "perm", "--dims", "3", "4", "--seed", "2", "-o", "p.json")

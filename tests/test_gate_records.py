@@ -180,6 +180,82 @@ def test_constructor_merges_orders_and_drops_entries():
 
 
 # ---------------------------------------------------------------------------
+# one- and two-entry palettes settle by comparisons; they must agree with the
+# general rule, kept here as it stood before that path
+
+
+def _general_canonical(palette, index):
+    """Merge byte-equal entries, drop unused ones, order the rest by first use."""
+    seen = {}
+    same = [seen.setdefault(p.tobytes(), j) for j, p in enumerate(palette)]
+    rank = {}
+    for j in index.reshape(-1).tolist():
+        rank.setdefault(same[j], len(rank))
+    if list(rank) == list(range(len(palette))):
+        return palette, index
+    remap = np.array([rank.get(s, 0) for s in same], dtype=np.intp)
+    return palette[list(rank)], remap[index.reshape(-1)].reshape(index.shape)
+
+
+def assert_general_rule(palette, index, controls=(0,), targets=(2,)):
+    palette, index = np.asarray(palette, dtype=complex), np.asarray(index, dtype=np.intp)
+    want_palette, want_index = _general_canonical(palette, index)
+    g = ControlledGate(controls, targets, palette, index)
+    assert g.palette.tobytes() == want_palette.tobytes()
+    assert g.palette.shape == want_palette.shape
+    assert g.index.dtype == want_index.dtype and np.array_equal(g.index, want_index)
+    assert_canonical(g)
+    return g
+
+
+I2 = np.eye(2, dtype=complex)
+X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+PLUS_ZERO = np.array([[1, 0], [0, 1]], dtype=complex)
+MINUS_ZERO = np.array([[1, -0.0], [-0.0, 1]], dtype=complex)
+
+TWO_ENTRY_CASES = {
+    "first_use_0": ([I2, X2], [0, 1, 1]),
+    "first_use_1": ([I2, X2], [1, 0, 1]),  # the palette reversed, the index flipped
+    "only_entry_0": ([I2, X2], [0, 0, 0]),
+    "only_entry_1": ([I2, X2], [1, 1, 1]),
+    "byte_equal_entries": ([X2, X2.copy()], [1, 0, 1]),  # merged into one
+    "minus_zero_kept_apart": ([PLUS_ZERO, MINUS_ZERO], [1, 0, 0]),
+    "one_entry": ([X2], [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_ENTRY_CASES))
+def test_short_palette_follows_the_general_rule(name):
+    palette, index = TWO_ENTRY_CASES[name]
+    g = assert_general_rule(palette, index)
+    if name == "minus_zero_kept_apart":
+        assert len(g.palette) == 2 and g.index.tolist() == [0, 1, 1]
+    if name == "byte_equal_entries":
+        assert len(g.palette) == 1 and g.index.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("index", [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]])
+def test_short_palette_with_a_two_axis_index(index):
+    assert_general_rule([I2, X2], index, controls=(0, 1), targets=(2,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(["eye", "x", "plus_zero", "minus_zero"]), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_palettes_of_up_to_three_entries_follow_the_general_rule(names, picks, two_axes):
+    pool = {"eye": I2, "x": X2, "plus_zero": PLUS_ZERO, "minus_zero": MINUS_ZERO}
+    palette = [pool[n] for n in names]
+    index = np.array([p % len(palette) for p in picks])
+    if two_axes and len(index) % 2 == 0:
+        assert_general_rule(palette, index.reshape(2, -1), controls=(0, 1), targets=(2,))
+    else:
+        assert_general_rule(palette, index)
+
+
+# ---------------------------------------------------------------------------
 # every kind: construction refuses a malformed record, and a record
 # that constructs saves and reloads to the same bytes
 

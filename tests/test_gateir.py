@@ -25,6 +25,7 @@ from gatedecomp import (
     validate_circuit,
     verify_decomposition,
 )
+from gatedecomp import gateir
 from gatedecomp.gateir import CircuitError, gate_matrix, recompute_metrics
 from gatedecomp.matcore import DEFAULT_EPS, PreconditionError, max_abs
 from gatedecomp.schmidt import schmidt_rank
@@ -426,3 +427,139 @@ class TestSinglePathProperties:
                 expected = _dense_classify(full, da, db)
                 assert classify_matrix(full, da, db) == expected
                 assert (cl.controlled_from_a, cl.controlled_from_b, cl.schmidt_rank) == expected
+
+
+# ---------------------------------------------------------------------------
+# the batched permutation decode: gates are lowered and decoded in batches of
+# DECODE_CHUNK palette values, whatever the circuit's length
+
+
+DIMS3 = (4, 4, 4)  # two target axes give 16 x 16 branches of 256 values
+
+
+def _perm_branch(rng, d, phases=PHASES):
+    m = np.zeros((d, d), dtype=complex)
+    m[rng.permutation(d), np.arange(d)] = rng.choice(phases, size=d)
+    return m
+
+
+def _long_circuit(seed: int, n_gates: int, generic_at: int | None = None) -> Circuit:
+    """Controlled permutations on (4, 4, 4), with a CNOT or a local gate every fifth.
+
+    Phases come from ``PHASES``, except for the gate at ``generic_at``,
+    whose phases are anywhere on the unit circle.
+    """
+    rng = np.random.default_rng(seed)
+    gates = []
+    for i in range(n_gates):
+        phases = np.exp(2j * np.pi * rng.random(8)) if i == generic_at else PHASES
+        ctrl = int(rng.integers(3))
+        if i % 5 == 4 and i != generic_at:
+            a, b = rng.permutation(3)[:2]
+            gates.append(CnotGate(int(a), (0, 1), int(b), (1, 3)) if i % 2 else
+                         LocalGate(ctrl, _perm_branch(rng, 4)))
+            continue
+        targets = tuple(ax for ax in range(3) if ax != ctrl)
+        k = int(rng.integers(1, 5))
+        palette = np.stack([_perm_branch(rng, 16, phases) for _ in range(k)])
+        gates.append(ControlledGate((ctrl,), targets, palette, rng.integers(k, size=4)))
+    return Circuit(multiparty_space(DIMS3), tuple(gates))
+
+
+def _entries(c: Circuit, side: int) -> int:
+    return sum(len(g.palette) for g in c.gates if isinstance(g, ControlledGate) and g.palette.shape[1] == side)
+
+
+def _read_out(c: Circuit):
+    t, p = circuit_permutation(c)
+    rebuilt = np.zeros((t.size, t.size), dtype=complex)
+    rebuilt[t, np.arange(t.size)] = p
+    return t, p, rebuilt
+
+
+class TestBatchedPermutationDecode:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10**6))
+    def test_long_circuits_match_dense_exactly(self, seed, where):
+        # one gate has phases off {1, i, -1, -i}: a product of two such
+        # phases rounds differently in BLAS and in one complex multiply,
+        # while a product with 1, i, -1 or -i is exact either way
+        n = 3 * gateir.DECODE_CHUNK // 256  # gates of 2.5 entries on average: several batches
+        c = _long_circuit(seed, n, generic_at=where % n)
+        assert _entries(c, 16) > 2 * gateir.DECODE_CHUNK // 256
+        _, p, rebuilt = _read_out(c)
+        assert np.array_equal(rebuilt, apply_circuit(c))
+        assert (np.abs(np.abs(p) - 1) <= 1e-12).all()
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300, 4096])
+    def test_any_chunk_size_gives_the_same_tables(self, monkeypatch, chunk):
+        # 1 and 40 make every gate a batch; 300 ends a batch at each 16 x 16 gate
+        c = _long_circuit(5, 60, generic_at=7)
+        want_t, want_p = circuit_permutation(c)
+        monkeypatch.setattr(gateir, "DECODE_CHUNK", chunk)
+        t, p = circuit_permutation(c)
+        assert np.array_equal(t, want_t) and np.array_equal(p, want_p)
+
+    @staticmethod
+    def _boundary_circuit(k: int, bad_gate: int, bad_entry: int, bad: str) -> Circuit:
+        """Gates of k distinct 16 x 16 entries; entry ``bad_entry`` of gate ``bad_gate`` is no permutation."""
+        rng = np.random.default_rng(11)
+        gates = []
+        for i in range(bad_gate + 3):
+            palette = np.stack([_perm_branch(rng, 16) for _ in range(k)])
+            if i == bad_gate:
+                m = palette[bad_entry]
+                if bad == "two_in_a_column":
+                    m[(np.flatnonzero(m[:, 0])[0] + 1) % 16, 0] = 1.0
+                elif bad == "empty_column":
+                    m[:, 3] = 0.0
+                elif bad == "two_in_a_row":  # one nonzero per column still, d in all
+                    m[:, 3] = 0.0
+                    m[np.flatnonzero(m[:, 0])[0], 3] = 1.0
+                else:
+                    m[m != 0] *= 1 + 2e-12
+            gates.append(ControlledGate((0,), (1, 2), palette, np.arange(4) % k))
+        return Circuit(multiparty_space(DIMS3), tuple(gates))
+
+    @pytest.mark.parametrize("bad", ["two_in_a_column", "empty_column", "two_in_a_row", "off_the_circle"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("entry", ["first", "last"])
+    @pytest.mark.parametrize("where", ["batch_end", "batch_start", "second_batch_end"])
+    def test_a_bad_gate_at_a_batch_boundary_is_named(self, bad, k, entry, where):
+        per_batch = -(-gateir.DECODE_CHUNK // (256 * k))  # a batch ends once it holds DECODE_CHUNK values
+        gate = {"batch_end": per_batch - 1, "batch_start": per_batch, "second_batch_end": 2 * per_batch - 1}[where]
+        c = self._boundary_circuit(k, gate, 0 if entry == "first" else k - 1, bad)
+        assert [len(g.palette) for g in c.gates] == [k] * len(c.gates)
+        with pytest.raises(CircuitError, match=rf"^gate {gate}: gate is not a complex permutation$"):
+            circuit_permutation(c)
+
+    def test_the_first_bad_gate_is_named_across_branch_sizes(self):
+        good = _long_circuit(3, 12).gates
+        bad_small = LocalGate(0, haar_unitary(4, 1))  # 4 x 4 branches
+        bad_large = ControlledGate((0,), (1, 2), haar_unitary(16, 2)[None], np.zeros(4, int))
+        for gates, first in [((*good[:3], bad_large, *good[3:9], bad_small), 3),
+                             ((*good[:3], bad_small, *good[3:9], bad_large), 3)]:
+            with pytest.raises(CircuitError, match=rf"^gate {first}: gate is not a complex permutation$"):
+                circuit_permutation(Circuit(multiparty_space(DIMS3), gates))
+
+    def test_a_bad_gate_before_one_that_fails_to_lower_is_named_first(self):
+        good = _long_circuit(4, 6).gates
+        bad = LocalGate(0, haar_unitary(4, 1))
+        unfit = ControlledGate((0,), (1,), np.eye(4)[None], np.zeros(3, int))  # index of 3 on dim 4
+        space = multiparty_space(DIMS3)
+        with pytest.raises(CircuitError, match=r"^gate 2: gate is not a complex permutation$"):
+            circuit_permutation(Circuit(space, (*good[:2], bad, *good[2:4], unfit)))
+        with pytest.raises(CircuitError, match=r"^gate 2: control index has shape"):
+            circuit_permutation(Circuit(space, (*good[:2], unfit, *good[2:4], bad)))
+
+    @pytest.mark.parametrize("scale, ok", [(1 + 5e-13, True), (1 - 5e-13, True), (1 + 2e-12, False), (1 - 2e-12, False)])
+    def test_unit_modulus_edge(self, scale, ok):
+        value = scale * np.exp(0.3j)
+        gates = (cnot_gate(), LocalGate(1, np.array([[0, 1], [value, 0]])), cnot_gate())
+        c = Circuit(bipartite_space(2, 2), gates)
+        if ok:
+            _, p, rebuilt = _read_out(c)
+            assert value in p.tolist() and np.array_equal(rebuilt, apply_circuit(c))
+        else:
+            with pytest.raises(CircuitError, match=r"^gate 1: gate is not a complex permutation$"):
+                circuit_permutation(c)

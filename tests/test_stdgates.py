@@ -131,6 +131,16 @@ class TestCompileToStandard:
         with pytest.raises(PreconditionError):
             compile_to_standard(haar_unitary(4, 1), 2, 2, "complexPerm")
 
+    def test_complex_perm_mode_takes_the_permutation_itself(self):
+        cp = random_complex_permutation((3, 4), 5)
+        by_matrix = compile_to_standard(cp.matrix(), 3, 4, "complexPerm")
+        by_value = compile_to_standard(cp, 3, 4, "complexPerm")
+        assert by_value.standard_count == by_matrix.standard_count
+        for g, h in zip(by_value.circuit.gates, by_matrix.circuit.gates, strict=True):
+            assert type(g) is type(h) and np.array_equal(g.matrix, h.matrix)
+        with pytest.raises(ValueError, match="dims"):
+            compile_to_standard(cp, 4, 3, "complexPerm")
+
 
 class TestCnotType:
     def test_swap2_three_gates(self):
