@@ -64,20 +64,29 @@ class _Formatted:
 
 
 def _matrix_json(m) -> _Formatted:
-    """A complex matrix as rows of ``[re, im]`` pairs, with ``_format_float``'s tokens.
+    """A complex matrix as rows of ``[re, im]`` pairs, with ``_format_float``'s tokens."""
+    return _matrices_json(np.asarray(m, dtype=complex)[None])[0]
 
-    One template of ``%`` formats is built from which entries are whole, and
-    the float array fills it in one pass.
+
+def _matrices_json(stack) -> list[_Formatted]:
+    """``_matrix_json`` of each matrix of a (k, n, m) stack, from one format pass.
+
+    One template of ``%`` formats is built from which entries are whole,
+    with the matrices separated by "|", which no number prints; the float
+    array fills it in one pass, and the text is split at the separators.
     """
-    x = np.ascontiguousarray(m, dtype=complex)
+    x = np.ascontiguousarray(stack, dtype=complex)
     x = x.view(float).reshape(*x.shape, 2)
     if not np.isfinite(x).all():
         raise CodecError("non-finite values cannot be serialized")
     whole = (x == np.trunc(x)) & (np.abs(x) < 1e17)
     codes = (2 * whole[..., 0] + whole[..., 1]).tolist()
     pair = _PAIR_FORMATS.__getitem__
-    template = ",".join("[" + ",".join(map(pair, row)) + "]" for row in codes)
-    return _Formatted("[" + template % tuple(x.ravel().tolist()) + "]")
+    template = "|".join(
+        "[" + ",".join("[" + ",".join(map(pair, row)) + "]" for row in matrix) + "]"
+        for matrix in codes
+    )
+    return [_Formatted(text) for text in (template % tuple(x.ravel().tolist())).split("|")]
 
 
 def dumps_canonical(obj) -> str:
@@ -379,8 +388,8 @@ def _branches_from_obj(v, path: str) -> dict:
 
 
 def _branches_to_obj(g) -> list:
-    """One branch per control tuple; each palette entry is formatted once for all of them."""
-    texts = [_matrix_json(m) for m in g.palette]
+    """One branch per control tuple; the palette is formatted once for all of them."""
+    texts = _matrices_json(g.palette)
     return [
         {"control": list(k), "matrix": texts[j]}
         for k, j in zip(np.ndindex(g.index.shape), g.index.flat)
@@ -423,8 +432,8 @@ def circuit_to_obj(c: Circuit):
     """The circuit as an object for :func:`dumps_canonical`, not a plain JSON tree.
 
     Matrix and branch payloads are canonical JSON text made ahead (one
-    format pass per array, one per palette entry), which only
-    ``dumps_canonical`` writes out.
+    format pass per array or palette), which only ``dumps_canonical``
+    writes out.
     """
     # gate order note: gates[0] is the leftmost product factor (applied last)
     met = {

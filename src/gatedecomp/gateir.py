@@ -146,7 +146,7 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
         return palette, index
     if len(palette) == 2:
         first = flat[0]
-        if 1 - first not in flat or palette[0].tobytes() == palette[1].tobytes():
+        if 1 - first not in flat or _equal_bytes(palette[0], palette[1]):
             return palette[first : first + 1], np.zeros_like(index)
         return (palette, index) if first == 0 else (palette[[1, 0]], 1 - index)
     seen: dict[bytes, int] = {}
@@ -160,7 +160,20 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
     return palette[list(rank)], remap[index.reshape(-1)].reshape(index.shape)
 
 
+def _equal_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two matrices of one shape have equal bytes.
+
+    Unequal diagonals settle it without copying the matrices, and they tell
+    the identity from every other permutation matrix, so they settle the
+    [identity, permutation] palettes of the integer path.
+    """
+    return a.diagonal().tobytes() == b.diagonal().tobytes() and a.tobytes() == b.tobytes()
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is read-only already, else a read-only view of it."""
+    if not a.flags.writeable:
+        return a
     view = a.view()
     view.flags.writeable = False
     return view
@@ -180,6 +193,26 @@ def _axes(axes, what: str) -> tuple[int, ...]:
 def _tuple_axes(axes: tuple, types: tuple, what: str) -> tuple[int, ...]:
     """``_checked_axes`` memoised: the records of one circuit share a few axis tuples."""
     return _checked_axes(axes, what)
+
+
+def _control_target_axes(controls, targets) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_axes`` of a controlled gate's two axis lists, checked not to overlap."""
+    if type(controls) is tuple and type(targets) is tuple:
+        return _tuple_control_target_axes(controls, targets, tuple(map(type, controls + targets)))
+    return _checked_control_target_axes(controls, targets)
+
+
+@functools.lru_cache(maxsize=256)
+def _tuple_control_target_axes(controls: tuple, targets: tuple, types: tuple):
+    """``_checked_control_target_axes`` memoised, keyed by the entries' types as ``_tuple_axes`` is."""
+    return _checked_control_target_axes(controls, targets)
+
+
+def _checked_control_target_axes(controls, targets):
+    controls, targets = _axes(controls, "control"), _axes(targets, "target")
+    if set(controls) & set(targets):
+        raise CircuitError("control and target axes overlap")
+    return controls, targets
 
 
 def _checked_axes(axes, what: str) -> tuple[int, ...]:
@@ -243,9 +276,7 @@ class ControlledGate:
     kind = "ControlledComputational"
 
     def __post_init__(self):
-        controls, targets = _axes(self.controls, "control"), _axes(self.targets, "target")
-        if set(controls) & set(targets):
-            raise CircuitError("control and target axes overlap")
+        controls, targets = _control_target_axes(self.controls, self.targets)
         palette = np.asarray(self.palette, dtype=complex)
         index = np.asarray(self.index, dtype=np.intp)
         if palette.ndim != 3 or palette.shape[1] != palette.shape[2] or not palette.shape[1]:
@@ -409,11 +440,14 @@ class Circuit:
 def compute_metrics(space: PartySpace, gates, ebit_estimate: float | None = None) -> Metrics:
     counts = {k: 0 for k in GATE_KINDS}
     nonlocal_cnot = 0
+    crosses: dict[tuple[int, int], bool] = {}  # per (control, target) axis pair of a CNOT
     for g in gates:
         counts[g.kind] += 1
         if isinstance(g, CnotGate):
-            if space.axis_host(g.control_axis) != space.axis_host(g.target_axis):
-                nonlocal_cnot += 1
+            pair = (g.control_axis, g.target_axis)
+            if pair not in crosses:
+                crosses[pair] = space.axis_host(pair[0]) != space.axis_host(pair[1])
+            nonlocal_cnot += crosses[pair]
     items = tuple((k, v) for k, v in counts.items() if v)
     return Metrics(items, nonlocal_cnot, ebit_estimate)
 

@@ -7,6 +7,12 @@ pattern; multipartite permutations get a (2n-1)-gate generalized form.  All
 the combinatorics runs on integer tables, so reconstructions are exact: the
 emitted branch matrices contain only 0, 1, and (for the complex case) the
 input's own phase values.
+
+The bipartite stages are built in one loop over the B levels, each level a
+few numpy operations on the whole (dA, dB) tables.  The SDR of each level
+is one maximum matching, moved to the lexicographically smallest one by
+exchange paths.  Augmenting and exchange paths are walked over explicit
+stacks, so no step recurses and large party dimensions decompose.
 """
 
 from __future__ import annotations
@@ -87,23 +93,47 @@ class AbsolutelySingular:
     cols: tuple[int, ...]
 
 
-def _kuhn_match(adj: list[list[int]], rows: list[int], allowed: set[int]):
-    """Maximum matching via augmenting paths; returns col->row dict."""
-    match_col: dict[int, int] = {}
+def _augment(adj: list[list[int]], owner: list[int], root: int, seen: set[int]):
+    """Flip one augmenting path from row ``root``; its (rows, cols) pairs, or None.
 
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in adj[r]:
-            if c not in allowed or c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or augment(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
+    ``owner[c]`` is the row matched to column c, or -1 when c is free.  The
+    walk is depth first over an explicit stack: each row tries its columns
+    in ``adj`` order, skipping and then adding to ``seen``, and a column
+    owned by a row continues the path at that row.  On success row
+    ``rows[i]`` takes column ``cols[i]``.
+    """
+    rows, cols, tries = [root], [], [iter(adj[root])]
+    while tries:
+        for c in tries[-1]:
+            if c not in seen:
+                break
+        else:  # the top row has no column left: back up one step
+            tries.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+            continue
+        seen.add(c)
+        cols.append(c)
+        r = owner[c]
+        if r < 0:
+            for r, c in zip(rows, cols):
+                owner[c] = r
+            return rows, cols
+        rows.append(r)
+        tries.append(iter(adj[r]))
+    return None
 
-    for r in rows:
-        augment(r, set())
-    return match_col
+
+def _kuhn_match(adj: list[list[int]]) -> list[int]:
+    """Maximum matching, one augmenting path per row in order; each column's row or -1."""
+    owner = [-1] * len(adj)
+    for r, cols in enumerate(adj):
+        if cols and owner[cols[0]] < 0:  # the walk would stop at its first column
+            owner[cols[0]] = r
+        else:
+            _augment(adj, owner, r, set())
+    return owner
 
 
 def find_sdr(pattern):
@@ -112,16 +142,22 @@ def find_sdr(pattern):
     On success returns the lexicographically smallest assignment (list of
     0-based column indices).  On failure returns an
     :class:`AbsolutelySingular` witness.
+
+    One maximum matching decides which.  The smallest assignment is then
+    reached from that matching row by row: row r tries each smaller column
+    c, and c is feasible exactly when an exchange path frees r's column for
+    the row holding c, through rows after r and columns no earlier row has
+    fixed.
     """
     p = np.asarray(pattern, dtype=bool)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("pattern must be square")
     n = p.shape[0]
-    adj = [list(np.flatnonzero(p[r])) for r in range(n)]
+    adj = [[c for c, x in enumerate(row) if x] for row in p.tolist()]
 
-    match_col = _kuhn_match(adj, list(range(n)), set(range(n)))
-    if len(match_col) < n:
-        matched_rows = set(match_col.values())
+    owner = _kuhn_match(adj)
+    if -1 in owner:
+        matched_rows = set(owner) - {-1}
         start = next(r for r in range(n) if r not in matched_rows)
         reach_rows = {start}
         reach_cols: set[int] = set()
@@ -133,29 +169,36 @@ def find_sdr(pattern):
                     if c in reach_cols:
                         continue
                     reach_cols.add(c)
-                    owner = match_col.get(c)
-                    if owner is not None and owner not in reach_rows:
-                        reach_rows.add(owner)
-                        nxt.append(owner)
+                    row = owner[c]
+                    if row >= 0 and row not in reach_rows:
+                        reach_rows.add(row)
+                        nxt.append(row)
             frontier = nxt
         cols = tuple(c for c in range(n) if c not in reach_cols)
         return AbsolutelySingular(tuple(sorted(reach_rows)), cols)
 
-    # canonicalize: greedily fix the smallest feasible column per row
-    assign: list[int] = []
-    used: set[int] = set()
+    assign = [0] * n
+    for c, r in enumerate(owner):
+        assign[r] = c
+    fixed: set[int] = set()  # the columns of the rows before r
     for r in range(n):
+        c0 = assign[r]
         for c in adj[r]:
-            if c in used:
-                continue
-            rest = list(range(r + 1, n))
-            allowed = set(range(n)) - used - {c}
-            if len(_kuhn_match(adj, rest, allowed)) == len(rest):
-                assign.append(c)
-                used.add(c)
+            if c >= c0:
                 break
-        else:
-            raise AssertionError("matching existed but canonicalization failed")
+            if c in fixed:
+                continue
+            # give c to r; the row that held c looks for c0, now free
+            owner[c0] = -1
+            path = _augment(adj, owner, owner[c], fixed | {c})
+            if path is None:
+                owner[c0] = r
+                continue
+            for row, col in zip(*path):
+                assign[row] = col
+            owner[c], assign[r] = r, c
+            break
+        fixed.add(assign[r])
     return assign
 
 
@@ -175,72 +218,55 @@ def block_pattern(targets, da: int, db: int) -> np.ndarray:
 # Product order matches circuits: U = G1 G2 G3 applies G3 first.
 
 
-def _invert(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
-def _swap_perm(n: int, i: int, j: int) -> np.ndarray:
-    p = np.arange(n)
-    p[i], p[j] = p[j], p[i]
-    return p
-
-
 def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
-    """Three stage tables (sigma1, tau2, sigma3) for a bipartite permutation."""
-    if db == 1:
-        sigma = np.zeros((da, 1), dtype=np.int64)
-        tau = np.array([out_a[:, 0]])
-        return sigma, tau, sigma.copy()
+    """Three stage tables (sigma1, tau2, sigma3) for a bipartite permutation.
 
-    pattern = np.zeros((da, da), dtype=bool)
-    for k in range(da):
-        for c in range(db):
-            pattern[out_a[k, c], k] = True
-    sdr = find_sdr(pattern)
-    if isinstance(sdr, AbsolutelySingular):
-        raise AssertionError("permutation block pattern cannot be absolutely singular")
-
-    v_stage = np.tile(np.arange(db), (da, 1))  # per OUTPUT row j
-    w_stage = np.tile(np.arange(db), (da, 1))  # per INPUT row k
-    for j in range(da):
-        k = sdr[j]
-        nz = [(int(out_b[k, c]), c) for c in range(db) if out_a[k, c] == j]
-        r_star, c_star = min(nz)
-        v_stage[j] = _swap_perm(db, 0, r_star)
-        w_stage[k] = _swap_perm(db, 0, c_star)
-
-    # U' = V U W on tables
-    up_a = np.empty_like(out_a)
-    up_b = np.empty_like(out_b)
-    for a in range(da):
-        for b in range(db):
-            bb = w_stage[a][b]
-            ja, jb = out_a[a, bb], out_b[a, bb]
-            up_a[a, b] = ja
-            up_b[a, b] = v_stage[ja][jb]
-
-    x_perm = np.empty(da, dtype=np.int64)
-    for j in range(da):
-        x_perm[sdr[j]] = j
-
-    y_a = up_a[:, 1:]
-    y_b = up_b[:, 1:] - 1
-    s1, t2, s3 = _perm3_stages(y_a, y_b, da, db - 1)
-
-    sigma1 = np.empty((da, db), dtype=np.int64)
-    sigma3 = np.empty((da, db), dtype=np.int64)
+    One level per B level but the last, each on the whole (dA, m) tables of
+    the current m-column problem.  An SDR of the block pattern names, for
+    every output row j, an input row k; the transposition stages v (per
+    output row) and w (per input row) bring the smallest B output of k's
+    cells in row j to column 0, and that column becomes row ``level`` of
+    tau2.  Columns 1.. of the transformed table are the next level's
+    problem.  Each v and w is a transposition, so its own inverse; the
+    lifts through them run last to first after the loop.
+    """
+    rows = np.arange(da)
+    col = rows[:, None]
+    levels = np.tile(np.arange(db), (da, 1))
     tau2 = np.empty((db, da), dtype=np.int64)
-    for a in range(da):
-        v_inv = _invert(v_stage[a])
-        w_inv = _invert(w_stage[a])
-        lift1 = np.concatenate(([0], s1[a] + 1))
-        lift3 = np.concatenate(([0], s3[a] + 1))
-        sigma1[a] = v_inv[lift1]
-        sigma3[a] = lift3[w_inv]
-    tau2[0] = x_perm
-    tau2[1:] = t2
+    stages = []
+    for level in range(db - 1):
+        m = db - level
+        pattern = np.zeros((da, da), dtype=bool)
+        pattern[out_a, col] = True
+        sdr = find_sdr(pattern)
+        if isinstance(sdr, AbsolutelySingular):
+            raise AssertionError("permutation block pattern cannot be absolutely singular")
+        k = np.array(sdr, dtype=np.int64)
+        # r*, c* of output row j: the smallest B output among k's cells in row j, and its column
+        key = np.where(out_a[k] == col, out_b[k], m)
+        c_star = key.argmin(axis=1)
+        r_star = key[rows, c_star]
+        v = levels[:, :m].copy()  # per OUTPUT row j
+        v[rows, r_star] = 0
+        v[:, 0] = r_star
+        w = levels[:, :m].copy()  # per INPUT row k
+        w[k, c_star] = 0
+        w[k, 0] = c_star
+        # U' = V U W on tables
+        up_a = out_a[col, w]
+        up_b = v[up_a, out_b[col, w]]
+        tau2[level, k] = rows
+        stages.append((v, w))
+        out_a, out_b = up_a[:, 1:], up_b[:, 1:] - 1
+    tau2[db - 1] = out_a[:, 0]
+
+    sigma1 = np.zeros((da, 1), dtype=np.int64)
+    sigma3 = np.zeros((da, 1), dtype=np.int64)
+    zero = np.zeros((da, 1), dtype=np.int64)
+    for v, w in reversed(stages):
+        sigma1 = v[col, np.concatenate((zero, sigma1 + 1), axis=1)]
+        sigma3 = np.concatenate((zero, sigma3 + 1), axis=1)[col, w]
     return sigma1, tau2, sigma3
 
 

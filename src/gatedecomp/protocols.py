@@ -12,6 +12,7 @@ CNOTs via the flag-ancilla construction (one qubit per side).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,37 +55,46 @@ class PartialPermExpansion:
     schmidt_rank: int
 
     def reconstruct(self) -> np.ndarray:
-        """The sum of the terms' Kronecker products, as one integer matmul."""
-        a = np.stack([a for a, _ in self.terms])
-        b = np.stack([b for _, b in self.terms])
-        (q, da, _), db = a.shape, b.shape[1]
+        """The sum of the terms' Kronecker products, as one matmul.
+
+        The zero matrix when there are no terms.  Integer factors are
+        multiplied in float64, on BLAS, which is exact while every sum stays
+        below 2**53, as it does for 0/1 factors; the result has their dtype.
+        """
+        da, db = math.isqrt(self.bound_components[0]), math.isqrt(self.bound_components[1])
+        if not self.terms:
+            return np.zeros((da * db, da * db), dtype=np.int64)
+        a = np.stack([a for a, _ in self.terms]).reshape(self.q, -1)
+        b = np.stack([b for _, b in self.terms]).reshape(self.q, -1)
+        dtype = np.result_type(a, b)
+        if dtype.kind in "biu":
+            a, b = a.astype(float), b.astype(float)
         # sum_j A_j[i, k] B_j[r, s] over j, reordered from (i, k, r, s) to (i, r, k, s)
-        out = (a.reshape(q, -1).T @ b.reshape(q, -1)).reshape(da, da, db, db)
+        out = (a.T @ b).astype(dtype, copy=False).reshape(da, da, db, db)
         return out.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def _group_blocks(b: np.ndarray, da: int, db: int):
-    """Distinct-nonzero-block grouping along the B side: terms (A_S, D_l)."""
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    order: list[bytes] = []
-    for j in range(da):
-        for k in range(da):
-            blk = b[j * db : (j + 1) * db, k * db : (k + 1) * db]
-            if not blk.any():
-                continue
-            key = blk.tobytes()
-            if key not in groups:
-                groups[key] = (blk, [])
-                order.append(key)
-            groups[key][1].append((j, k))
-    terms = []
-    for key in order:
-        blk, cells = groups[key]
-        a = np.zeros((da, da), dtype=np.int64)
-        for j, k in cells:
-            a[j, k] = 1
-        terms.append((a, blk.copy()))
-    return terms
+def _group_blocks(r: np.ndarray, da: int, db: int):
+    """Distinct-nonzero-block grouping: terms (A_S, D_l) from a realigned 0/1 matrix.
+
+    Row j * da + k of ``r`` is block (j, k) of the matrix, a db x db block
+    read row-major.  The nonzero rows are grouped by value, in order of
+    first appearance; D_l is the group's block and A_S marks its cells.
+    """
+    cells = np.flatnonzero(r.any(axis=1))
+    packed = np.packbits(r[cells], axis=1)  # a 0/1 row, 8 entries a byte
+    data, width = packed.tobytes(), packed.shape[1]
+    groups: dict[bytes, int] = {}
+    group_of, firsts = [], []
+    for i in range(len(cells)):
+        g = groups.setdefault(data[i * width : (i + 1) * width], len(groups))
+        if g == len(firsts):
+            firsts.append(i)
+        group_of.append(g)
+    q = len(firsts)
+    a = np.zeros((q, da * da), dtype=np.int64)
+    a[group_of, cells] = 1
+    return list(zip(a.reshape(q, da, da), r[cells[firsts]].reshape(q, db, db)))
 
 
 def pp_expansion(u, da: int, db: int) -> PartialPermExpansion:
@@ -95,17 +105,17 @@ def pp_expansion(u, da: int, db: int) -> PartialPermExpansion:
     min(dA^2, dB^2, dA*r, dB*r, 2^r) with r the Schmidt rank.
     """
     b = _check_partial_permutation(u, da, db)
-    terms_b = _group_blocks(b, da, db)
-    # transposed grouping: distinct dA x dA blocks indexed by B coordinates
-    swapped = (
-        b.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
-    )
-    terms_a_swapped = _group_blocks(swapped, db, da)
-    terms_a = [(blk, a) for a, blk in terms_a_swapped]
+    r = b.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)  # realigned
+    terms_b = _group_blocks(r, da, db)
+    # transposed grouping: the realignment of the A <-> B swapped matrix is r.T,
+    # whose rows are the distinct dA x dA blocks indexed by B coordinates
+    terms_a = [(blk, a) for a, blk in _group_blocks(r.T, db, da)]
     terms = terms_b if len(terms_b) <= len(terms_a) else terms_a
-    r = schmidt_rank(b.astype(complex), da, db)
-    comps = (da * da, db * db, da * r, db * r, 2**r if r < 60 else 2**60)
-    return PartialPermExpansion(tuple(terms), len(terms), comps, r)
+    # the rank of r's real nonzero part: zero rows and columns leave its singular values
+    nonzero = r != 0
+    rank = matrix_rank(r[nonzero.any(axis=1)][:, nonzero.any(axis=0)])
+    comps = (da * da, db * db, da * rank, db * rank, 2**rank if rank < 60 else 2**60)
+    return PartialPermExpansion(tuple(terms), len(terms), comps, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +152,31 @@ def _with_identity(branch: np.ndarray) -> np.ndarray:
     return out
 
 
-_FLAG_PALETTE = _with_identity(_X)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _flag_palindrome(flag, copy, apply_targets, palette):
+_FLAG_PALETTE = _frozen(_with_identity(_X))
+_BOTH = _frozen(np.arange(2))
+
+
+def _flag_apply(copy, targets, palette) -> ControlledGate:
+    """The gate applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes."""
+    return ControlledGate((copy.target_axis,), targets, palette, _BOTH)
+
+
+def _flag_palindrome(flag, copy, apply):
     """Flag, copy, apply, copy, flag: one two-term controlled gate via 2 CNOTs.
 
     The gate ``flag`` flips the flag qubit where the second term applies;
-    the CNOT ``copy`` copies it to the other side's flag qubit, which
-    applies ``palette[0]`` (flag 0) or ``palette[1]`` (flag 1) on
-    ``apply_targets``; the copy and the flag are then undone.  The list is a
-    palindrome, so product order and application order agree.  Records are
-    immutable, so one ``copy`` serves every gate of a circuit.
+    the CNOT ``copy`` copies it to the other side's flag qubit, on which
+    ``apply`` (a ``_flag_apply`` gate) is controlled; the copy and the flag
+    are then undone.  The list is a palindrome, so product order and
+    application order agree.  Records are immutable, so one ``copy`` serves
+    every gate of a circuit, and one ``apply`` every gate of its palette.
     """
-    apply_gate = ControlledGate((copy.target_axis,), apply_targets, palette, np.arange(2))
-    return [flag, copy, apply_gate, copy, flag]
+    return [flag, copy, apply, copy, flag]
 
 
 def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
@@ -181,7 +201,8 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
         ancillas=(Ancilla("a", "A", 2, 0), Ancilla("b", "B", 2, 0)),
     )
     v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
-    gates = _flag_palindrome(v_flag, CnotGate(2, (0, 1), 3, (0, 1)), (1,), np.stack([v1, v2]))
+    copy = CnotGate(2, (0, 1), 3, (0, 1))
+    gates = _flag_palindrome(v_flag, copy, _flag_apply(copy, (1,), np.stack([v1, v2])))
     return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
@@ -243,30 +264,24 @@ class BackupProtocolResult:
 
 
 def _term_gates(support_a, support_b, da: int, db: int, use_backup: bool):
-    """Application-order gates for one expansion term, on axes (A=0, (B,c)=(1,2)).
+    """Application-order gates of one expansion term, as (side, tables, active) triples.
 
-    The term is given by the ``_pp_support`` of its two factors.  Branch
-    matrices are over the (B, c) pair, row-major (b-major, c-minor).  Every
-    gate applies one branch on an active set of control values and the
-    identity elsewhere; the active set is a 0/1 control index.
+    The term is given by the ``_pp_support`` of its two factors.  Side 0 is
+    controlled from A and permutes the (B, c) pair, row-major (b-major,
+    c-minor); side 1 is controlled from (B, c) and permutes A.  Every gate
+    applies one branch on an active set of control values and the identity
+    elsewhere: ``tables`` holds the permutation tables [identity, branch] of
+    its palette, and ``active`` lists the control values where the branch
+    applies, row-major over the control axes: A rows (side 0), or 2 b + c
+    for B column b of copy c (side 1).  The move and the restore share one
+    ``tables`` array.
     """
     ins_a, outs_a, map_a = support_a
     ins_b, outs_b, map_b = support_b
     dbc = 2 * db
     gates = []
-
-    def on_a(rows) -> np.ndarray:  # 1 on the given A rows
-        index = np.zeros(da, dtype=np.intp)
-        index[list(rows)] = 1
-        return index
-
-    def on_bc(cols, c: int) -> np.ndarray:  # 1 on the given B columns of copy c
-        index = np.zeros((db, 2), dtype=np.intp)
-        index[list(cols), c] = 1
-        return index
-
     pi = _chain_closure(map_a, da)
-    pi_mat = perm_matrix(pi)
+    permutes_a = (pi != np.arange(da)).any()
     in_place = (ins_a == outs_a) and (ins_b == outs_b)
 
     if in_place and not use_backup:
@@ -275,25 +290,79 @@ def _term_gates(support_a, support_b, da: int, db: int, use_backup: bool):
             # column permutation within the rectangle rows, on the c=0 copy
             t = np.arange(dbc)
             t[0::2] = 2 * btil
-            s = _with_identity(perm_matrix(t))
-            gates.append(ControlledGate((0,), (1, 2), s, on_a(ins_a)))
-        if (pi != np.arange(da)).any():
-            gates.append(ControlledGate((1, 2), (0,), _with_identity(pi_mat), on_bc(ins_b, 0)))
+            gates.append((0, np.array((np.arange(dbc), t)), list(ins_a)))
+        if permutes_a:
+            gates.append((1, np.array((np.arange(da), pi)), [2 * b for b in ins_b]))
         return gates
 
     # move the rectangle to the backup copy at the target columns
     t = np.arange(dbc)
     for b in ins_b:
         t[2 * b], t[2 * map_b[b] + 1] = 2 * map_b[b] + 1, 2 * b
-    move = _with_identity(perm_matrix(t))
-    gates.append(ControlledGate((0,), (1, 2), move, on_a(ins_a)))
+    move = np.array((np.arange(dbc), t))
+    gates.append((0, move, list(ins_a)))
     # permute into the target rows inside the backup copy
-    if (pi != np.arange(da)).any():
-        gates.append(ControlledGate((1, 2), (0,), _with_identity(pi_mat), on_bc(outs_b, 1)))
+    if permutes_a:
+        gates.append((1, np.array((np.arange(da), pi)), [2 * b + 1 for b in outs_b]))
     # restore the displaced partial rectangle
     if ins_a != outs_a:
-        gates.append(ControlledGate((0,), (1, 2), move, on_a(ins_a - outs_a)))
+        gates.append((0, move, list(ins_a - outs_a)))
     return gates
+
+
+def _absorb_final_flip(specs: list) -> list:
+    """Fold the trailing X on the flag qubit c into the last A-controlled gate.
+
+    ``specs`` are ``_term_gates`` triples in product order.  The copy c is
+    the low bit of a (B, c) value, so X_c flips it: it commutes through
+    (B,c)-controlled gates by flipping the low bit of their active values,
+    and multiplies into the palette of the first A-controlled gate
+    encountered by flipping the low bit of every image in its tables.
+    """
+    out = list(specs)
+    for i, (side, tables, active) in enumerate(out):
+        if side == 0:
+            out[i] = (0, tables ^ 1, active)
+            return out
+        out[i] = (1, tables, [v ^ 1 for v in active])
+    raise AssertionError("no A-controlled gate to absorb the flag flip")
+
+
+def _records(specs: list, da: int, db: int) -> list:
+    """One ControlledGate per ``_term_gates`` triple, in the order given.
+
+    Each side's palettes and 0/1 control indices are written as one stack.
+    A gate active on the all-zero control tuple takes its tables as
+    [branch, identity] and the complement as its index: that is the
+    record's canonical form, so it keeps the stack's palette as is, and the
+    gates that share tables and orientation share one palette array.
+    """
+    out = [None] * len(specs)
+    # per side: the control and target axes on (A, B, c), and the control dims
+    sides = (((0,), (1, 2), (da,)), ((1, 2), (0,), (db, 2)))
+    for side, (controls, targets, dims) in enumerate(sides):
+        picks = [i for i, spec in enumerate(specs) if spec[0] == side]
+        if not picks:
+            continue
+        actives = [specs[i][2] for i in picks]
+        index = np.zeros((len(picks), math.prod(dims)), dtype=np.intp)
+        which = np.repeat(np.arange(len(picks)), [len(a) for a in actives])
+        index[which, list(itertools.chain.from_iterable(actives))] = 1
+        first = index[:, 0].tolist()
+        index ^= index[:, :1].copy()  # complement the gates active on the all-zero tuple
+        slots: dict[tuple[int, int], int] = {}  # (tables array, orientation) -> palette
+        tables, slot_of = [], []
+        for i, f in zip(picks, first):
+            key = (id(specs[i][1]), f)
+            if key not in slots:
+                slots[key] = len(tables)
+                tables.append(specs[i][1][::-1] if f else specs[i][1])
+            slot_of.append(slots[key])
+        palettes = list(_frozen(perm_matrix(np.stack(tables))))
+        index = _frozen(index.reshape((len(picks),) + dims))
+        for j, (i, k) in enumerate(zip(picks, slot_of)):
+            out[i] = ControlledGate(controls, targets, palettes[k], index[j])
+    return out
 
 
 def emit_backup_protocol(u, expansion: PartialPermExpansion, da: int, db: int) -> BackupProtocolResult:
@@ -314,13 +383,11 @@ def emit_backup_protocol(u, expansion: PartialPermExpansion, da: int, db: int) -
     # (ins, outs, mapping): a term is in place when each factor maps its ins onto themselves
     use_backup = not all(sa[0] == sa[1] and sb[0] == sb[1] for sa, sb in supports)
 
-    app_gates: list[ControlledGate] = []
-    for sa, sb in supports:
-        app_gates.extend(_term_gates(sa, sb, da, db, use_backup))
-
-    prod_gates = list(reversed(app_gates))
+    specs = [g for sa, sb in supports for g in _term_gates(sa, sb, da, db, use_backup)]
+    specs.reverse()  # product order
     if use_backup:
-        prod_gates = _absorb_final_flip(prod_gates, da, db)
+        specs = _absorb_final_flip(specs)
+    prod_gates = _records(specs, da, db)
 
     space = PartySpace(
         parties=(("A", da), ("B", db)),
@@ -331,32 +398,13 @@ def emit_backup_protocol(u, expansion: PartialPermExpansion, da: int, db: int) -
     return BackupProtocolResult(base, expanded, n_two_term, 2 * n_two_term)
 
 
-def _absorb_final_flip(prod_gates: list, da: int, db: int) -> list:
-    """Fold the trailing X on the flag qubit c into the last A-controlled gate.
-
-    Walking the product-order list, X_c commutes through (B,c)-controlled
-    gates by reversing their control index on the c axis and multiplies into
-    the palette of the first A-controlled gate encountered.
-    """
-    xc = np.kron(np.eye(db), _X)
-    out = list(prod_gates)
-    for i, g in enumerate(out):
-        if g.controls == (0,):
-            out[i] = ControlledGate((0,), (1, 2), xc @ g.palette, g.index)
-            return out
-        if g.controls == (1, 2):
-            out[i] = ControlledGate((1, 2), (0,), g.palette, g.index[:, ::-1])
-            continue
-        raise AssertionError("unexpected gate kind in protocol")
-    raise AssertionError("no A-controlled gate to absorb the flag flip")
-
-
 def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     """Replace each two-term gate with the 2-CNOT flag construction.
 
     A gate is two-term when its palette has two entries; the flag is then
     raised exactly where its index is 1.  Expanded axis order: A=0, B=1, a=2,
-    b=3, c=4; the base gates' (B, c) targets move to axes (1, 4).
+    b=3, c=4; the base gates' (B, c) targets move to axes (1, 4).  Gates
+    sharing a palette array share their apply gate.
     """
     space = PartySpace(
         parties=(("A", da), ("B", db)),
@@ -369,6 +417,7 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
     }
     out = []
     n_two_term = 0
+    applies: dict[int, ControlledGate] = {}  # by id of the palette, which prod_gates keep alive
     for g in prod_gates:
         controls, targets, flag_axis, copy = sides[g.controls]
         if len(g.palette) == 1:
@@ -376,8 +425,11 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
             out.append(ControlledGate(controls, targets, g.palette, g.index))
             continue
         n_two_term += 1
+        apply = applies.get(id(g.palette))
+        if apply is None:
+            apply = applies[id(g.palette)] = _flag_apply(copy, targets, g.palette)
         flag = ControlledGate(controls, (flag_axis,), _FLAG_PALETTE, g.index)
-        out.extend(_flag_palindrome(flag, copy, targets, g.palette))
+        out.extend(_flag_palindrome(flag, copy, apply))
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -971,6 +1023,6 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     copy = CnotGate(3, (0, 1), 2, (0, 1))
     for p, (_, v_vec) in zip(palettes, terms):
         flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
-        xgates.extend(_flag_palindrome(flag, copy, (0,), p))
+        xgates.extend(_flag_palindrome(flag, copy, _flag_apply(copy, (0,), p)))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -281,6 +281,36 @@ class TestArrayEncoder:
         with pytest.raises(CodecError, match="non-finite"):
             codecs._matrix_json(m)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_one_pass_over_a_stack_matches_each_matrix(self, k, n, data):
+        value = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+        parts = data.draw(st.lists(value, min_size=2 * k * n * n, max_size=2 * k * n * n))
+        stack = np.array(parts, dtype=float).view(complex).reshape(k, n, n)
+        texts = [t.text for t in codecs._matrices_json(stack)]
+        assert texts == [_reference_matrix_text(m) for m in stack]
+
+    def test_palette_of_special_values_byte_for_byte(self):
+        # -0.0, whole values, and |x| >= 1e17, which "%.17g" prints with an exponent
+        stack = np.array(
+            [
+                [[-0.0, 1.0], [complex(3.0, -0.0), 0.5]],
+                [[1e17, complex(-1e22, 2.0)], [complex(0.0, 1e16), -3.0]],
+                [[complex(5e-324, -0.0), 2.0**53], [0.1, complex(-1e17, -1.0)]],
+            ]
+        )
+        texts = [t.text for t in codecs._matrices_json(stack)]
+        assert texts == [codecs._matrix_json(m).text for m in stack]
+        assert texts == [_reference_matrix_text(m) for m in stack]
+        assert "[-0.0,0.0]" in texts[0] and "[3.0,-0.0]" in texts[0]
+        assert "[1e+17,0.0]" in texts[1] and "[-1e+22,2.0]" in texts[1]
+
+    def test_non_finite_in_a_later_entry_raises(self):
+        stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        stack[1, 1, 0] = np.nan
+        with pytest.raises(CodecError, match="non-finite"):
+            codecs._matrices_json(stack)
+
     def test_palette_text_equals_per_branch_text(self):
         a, b = haar_unitary(2, 11), np.array([[0, 1], [1, 0]], dtype=complex)
         g = controlled((0, 1), (2,), {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): a, (2, 0): b, (2, 1): np.eye(2)})

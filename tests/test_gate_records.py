@@ -70,6 +70,12 @@ INTEGER_PATH = {
     "xor_example2_expanded": lambda: emit_xor_protocol(example2_flags()).expanded,
     "cnot_type_4x3": lambda: compile_perm_to_cnot_type(random_permutation((4, 3), 14)).circuit,
     "multiparty_perm_2x3x2": lambda: decompose_multiparty_perm(random_permutation((2, 3, 2), 15)),
+    "perm3_16x16": lambda: decompose_perm3(random_permutation((16, 16), 16)).circuit,
+    "perm3_13x9": lambda: decompose_perm3(random_permutation((13, 9), 17)).circuit,
+    "backup_16x16_base": lambda: _backup(16, 16, 18).base,
+    "backup_16x16_expanded": lambda: _backup(16, 16, 18).expanded,
+    "backup_13x9_base": lambda: _backup(13, 9, 19).base,
+    "backup_13x9_expanded": lambda: _backup(13, 9, 19).expanded,
 }
 
 
@@ -86,6 +92,14 @@ PINNED_SHA256 = {
     "xor_example2_expanded": "e6ce3acb4eedcfd7ce137f6e6c4ac18a66ef5a991c147a57cdf811e1b40ad559",
     "cnot_type_4x3": "0de08e00d76749c58a50d371f51c9946032deb2e9b07baa1cbb8b77a48532e63",
     "multiparty_perm_2x3x2": "67ba6f7b082c0e6b10b96f828373c8c18c56d9f171ef4dde46358fef88b20a66",
+    # taken before the SDR took exchange paths and the stages became one loop,
+    # and before the backup protocol wrote its palettes as stacks
+    "perm3_16x16": "2aa9b3343fd16c07150a0118b52c706b4445a72a6cd77c1bda4f3489a5f38107",
+    "perm3_13x9": "7bf15de756f098029deeb89760644a510785a6f861c93334365cb36cf0c04179",
+    "backup_16x16_base": "da9dccd0e92af887a2cc9c8bc8e46e84b43573a915675d10f1f47c9fe8e1b492",
+    "backup_16x16_expanded": "73713d5e3533e2b9594c688ca814bee4aa8a40150a57c61daaa11414c0aeea4c",
+    "backup_13x9_base": "7c48fd81a83a71819b3913ad5473b4980440d71456d49f02c8dbe72e8f67d020",
+    "backup_13x9_expanded": "fbeb53833db07cfa8494df88f41da5401c53c7031a74443a54c3689fcd573354",
 }
 
 
@@ -212,6 +226,8 @@ I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 PLUS_ZERO = np.array([[1, 0], [0, 1]], dtype=complex)
 MINUS_ZERO = np.array([[1, -0.0], [-0.0, 1]], dtype=complex)
+UPPER = np.array([[1, 0.5], [0, 1]], dtype=complex)
+MINUS_ZERO_DIAGONAL = np.array([[-0.0, 1], [1, 0]], dtype=complex)
 
 TWO_ENTRY_CASES = {
     "first_use_0": ([I2, X2], [0, 1, 1]),
@@ -221,6 +237,10 @@ TWO_ENTRY_CASES = {
     "byte_equal_entries": ([X2, X2.copy()], [1, 0, 1]),  # merged into one
     "minus_zero_kept_apart": ([PLUS_ZERO, MINUS_ZERO], [1, 0, 0]),
     "one_entry": ([X2], [0, 0, 0]),
+    # equal diagonals do not settle a pair: the whole entries decide
+    "equal_diagonals_kept_apart": ([I2, UPPER], [0, 1, 0]),
+    "equal_diagonals_merged": ([UPPER, UPPER.copy()], [0, 1, 0]),
+    "minus_zero_on_the_diagonal": ([X2, MINUS_ZERO_DIAGONAL], [1, 1, 0]),
 }
 
 
@@ -230,8 +250,10 @@ def test_short_palette_follows_the_general_rule(name):
     g = assert_general_rule(palette, index)
     if name == "minus_zero_kept_apart":
         assert len(g.palette) == 2 and g.index.tolist() == [0, 1, 1]
-    if name == "byte_equal_entries":
+    if name in ("byte_equal_entries", "equal_diagonals_merged"):
         assert len(g.palette) == 1 and g.index.tolist() == [0, 0, 0]
+    if name in ("equal_diagonals_kept_apart", "minus_zero_on_the_diagonal"):
+        assert len(g.palette) == 2
 
 
 @pytest.mark.parametrize("index", [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]])
@@ -241,18 +263,52 @@ def test_short_palette_with_a_two_axis_index(index):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.lists(st.sampled_from(["eye", "x", "plus_zero", "minus_zero"]), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["eye", "x", "plus_zero", "minus_zero", "upper", "minus_zero_diagonal"]), min_size=1, max_size=3),
     st.lists(st.integers(0, 2), min_size=1, max_size=6),
     st.booleans(),
 )
 def test_palettes_of_up_to_three_entries_follow_the_general_rule(names, picks, two_axes):
-    pool = {"eye": I2, "x": X2, "plus_zero": PLUS_ZERO, "minus_zero": MINUS_ZERO}
+    pool = {
+        "eye": I2,
+        "x": X2,
+        "plus_zero": PLUS_ZERO,
+        "minus_zero": MINUS_ZERO,
+        "upper": UPPER,
+        "minus_zero_diagonal": MINUS_ZERO_DIAGONAL,
+    }
     palette = [pool[n] for n in names]
     index = np.array([p % len(palette) for p in picks])
     if two_axes and len(index) % 2 == 0:
         assert_general_rule(palette, index.reshape(2, -1), controls=(0, 1), targets=(2,))
     else:
         assert_general_rule(palette, index)
+
+
+def test_read_only_arrays_are_kept_and_writable_ones_viewed():
+    palette, index = np.stack([I2, X2]), np.array([0, 1, 1])
+    g = ControlledGate((0,), (1,), palette, index)
+    assert g.palette is not palette and g.index is not index
+    assert not g.palette.flags.writeable and not g.index.flags.writeable
+    assert palette.flags.writeable and index.flags.writeable
+    palette.flags.writeable = index.flags.writeable = False
+    h = ControlledGate((0,), (1,), palette, index)
+    assert h.palette is palette and h.index is index
+
+
+def test_a_cached_axis_pair_still_checks_each_call():
+    ControlledGate((0,), (1,), I2[None], np.zeros(2, int))
+    # 1.0 == 1 and hashes alike, but it is no axis
+    with pytest.raises(TypeError):
+        ControlledGate((0,), (1.0,), I2[None], np.zeros(2, int))
+    with pytest.raises(TypeError):
+        ControlledGate((0.0,), (1,), I2[None], np.zeros(2, int))
+    for _ in range(2):
+        with pytest.raises(CircuitError, match="overlap"):
+            ControlledGate((0,), (0,), I2[None], np.zeros(2, int))
+    # an int and a list take the uncached path, with the same checks
+    assert ControlledGate(0, [1], I2[None], np.zeros(2, int)).targets == (1,)
+    with pytest.raises(CircuitError, match="overlap"):
+        ControlledGate(1, [1], I2[None], np.zeros(2, int))
 
 
 # ---------------------------------------------------------------------------

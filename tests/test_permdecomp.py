@@ -20,7 +20,7 @@ from gatedecomp.generators import (
     random_permutation,
     swap_permutation,
 )
-from gatedecomp.permdecomp import block_pattern
+from gatedecomp.permdecomp import _perm3_stages, block_pattern
 
 
 def brute_force_sdr(pattern):
@@ -83,6 +83,194 @@ class TestFindSdr:
         p = block_pattern(cp.targets, 5, 3)
         res = find_sdr(p)
         assert not isinstance(res, AbsolutelySingular)
+
+
+# ---------------------------------------------------------------------------
+# references: the SDR as one full Kuhn matching per (row, candidate column),
+# and the stage tables as one recursion per B level, as both were written
+# before the SDR took exchange paths and the stages became one loop
+
+
+def reference_find_sdr(pattern):
+    p = np.asarray(pattern, dtype=bool)
+    n = p.shape[0]
+    adj = [list(np.flatnonzero(p[r])) for r in range(n)]
+
+    def kuhn_match(rows, allowed):
+        match_col = {}
+
+        def augment(r, seen):
+            for c in adj[r]:
+                if c not in allowed or c in seen:
+                    continue
+                seen.add(c)
+                if c not in match_col or augment(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+            return False
+
+        for r in rows:
+            augment(r, set())
+        return match_col
+
+    match_col = kuhn_match(list(range(n)), set(range(n)))
+    if len(match_col) < n:
+        matched_rows = set(match_col.values())
+        start = next(r for r in range(n) if r not in matched_rows)
+        reach_rows, reach_cols, frontier = {start}, set(), [start]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for c in adj[r]:
+                    if c in reach_cols:
+                        continue
+                    reach_cols.add(c)
+                    owner = match_col.get(c)
+                    if owner is not None and owner not in reach_rows:
+                        reach_rows.add(owner)
+                        nxt.append(owner)
+            frontier = nxt
+        cols = tuple(c for c in range(n) if c not in reach_cols)
+        return AbsolutelySingular(tuple(sorted(reach_rows)), cols)
+    assign, used = [], set()
+    for r in range(n):
+        for c in adj[r]:
+            if c in used:
+                continue
+            rest = list(range(r + 1, n))
+            if len(kuhn_match(rest, set(range(n)) - used - {c})) == len(rest):
+                assign.append(int(c))
+                used.add(c)
+                break
+    return assign
+
+
+def reference_perm3_stages(out_a, out_b, da, db):
+    if db == 1:
+        sigma = np.zeros((da, 1), dtype=np.int64)
+        return sigma, np.array([out_a[:, 0]]), sigma.copy()
+    pattern = np.zeros((da, da), dtype=bool)
+    for k in range(da):
+        for c in range(db):
+            pattern[out_a[k, c], k] = True
+    sdr = reference_find_sdr(pattern)
+
+    def swap(i, j):
+        p = np.arange(db)
+        p[i], p[j] = p[j], p[i]
+        return p
+
+    def invert(perm):
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        return inv
+
+    v_stage = np.tile(np.arange(db), (da, 1))
+    w_stage = np.tile(np.arange(db), (da, 1))
+    for j in range(da):
+        k = sdr[j]
+        r_star, c_star = min((int(out_b[k, c]), c) for c in range(db) if out_a[k, c] == j)
+        v_stage[j] = swap(0, r_star)
+        w_stage[k] = swap(0, c_star)
+    up_a, up_b = np.empty_like(out_a), np.empty_like(out_b)
+    for a in range(da):
+        for b in range(db):
+            ja, jb = out_a[a, w_stage[a][b]], out_b[a, w_stage[a][b]]
+            up_a[a, b], up_b[a, b] = ja, v_stage[ja][jb]
+    x_perm = np.empty(da, dtype=np.int64)
+    for j in range(da):
+        x_perm[sdr[j]] = j
+    s1, t2, s3 = reference_perm3_stages(up_a[:, 1:], up_b[:, 1:] - 1, da, db - 1)
+    sigma1 = np.empty((da, db), dtype=np.int64)
+    sigma3 = np.empty((da, db), dtype=np.int64)
+    tau2 = np.empty((db, da), dtype=np.int64)
+    for a in range(da):
+        sigma1[a] = invert(v_stage[a])[np.concatenate(([0], s1[a] + 1))]
+        sigma3[a] = np.concatenate(([0], s3[a] + 1))[invert(w_stage[a])]
+    tau2[0] = x_perm
+    tau2[1:] = t2
+    return sigma1, tau2, sigma3
+
+
+def assert_same_sdr(pattern):
+    got, want = find_sdr(pattern), reference_find_sdr(pattern)
+    if isinstance(want, AbsolutelySingular):
+        assert isinstance(got, AbsolutelySingular)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+    else:
+        assert got == want
+
+
+# the benchmark pool's stratified sizes: each party dimension 2..16 once
+POOL_SIZES = [(2 + i, 2 + (7 * i) % 15) for i in range(15)]
+
+
+class TestFindSdrAgainstReference:
+    @pytest.mark.parametrize("n", range(7, 17))
+    def test_random_patterns(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.2, 0.3, 0.5, 0.8):
+            for _ in range(6):
+                assert_same_sdr(rng.random((n, n)) < density)
+
+    @pytest.mark.parametrize("n", range(7, 17))
+    def test_patterns_holding_a_planted_matching(self, n):
+        # always feasible, with many smaller columns to try and exchange
+        rng = np.random.default_rng(100 + n)
+        for density in (0.05, 0.15, 0.3):
+            for _ in range(6):
+                p = rng.random((n, n)) < density
+                p[np.arange(n), rng.permutation(n)] = True
+                assert_same_sdr(p)
+
+    @pytest.mark.parametrize("dims", POOL_SIZES, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_block_patterns_of_pool_permutations(self, dims):
+        for seed in range(4):
+            cp = random_permutation(dims, seed)
+            assert_same_sdr(block_pattern(cp.targets, *dims))
+
+    def test_long_exchange_chain_needs_no_recursion(self):
+        # row r holds {r, r + 1} and the last row {0}: Kuhn's search from the
+        # last row walks an augmenting path through every row
+        n = 1500
+        p = np.zeros((n, n), dtype=bool)
+        p[np.arange(n - 1), np.arange(n - 1)] = True
+        p[np.arange(n - 1), np.arange(1, n)] = True
+        p[n - 1, 0] = True
+        assert find_sdr(p) == list(range(1, n)) + [0]
+
+
+class TestStagesAgainstReference:
+    @pytest.mark.parametrize("da", range(1, 10))
+    def test_stage_tables_on_a_dims_grid(self, da):
+        for db in range(1, 10):
+            for seed in range(2):
+                cp = random_permutation((da, db), 10 * da + db + 1000 * seed)
+                out_a, out_b = np.divmod(np.asarray(cp.targets, dtype=np.int64).reshape(da, db), db)
+                got = _perm3_stages(out_a, out_b, da, db)
+                want = reference_perm3_stages(out_a, out_b, da, db)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestLargePartyDimensions:
+    """Deep enough that one Python frame per B level or per path step would
+    exceed the default recursion limit of 1000."""
+
+    def test_many_b_levels(self):
+        cp = random_permutation((2, 1500), 1)
+        assert exact_equal(decompose_perm3(cp).circuit, cp)
+
+    def test_long_augmenting_path(self):
+        # block k sends (k, 0) -> (k, 1) and (k, 1) -> (k - 1, 0): the block
+        # pattern is a cycle, and the matching's last row augments along all of it
+        n = 1500
+        targets = [0] * (2 * n)
+        for k in range(n):
+            targets[2 * k] = 2 * k + 1
+            targets[2 * k + 1] = 2 * ((k - 1) % n)
+        cp = ComplexPermutation((n, 2), tuple(targets), (1.0,) * (2 * n))
+        assert exact_equal(decompose_perm3(cp).circuit, cp)
 
 
 def exact_equal(circuit, cp):

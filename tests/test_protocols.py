@@ -16,6 +16,7 @@ from gatedecomp import (
     verify_decomposition,
 )
 from gatedecomp.matcore import PreconditionError, max_abs
+from gatedecomp.schmidt import schmidt_rank
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -37,6 +38,39 @@ def perm_circuit_table(circuit, n_parties_dim, anc_stride):
         tpart.append(full_out // anc_stride)
         ppart.append(p[i * anc_stride])
     return tpart, ppart
+
+
+def reference_pp_expansion(u, da, db):
+    """(terms, Schmidt rank) of the expansion, one block slice at a time, as
+    written before the grouping read the realigned matrix's rows."""
+
+    def group(b, da, db):
+        groups, order = {}, []
+        for j in range(da):
+            for k in range(da):
+                blk = b[j * db : (j + 1) * db, k * db : (k + 1) * db]
+                if not blk.any():
+                    continue
+                key = blk.tobytes()
+                if key not in groups:
+                    groups[key] = (blk, [])
+                    order.append(key)
+                groups[key][1].append((j, k))
+        terms = []
+        for key in order:
+            blk, cells = groups[key]
+            a = np.zeros((da, da), dtype=np.int64)
+            for j, k in cells:
+                a[j, k] = 1
+            terms.append((a, blk.copy()))
+        return terms
+
+    b = np.asarray(u, dtype=np.int64)
+    terms_b = group(b, da, db)
+    swapped = b.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    terms_a = [(blk, a) for a, blk in group(swapped, db, da)]
+    terms = terms_b if len(terms_b) <= len(terms_a) else terms_a
+    return terms, schmidt_rank(b.astype(complex), da, db)
 
 
 class TestPpExpansion:
@@ -90,6 +124,31 @@ class TestPpExpansion:
         for off in (1e-9, 1e-9j, np.nan):
             with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
                 call(np.eye(4) + off)
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (3, 2), (1, 4)])
+    def test_zero_matrix_has_no_terms_and_reconstructs_to_zero(self, da, db):
+        n = da * db
+        exp = pp_expansion(np.zeros((n, n)), da, db)
+        assert exp.q == 0 and exp.terms == () and exp.schmidt_rank == 0
+        rec = exp.reconstruct()
+        assert rec.shape == (n, n) and rec.dtype == np.int64 and not rec.any()
+        with pytest.raises(PreconditionError, match="full permutation"):
+            emit_backup_protocol(np.zeros((n, n)), exp, da, db)
+
+    @pytest.mark.parametrize("da,db", [(2, 3), (4, 4), (5, 2), (7, 6)])
+    def test_partial_permutations_against_the_per_block_grouping(self, da, db):
+        rng = np.random.default_rng(da * 10 + db)
+        for seed in range(4):
+            u = np.round(np.real(random_permutation((da, db), seed).matrix())).astype(np.int64)
+            u[:, rng.random(da * db) < 0.3] = 0  # drop some columns: a partial permutation
+            exp = pp_expansion(u, da, db)
+            want = reference_pp_expansion(u, da, db)
+            assert exp.q == len(want[0]) and exp.schmidt_rank == want[1]
+            for (a, b), (wa, wb) in zip(exp.terms, want[0]):
+                assert a.dtype == wa.dtype and np.array_equal(a, wa)
+                assert b.dtype == wb.dtype and np.array_equal(b, wb)
+            rec = exp.reconstruct()
+            assert rec.dtype == np.int64 and np.array_equal(rec, u)
 
     def test_rank_toolkit_refuses_non_binary_with_a_precondition_error(self):
         with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
@@ -185,6 +244,18 @@ class TestBackupProtocol:
         res = emit_backup_protocol(u, exp, 2, 3)
         t, p = perm_circuit_table(res.base, 6, 2)
         assert t == list(range(6))
+
+    @pytest.mark.parametrize("da,db,seed", [(5, 4, 13), (6, 6, 2), (9, 4, 7)])
+    def test_gates_of_one_palette_share_their_apply_gate(self, da, db, seed):
+        u = np.round(np.real(random_permutation((da, db), seed).matrix())).astype(np.int64)
+        res = emit_backup_protocol(u, pp_expansion(u, da, db), da, db)
+        applies = res.expanded.gates[2::5]  # flag, copy, apply, copy, flag per two-term gate
+        assert len(applies) == res.two_term_count == len(res.base.gates)
+        for g, apply in zip(res.base.gates, applies):
+            assert apply.palette is g.palette
+            assert apply.index.tolist() == [0, 1]
+        # a term's move and restore share one palette when both index it alike
+        assert len({id(a) for a in applies}) < len(applies)
 
     def test_mismatched_expansion_rejected(self):
         u = np.round(np.real(swap_unitary(2))).astype(np.int64)
