@@ -137,7 +137,8 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
     """Merge equal palette entries, drop unused ones, order the rest by first use.
 
     ``flat`` is ``index`` as a row-major list.  One or two entries, the
-    palettes of most records, are settled by a few comparisons; more take one
+    palettes of most records, are settled by a few comparisons; more take
+    one vectorised pass over the entries' bytes (``_same_entries``) and one
     pass over the index.
     """
     # equal means equal bytes: np.array_equal would also merge -0.0 with 0.0,
@@ -149,8 +150,7 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
         if 1 - first not in flat or _equal_bytes(palette[0], palette[1]):
             return palette[first : first + 1], np.zeros_like(index)
         return (palette, index) if first == 0 else (palette[[1, 0]], 1 - index)
-    seen: dict[bytes, int] = {}
-    same = [seen.setdefault(p.tobytes(), j) for j, p in enumerate(palette)]
+    same = _same_entries(palette)
     rank: dict[int, int] = {}  # kept entry -> its new position, in first-use order
     for j in flat:
         rank.setdefault(same[j], len(rank))
@@ -158,6 +158,34 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
         return palette, index
     remap = np.array([rank.get(s, 0) for s in same], dtype=np.intp)
     return palette[list(rank)], remap[index.reshape(-1)].reshape(index.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _word_weights(n: int) -> np.ndarray:
+    """n fixed odd 64-bit weights: the key of an entry is its words' weighted sum."""
+    weights = np.random.default_rng(n).integers(0, 2**63, size=n, dtype=np.uint64) * 2 + 1
+    weights.flags.writeable = False  # one array serves every caller
+    return weights
+
+
+def _same_entries(palette: np.ndarray) -> list:
+    """For each entry of a (k, d, d) stack, the first entry with the same bytes.
+
+    Each entry's key is a weighted sum of its 64-bit words, modulo 2**64, so
+    entries with equal bytes have equal keys.  Entries are grouped by key,
+    and one comparison of every entry with its group's first checks that
+    each group holds one entry's bytes; if two different entries shared a
+    key, the bytes themselves are the keys.
+    """
+    k = len(palette)
+    words = np.ascontiguousarray(palette).reshape(k, -1).view(np.uint64)
+    seen: dict = {}
+    keys = (words @ _word_weights(words.shape[1])).tolist()
+    same = [seen.setdefault(key, j) for j, key in enumerate(keys)]
+    if len(seen) < k and not (words == words[same]).all():
+        seen = {}
+        same = [seen.setdefault(w.tobytes(), j) for j, w in enumerate(words)]
+    return same
 
 
 def _equal_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -527,50 +555,72 @@ def _lower(dims, g: Gate):
 # the kernel: dense simulation and exact permutation tables
 
 
-def _grouped(dims, controls, targets, a: np.ndarray):
-    """View ``a`` (leading shape ``dims``) as (controls, targets, rest).
+def _grouped(dims, controls, targets, a: np.ndarray, axes=None):
+    """View ``a`` as (controls, targets, rest).
 
-    Returns the regrouped ``(n_controls, d_targets, -1)`` array and the axis
-    order used, so a result can be put back with ``np.argsort(order)``.
+    ``a`` has one axis per party axis, in the order ``axes`` (increasing
+    when None), then any further axes, which go last in ``rest``.  Returns
+    the regrouped ``(n_controls, d_targets, -1)`` array and its party axis
+    order: the controls, the targets, then the other axes in increasing
+    order.
     """
-    rest = [ax for ax in range(a.ndim) if ax not in controls and ax not in targets]
+    n = len(dims)
+    rest = [ax for ax in range(n) if ax not in controls and ax not in targets]
     order = [*controls, *targets, *rest]
+    at = order if axes is None else [axes.index(ax) for ax in order]
     nc = math.prod(dims[ax] for ax in controls)
     dt = math.prod(dims[ax] for ax in targets)
-    return a.transpose(order).reshape(nc, dt, -1), order
+    return a.transpose(at + list(range(n, a.ndim))).reshape(nc, dt, -1), order
 
 
-def _apply(dims, lowered, state: np.ndarray) -> np.ndarray:
-    """Apply a lowered gate to every column of ``state`` (shape (prod(dims), k))."""
+def _apply(dims, lowered, state: np.ndarray, axes: list) -> tuple[np.ndarray, list]:
+    """Apply a lowered gate to every column of ``state``, left in the gate's axis order.
+
+    ``state`` has one axis per party axis, in the order ``axes``, then one
+    axis over the columns.  Returns the result and its party axis order
+    (``_grouped``'s).  The one copy is the regrouping of ``state`` into that
+    order; the product comes out in it, so the next gate's regrouping is
+    the only move.
+    """
     controls, targets, palette, index = lowered
-    x, order = _grouped(dims, controls, targets, state.reshape(*dims, -1))
+    x, order = _grouped(dims, controls, targets, state, axes)
     x = np.matmul(palette[index], x)
-    shape = [dims[ax] for ax in order[:-1]] + [-1]
-    return x.reshape(shape).transpose(np.argsort(order)).reshape(state.shape)
+    return x.reshape([dims[ax] for ax in order] + [-1]), order
+
+
+def _in_order(dims, state: np.ndarray, axes: list) -> np.ndarray:
+    """``state`` (party axes in the order ``axes``, then columns) as a (prod(dims), -1) matrix."""
+    return state.transpose([axes.index(ax) for ax in range(len(dims))] + [len(dims)]).reshape(
+        math.prod(dims), -1
+    )
 
 
 def gate_matrix(space: PartySpace, g: Gate) -> np.ndarray:
     """Embed a gate record into the full space as a dense matrix."""
     require_dense_dim(space.total_dim)
-    eye = np.eye(space.total_dim, dtype=complex)
-    return _apply(space.dims, _lower(space.dims, g), eye)
+    dims, axes = space.dims, list(range(len(space.dims)))
+    eye = np.eye(space.total_dim, dtype=complex).reshape(*dims, -1)
+    return _in_order(dims, *_apply(dims, _lower(dims, g), eye, axes))
 
 
 def apply_circuit(c: Circuit) -> np.ndarray:
     """Ordered matrix product of all gates embedded into the full space.
 
     The gates act on the identity from the last to the first, one kernel
-    call each, so no gate is embedded as a full matrix.
+    call each, so no gate is embedded as a full matrix.  The state stays in
+    the axis order the last gate left and is put back in order once, at the
+    end.
     """
     require_dense_dim(c.space.total_dim)
     dims = c.space.dims
-    out = np.eye(c.space.total_dim, dtype=complex)
+    axes = list(range(len(dims)))
+    out = np.eye(c.space.total_dim, dtype=complex).reshape(*dims, -1)
     for i in reversed(range(len(c.gates))):
         try:
-            out = _apply(dims, _lower(dims, c.gates[i]), out)
+            out, axes = _apply(dims, _lower(dims, c.gates[i]), out, axes)
         except CircuitError as exc:
             raise CircuitError(f"gate {i}: {exc}") from exc
-    return out
+    return _in_order(dims, out, axes)
 
 
 # palette values (complex entries of branch matrices) that the permutation

@@ -28,6 +28,18 @@ The cosine-sine step of the sandwich recursion takes the two-SVD route on a
 two SVDs beat LAPACK's ``zuncsd``), whatever its cosines; smaller inputs keep
 ``zuncsd`` and its bases.
 
+``CSD_SEPARATION`` (1e-8) decides which route a node of the recursion takes.
+Its cosines are the singular values of its p x p block U11; they are
+*separated* when each lies more than ``CSD_SEPARATION`` from the next, from
+1 and from 0.  A separated node (Haar inputs) takes the two-SVD kernel on a
+stack of all such nodes of its level: in the halving step at every size,
+where that kernel also supplies the completion, and in the 2 x dB core from
+``CSD_SVD_MIN_DIM`` on (below it the core is ``zuncsd`` for every node).
+Any other node (permutations, phased, controlled and identity blocks, whose
+cosines sit at 0 or 1 or repeat) keeps the Gram-Schmidt completion and the
+cosine-sine step above, whose bases give those inputs their pinned gate
+counts.  The decision only routes: both routes are accurate on every input.
+
 The dense simulator refuses spaces of more than ``MAX_DENSE_DIM`` (4096)
 basis states before allocating: one 4096 x 4096 complex matrix is 256 MiB,
 and a product holds a few at once.
@@ -47,6 +59,7 @@ RECON_TOL = 1e-8
 POLAR_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 CSD_SVD_MIN_DIM = 32
+CSD_SEPARATION = 1e-8
 MAX_DENSE_DIM = 4096
 
 
@@ -178,6 +191,9 @@ def _orthonormal_completion(vectors, dim: int, sizes=None) -> np.ndarray:
     q = np.zeros((b, dim, dim), dtype=complex)
     q[:, :r] = fam
     n = np.full(b, r) if sizes is None else np.array(sizes, dtype=np.intp)
+    if b == 1:
+        _complete_one(q[0], int(n[0]))
+        return q[0] if single else q
     # item j has n_j rows and its next candidate is c_j: key_j = n_j (dim + 1) + c_j,
     # and a round takes the items of the lowest key, whose products share a shape
     key = n * (dim + 1)
@@ -203,6 +219,31 @@ def _orthonormal_completion(vectors, dim: int, sizes=None) -> np.ndarray:
         q[idx, s] = v / np.where(keep, nrm, 1.0)[:, None]
         key[idx] += np.where(keep, dim + 2, 1)
     return q[0] if single else q
+
+
+def _complete_one(q: np.ndarray, n: int) -> None:
+    """``_orthonormal_completion`` of one family, the first n rows of q, in place.
+
+    The same products as a batch's round on one item, each on vectors
+    rather than on a stack of one: numpy dispatches a vector-matrix product
+    to the same BLAS call either way, so the basis has the same bits, at
+    about half the cost per candidate.
+    """
+    dim = len(q)
+    for i in range(dim):
+        if n == dim:
+            return
+        qs = q[:n]
+        v = -(np.conj(qs[:, i]) @ qs)
+        v[i] += 1.0
+        v -= np.conj(qs @ np.conj(v)) @ qs
+        re, im = v.real, v.imag
+        nrm = np.sqrt(re @ re + im @ im)
+        if nrm >= RANK_TOL:
+            q[n] = v / nrm
+            n += 1
+    if n < dim:
+        raise InfeasibleError("could not complete an orthonormal basis")
 
 
 def _as_stack(m) -> tuple[np.ndarray, bool]:

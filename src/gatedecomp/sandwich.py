@@ -33,6 +33,7 @@ from .gateir import (
     controlled,
 )
 from .matcore import (
+    CSD_SEPARATION,
     CSD_SVD_MIN_DIM,
     IDENTITY_TOL,
     RECON_TOL,
@@ -87,7 +88,15 @@ def _is_identity(stack: np.ndarray) -> bool:
 #     u = (U1 ⊕ U2) [[C, -S], [S, C]] (V1h ⊕ V2h),  C = diag(cos θ), S = diag(sin θ),
 #
 # so U11 = U1 C V1h, U21 = U2 S V1h, U12 = -U1 S V2h and U22 = U2 C V2h for
-# the p x p blocks Uij of u.
+# the p x p blocks Uij of u.  The thin split of a 2p x p isometry [U11; U21]
+# is U1, U2, θ and V1h alone.
+#
+# A node whose cosines are separated (see _probe) takes the two-SVD kernel
+# on a stack of all such nodes of one split index: in the halving step at
+# every size, where the kernel also supplies the completion (_halve), and in
+# the 2 x dB core from CSD_SVD_MIN_DIM on.  Every other cosine-sine step is
+# _cossin on one node: zuncsd below CSD_SVD_MIN_DIM and the same kernel on
+# that node alone from there on.
 
 _ZUNCSD, _ZUNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
 
@@ -112,48 +121,160 @@ def _csd_lapack(u: np.ndarray, p: int):
     return (u1, u2), theta, (v1h, v2h)
 
 
-def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
-    """Cosine-sine factors from the SVD U11 = L1 diag(c) R1h and one more SVD.
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
-    Every division is by a sine or cosine of at least 1/sqrt(2):
+
+def _separated(c: np.ndarray) -> np.ndarray:
+    """Which rows of cosines c (k, p), with 1 above them and 0 below, are
+    more than ``CSD_SEPARATION`` apart."""
+    gaps = np.concatenate([1.0 - c[:, :1], c[:, :-1] - c[:, 1:], c[:, -1:]], axis=1)
+    return (gaps > CSD_SEPARATION).all(axis=1)
+
+
+def _probe(u11: np.ndarray):
+    """``(svd, separated)`` for a (k, p, p) stack of U11 blocks.
+
+    ``svd`` is ``np.linalg.svd(u11)``, U11 = L1 diag(c) R1h per item, and
+    ``separated`` is ``_separated(c)``.  Haar inputs are separated;
+    permutations, phased, controlled and identity blocks are not: their
+    cosines sit at 0 or 1 or repeat.  When gesdd does not converge on the
+    stack, ``svd`` is None and no item is separated.
+    """
+    try:
+        svd = np.linalg.svd(u11)
+    except LinAlgError:
+        return None, np.zeros(len(u11), dtype=bool)
+    return svd, _separated(svd[1])
+
+
+def _split_index_groups(c: np.ndarray, items: np.ndarray):
+    """``(k, group)`` pairs: the items of ``items`` with k = count(c > 1/sqrt(2)).
+
+    A group of one item is its index alone, so that indexing a stack with it
+    gives that item's matrix and the kernel runs on single matrices, with
+    less numpy overhead and the same bits.
+    """
+    ks = np.count_nonzero(c[items] > np.sqrt(0.5), axis=1)
+    for k in sorted(set(ks.tolist())):
+        group = items[ks == k]
+        yield k, (int(group[0]) if len(group) == 1 else group)
+
+
+def _csd_thin(u11, u21, l1, c, r1h, k: int):
+    """``(U1, U2, cos, sin, V1h)`` of the thin split of [U11; U21].
+
+    The blocks are single matrices or stacks of them that share the split
+    index k = count(c > 1/sqrt(2)) of the SVDs U11 = L1 diag(c) R1h, and
+    every division is by a sine or cosine of at least 1/sqrt(2):
     * columns with c <= 1/sqrt(2) keep L1 and R1, and L2 = U21 R1 / s;
     * the other columns span the complement P of those L2 columns.  The SVD
       P† U21 R1_hi = W Σ Qh gives their sines s = σ; R1_hi is rotated by Q,
-      L2_hi = P W and L1_hi = U11 R1_hi / c with c = sqrt(1 - σ²);
-    * row j of V2h is -L1_j† U12 / s_j when s_j >= c_j, else L2_j† U22 / c_j.
+      L2_hi = P W and L1_hi = U11 R1_hi / c with c = sqrt(1 - σ²).
     The angles come out in increasing order, as zuncsd returns them: a
     middle branch that is decomposed again (the 4-party cut does this) is
     then already in zuncsd's form, so its outer factors are identities and
     are stripped.
     Clustered or degenerate cosines need no special case: any orthonormal
     basis of a repeated singular space serves, and the cosines and sines
-    that divide are never below 1/sqrt(2).
+    that divide are never below 1/sqrt(2).  Every product is one BLAS call
+    per item, the same on a single matrix as on a stack, so an item's
+    factors do not depend on the stack it is in.
     """
-    u11, u12, u21, u22 = u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:]
-    k = int(np.count_nonzero(c > np.sqrt(0.5)))
-    r1 = r1h.conj().T
-    t = u21 @ r1[:, k:]
-    s_lo = np.linalg.norm(t, axis=0)
-    l2_lo = t / s_lo
+    p = u11.shape[-1]
+    r1 = _ct(r1h)
+    t = u21 @ r1[..., k:]
+    s_lo = np.linalg.norm(t, axis=-2)
+    l2_lo = t / s_lo[..., None, :]
     basis, _ = np.linalg.qr(l2_lo, mode="complete")
-    comp = basis[:, p - k :]
-    w, s_hi, qh = np.linalg.svd(comp.conj().T @ (u21 @ r1[:, :k]))
-    w, s_hi, qh = w[:, ::-1], s_hi[::-1], qh[::-1]  # increasing sines
-    r1_hi = r1[:, :k] @ qh.conj().T
+    comp = basis[..., p - k :]
+    w, s_hi, qh = np.linalg.svd(_ct(comp) @ (u21 @ r1[..., :k]))
+    w, s_hi, qh = w[..., ::-1], s_hi[..., ::-1], qh[..., ::-1, :]  # increasing sines
+    r1_hi = r1[..., :k] @ _ct(qh)
     c_hi = np.sqrt(1.0 - s_hi**2)
-    u1 = np.concatenate([(u11 @ r1_hi) / c_hi, l1[:, k:]], axis=1)
-    u2 = np.concatenate([comp @ w, l2_lo], axis=1)
-    cos = np.concatenate([c_hi, c[k:]])
-    sin = np.concatenate([s_hi, s_lo])
-    v1h = np.concatenate([r1_hi, r1[:, k:]], axis=1).conj().T
+    u1 = np.concatenate([(u11 @ r1_hi) / c_hi[..., None, :], l1[..., k:]], axis=-1)
+    u2 = np.concatenate([comp @ w, l2_lo], axis=-1)
+    cos = np.concatenate([c_hi, c[..., k:]], axis=-1)
+    sin = np.concatenate([s_hi, s_lo], axis=-1)
+    v1h = _ct(np.concatenate([r1_hi, r1[..., k:]], axis=-1))
+    return u1, u2, cos, sin, v1h
+
+
+def _csd_v2h(u1, u2, cos, sin, u12, u22) -> np.ndarray:
+    """V2h of a split, or of a stack of splits: row j is -U1_j† U12 / s_j
+    when s_j >= c_j, else U2_j† U22 / c_j.
+
+    Items of one split index nearly always have one pattern of the test and
+    share each product; otherwise every item is its own call.
+    """
     from_s = sin >= cos
-    v2h = np.empty((p, p), dtype=complex)
-    v2h[from_s] = -(u1[:, from_s].conj().T @ u12) / sin[from_s, None]
-    v2h[~from_s] = (u2[:, ~from_s].conj().T @ u22) / cos[~from_s, None]
-    return (u1, u2), np.arctan2(sin, cos), (v1h, v2h)
+    rows = from_s.reshape(-1, from_s.shape[-1])
+    if not (rows == rows[0]).all():
+        return np.stack([_csd_v2h(*(a[j] for a in (u1, u2, cos, sin, u12, u22))) for j in range(len(u1))])
+    s_rows, c_rows = np.flatnonzero(rows[0]), np.flatnonzero(~rows[0])
+    v2h = np.empty(u12.shape, dtype=complex)
+    v2h[..., s_rows, :] = -(_ct(u1[..., s_rows]) @ u12) / sin[..., s_rows, None]
+    v2h[..., c_rows, :] = (_ct(u2[..., c_rows]) @ u22) / cos[..., c_rows, None]
+    return v2h
 
 
-def _cossin(u: np.ndarray, p: int):
+def _real_row_maxima(u1, u2, v1h) -> None:
+    """Make the largest entry of each V1h row real and positive, in place.
+
+    Row j of V1h is divided by that entry's phase and column j of U1 and U2
+    is multiplied by it, so U1 C V1h and U2 S V1h keep their values.  gesdd
+    gives some columns of an input already in cosine-sine form the sign -1;
+    with this rule their outer factors stay identities and are stripped.
+    """
+    rows = v1h.reshape(-1, v1h.shape[-1])
+    top = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)].reshape(v1h.shape[:-1])
+    phase = top / np.abs(top)
+    v1h /= phase[..., None]
+    u1 *= phase[..., None, :]
+    u2 *= phase[..., None, :]
+
+
+def _angles(sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """θ = arctan2(sin, cos), one call per item.
+
+    numpy's arctan2 on a whole stack rounds some entries differently from
+    the same item alone (vector lanes against the scalar tail), so each
+    item's row is its own call.
+    """
+    if sin.ndim == 1:
+        return np.arctan2(sin, cos)
+    theta = np.empty(sin.shape)
+    for j in range(len(sin)):
+        theta[j] = np.arctan2(sin[j], cos[j])
+    return theta
+
+
+def _csd_separated(u: np.ndarray, p: int, svd, n: int):
+    """``((U1, U2), theta, (V1h, V2h))`` of the p, p split of u, a matrix or a stack.
+
+    The separated route: ``svd`` is the SVD of u's U11 blocks, whose split
+    index is n for every item, and V1h's row maxima are made real.
+    """
+    u1, u2, cos, sin, v1h = _csd_thin(u[..., :p, :p], u[..., p:, :p], *svd, n)
+    _real_row_maxima(u1, u2, v1h)
+    v2h = _csd_v2h(u1, u2, cos, sin, u[..., :p, p:], u[..., p:, p:])
+    return (u1, u2), _angles(sin, cos), (v1h, v2h)
+
+
+def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
+    """Cosine-sine factors from the SVD U11 = L1 diag(c) R1h and one more SVD.
+
+    ``_csd_thin`` and ``_csd_v2h`` on the single matrix u, without the
+    phase rule of the separated route.
+    """
+    k = int(np.count_nonzero(c > np.sqrt(0.5)))
+    u1, u2, cos, sin, v1h = _csd_thin(u[:p, :p], u[p:, :p], l1, c, r1h, k)
+    v2h = _csd_v2h(u1, u2, cos, sin, u[:p, p:], u[p:, p:])
+    return (u1, u2), _angles(sin, cos), (v1h, v2h)
+
+
+def _cossin(u: np.ndarray, p: int, svd=None):
     """``((U1, U2), theta, (V1h, V2h))`` of the p, p cosine-sine split of u.
 
     From 2p >= CSD_SVD_MIN_DIM the factors come from two SVDs
@@ -161,14 +282,16 @@ def _cossin(u: np.ndarray, p: int):
     level-2 BLAS and far slower there.  Below that size zuncsd is faster,
     and on structured inputs the SVD route's bases would move which gates
     come out as identity.  zuncsd also serves when gesdd does not converge.
+    ``svd`` is the SVD of u's U11 block when the caller has it already.
     """
     if 2 * p >= CSD_SVD_MIN_DIM:
-        try:
-            l1, c, r1h = np.linalg.svd(u[:p, :p])
-        except LinAlgError:
-            pass  # gesdd did not converge; zuncsd below does
-        else:
-            return _csd_two_svd(u, p, l1, c, r1h)
+        if svd is None:
+            try:
+                svd = np.linalg.svd(u[:p, :p])
+            except LinAlgError:
+                pass  # gesdd did not converge; zuncsd below does
+        if svd is not None:
+            return _csd_two_svd(u, p, *svd)
     return _csd_lapack(u, p)
 
 
@@ -176,20 +299,39 @@ def _cossin(u: np.ndarray, p: int):
 # 2 x dB core
 
 
-def _two_by_d_core(u: np.ndarray, db: int) -> list:
+def _rotations(theta: np.ndarray) -> np.ndarray:
+    """(k, p, 2, 2) middle branches: [[cos θb, -sin θb], [sin θb, cos θb]] for branch b."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    return np.stack([c, -s, s, c], axis=-1).reshape(theta.shape + (2, 2)).astype(complex)
+
+
+def _two_by_d_core(u: np.ndarray, db: int, svd=None) -> list:
     """Alternating [A, B, A] stacks for a 2 x db unitary, or for a stack of them.
 
     The block form [[U00, U01], [U10, U11]] with U00 diagonalized and the
     off-diagonal blocks rotated to nonnegative diagonals is exactly the
     cosine-sine decomposition u = (E0 + E1) CS (F0 + F1); the CS factor is
     controlled from B in the computational basis with 2x2 rotation branches.
-    ``_cossin`` computes it: LAPACK's zuncsd below ``CSD_SVD_MIN_DIM`` and
-    two SVDs from that size on.  Either way the factors are unitary to
-    round-off; the textbook per-column normalization is not, when an angle
-    degenerates.
+    On every route below the factors are unitary to round-off; the textbook
+    per-column normalization is not, when an angle degenerates.
 
-    A (k, 2db, 2db) stack gives stacks with a leading k axis.  The cosine-sine
-    step, and the test for an input already controlled from A, run per item.
+    A (k, 2db, 2db) stack gives stacks with a leading k axis.  Each item
+    takes one of three routes:
+    * already controlled from A (both off-diagonal blocks vanish): the
+      diagonal blocks are the outer branches and the middle is the identity;
+    * below ``CSD_SVD_MIN_DIM``: zuncsd, one call per item, whatever the
+      cosines.  The stacked kernel's fixed cost per call is several zuncsd
+      calls at these sizes, so it gains only on stacks of many items, and
+      an item's route must not depend on its stack;
+    * from ``CSD_SVD_MIN_DIM`` on, the cosines choose (``_probe``): a
+      separated item (Haar inputs) takes the two-SVD kernel on one stack per
+      split index, with V1h's row maxima made real (``_real_row_maxima``);
+      any other item, a structured one, takes ``_cossin``, the kernel on
+      that item alone without the phase rule, whose bases make the counts
+      pinned for structured inputs.
+    ``svd``, when the caller has it, is the SVD of every item's U11 block,
+    so the items need no probe of their own.
     """
     if u.ndim == 2:
         return [g[0] for g in _two_by_d_core(u[None], db)]
@@ -197,25 +339,30 @@ def _two_by_d_core(u: np.ndarray, db: int) -> list:
     left = np.empty((k, 2, db, db), dtype=complex)
     right = np.empty((k, 2, db, db), dtype=complex)
     theta = np.zeros((k, db))
-    # already controlled from A in the computational basis: both off-diagonal
-    # blocks vanish
     ctrl = np.abs(u[:, :db, db:]).max(axis=(1, 2)) <= IDENTITY_TOL
     ctrl &= np.abs(u[:, db:, :db]).max(axis=(1, 2)) <= IDENTITY_TOL
-    for j in range(k):
-        if ctrl[j]:
-            left[j, 0], left[j, 1] = u[j, :db, :db], u[j, db:, db:]
-            right[j] = np.eye(db)
-        else:
-            (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = _cossin(u[j], db)
-    # branch b of the middle stack is the rotation
-    # [[cos θb, -sin θb], [sin θb, cos θb]] on A when B is |b>
-    c = np.cos(theta)
-    s = np.sin(theta)
-    mid = np.empty((k, db, 2, 2), dtype=complex)
-    mid[..., 0, 0] = c
-    mid[..., 0, 1] = -s
-    mid[..., 1, 0] = s
-    mid[..., 1, 1] = c
+    if ctrl.any():
+        left[ctrl, 0], left[ctrl, 1] = u[ctrl, :db, :db], u[ctrl, db:, db:]
+        right[ctrl] = np.eye(db)
+    rest = np.flatnonzero(~ctrl)
+    if 2 * db < CSD_SVD_MIN_DIM:
+        svd, sep = None, np.zeros(len(rest), dtype=bool)
+    elif svd is None:
+        svd, sep = _probe(u[rest, :db, :db])
+    else:
+        svd = [a[rest] for a in svd]
+        sep = _separated(svd[1])
+    if sep.any():
+        for n, at in _split_index_groups(svd[1], np.flatnonzero(sep)):
+            j = rest[at]
+            factors = _csd_separated(u[j], db, [a[at] for a in svd], n)
+            (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = factors
+    for at in np.flatnonzero(~sep):
+        j = rest[at]
+        one = None if svd is None else tuple(a[at] for a in svd)
+        (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = _cossin(u[j], db, one)
+    # branch b of the middle stack is the rotation by θb on A when B is |b>
+    mid = _rotations(theta)
     mid[ctrl] = np.eye(2)  # +0.0 where -sin 0 gives -0.0, as np.eye has
     return [left, mid, right]
 
@@ -245,23 +392,48 @@ def _merge(l1: list, l2: list, d1: int, d2: int, db: int) -> list:
     return out
 
 
+def _compress(u: np.ndarray, yd: int):
+    """(V', u V) with V = I_yd ⊕ V': V' compresses the upper-right yd rows of
+    u onto its first yd columns, so (u V)[:yd, 2*yd:] vanishes."""
+    vp = compress_rows(u[..., :yd, yd:], yd)
+    x = u.copy()
+    x[..., yd:] = u[..., yd:] @ vp
+    return vp, x
+
+
 def _split(u: np.ndarray, da: int, db: int):
     """(V', W0, X) with u = X W† V† for y = da // 2, yd = y*db.
 
-    V = I_yd ⊕ V' and V' compresses the upper-right yd rows of u onto its
-    first yd columns.  W = W0 ⊕ I and W0 completes the first yd rows of u V,
+    V = I_yd ⊕ V' (``_compress``).  W = W0 ⊕ I and W0 is the Gram-Schmidt
+    completion (``complete_isometry``) of the first yd rows of u V,
     restricted to the first 2*yd columns, to a unitary.  X = u V W.  Only the
     blocks V' and W0 are returned and only they are multiplied: X is u with
     its last columns times V', then its first 2*yd columns times W0.  A stack
     of inputs gives stacks of V', W0 and X.
     """
     yd = (da // 2) * db
-    vp = compress_rows(u[..., :yd, yd:], yd)
-    x = u.copy()
-    x[..., yd:] = u[..., yd:] @ vp
+    vp, x = _compress(u, yd)
     w0 = complete_isometry(x[..., :yd, : 2 * yd])
     x[..., : 2 * yd] = x[..., : 2 * yd] @ w0
     return vp, w0, x
+
+
+def _fused_completion(r1: np.ndarray, r2: np.ndarray, svd, n: int):
+    """``(U1, U2, cos, sin, V1h)``: the thin split of R† for rows R = [R1 R2], or a stack of them.
+
+    ``svd`` is the SVD R1 = L1 diag(c) R1h, so R1† = R1h† diag(c) L1† and
+    the items share the split index n.  V1h's row maxima are made real.
+    With the free factor fixed,
+
+        W0 = (U1 ⊕ U2) CS(θ) (V1h ⊕ -I)
+
+    is unitary with first block column [U1 C V1h; U2 S V1h] = R†, so it
+    completes R: R W0 = [I | 0].
+    """
+    l1, c, r1h = svd
+    u1, u2, cos, sin, v1h = _csd_thin(_ct(r1), _ct(r2), _ct(r1h), c, _ct(l1), n)
+    _real_row_maxima(u1, u2, v1h)
+    return u1, u2, cos, sin, v1h
 
 
 def _halve(u: np.ndarray, da: int, db: int):
@@ -271,22 +443,61 @@ def _halve(u: np.ndarray, da: int, db: int):
     and X2, Y2 on da - y.  ``children`` is [[X1; Y1; X2; Y2]], one 4k stack,
     when da is even, and [[X1; Y1], [X2; Y2]] when it is odd.  Everything
     else this level computes is dropped on return, before the recursion.
+
+    After V' (``_compress``), u V = X W† with W = W0 ⊕ I, where W0 is any
+    unitary that completes the rows R = (u V)[:yd, :2*yd].  W0† viewed as a
+    2 x (y*db) unitary has the 3-gate core W0† = C T D, with C and D block
+    diagonal, so u = X (C ⊕ I) (T ⊕ I) (D ⊕ I) V†.  The cosines of R's left
+    block R1 (``_probe``) choose W0 per item:
+    * separated, at every size: the cosine-sine step supplies the
+      completion.  From the thin split of R† (``_fused_completion``, one
+      stack per split index; two SVDs and a QR per item, where the
+      completion it replaces is a Gram-Schmidt loop over candidates),
+      W0 = (U1 ⊕ U2) CS (V1h ⊕ -I), so C = (V1h† ⊕ I) and D = (U1† ⊕ -U2†)
+      with no completion and no second cosine-sine step.  X's upper-left
+      block is the identity, and only its block X[yd:, yd:2*yd] =
+      (u V)[yd:, :yd] U1 S - (u V)[yd:, yd:2*yd] U2 C is formed;
+    * unseparated (permutations, phased, controlled and identity blocks):
+      ``_split``'s Gram-Schmidt completion, then ``_two_by_d_core`` on W0†.
+      Their bases make the counts pinned for structured inputs.
     """
-    k = len(u)
+    k, big = len(u), u.shape[-1]
     y = da // 2
     yd = y * db
-    vp, w0, x = _split(u, da, db)
+    vp, x = _compress(u, yd)
+    right = np.empty((k, 2, yd, yd), dtype=complex)
+    t_g = np.empty((k, yd, 2, 2), dtype=complex)
+    x1 = np.empty((k, yd, yd), dtype=complex)
+    x2 = np.empty((k, big - yd, big - yd), dtype=complex)
+    x2[:, :, yd:] = x[:, yd:, 2 * yd :]
 
-    # W0† viewed as a 2 x (y*db) unitary: 3-gate core W0† = C T D with C and
-    # D block diagonal, so u = X (C ⊕ I) (T ⊕ I) (D ⊕ I) V†
-    c_g, t_g, d_g = _two_by_d_core(w0.conj().transpose(0, 2, 1), yd)
+    svd, sep = _probe(x[:, :yd, :yd])
+    if sep.any():
+        for n, at in _split_index_groups(svd[1], np.flatnonzero(sep)):
+            rows = x[at, :yd, : 2 * yd]
+            u1, u2, cos, sin, v1h = _fused_completion(
+                rows[..., :yd], rows[..., yd:], [a[at] for a in svd], n
+            )
+            t_g[at] = _rotations(_angles(sin, cos))
+            c, s = t_g[at, :, 0, 0].real[..., None, :], t_g[at, :, 1, 0].real[..., None, :]
+            x1[at] = _ct(v1h)
+            x2[at, :, :yd] = (x[at, yd:, :yd] @ u1) * s - (x[at, yd:, yd : 2 * yd] @ u2) * c
+            right[at, 0], right[at, 1] = _ct(u1), -_ct(u2)
+    rest = np.flatnonzero(~sep)
+    if rest.size:
+        xr = x[rest]
+        w0 = complete_isometry(xr[:, :yd, : 2 * yd])
+        xr[:, :, : 2 * yd] = xr[:, :, : 2 * yd] @ w0
+        # U11 of W0† is R1, bit for bit: W0's first yd columns are R†
+        rest_svd = None if svd is None else [a[rest] for a in svd]
+        c_g, t_g[rest], right[rest] = _two_by_d_core(_ct(w0), yd, rest_svd)
+        x1[rest] = xr[:, :yd, :yd] @ c_g[:, 0]
+        x2[rest, :, :yd] = xr[:, yd:, yd : 2 * yd] @ c_g[:, 1]
 
-    # the diagonal blocks of X (C ⊕ I) and of (D ⊕ I) V†
-    x1 = x[:, :yd, :yd] @ c_g[:, 0]
-    x2 = np.concatenate([x[:, yd:, yd : 2 * yd] @ c_g[:, 1], x[:, yd:, 2 * yd :]], axis=2)
-    vh = vp.conj().transpose(0, 2, 1)
-    y1 = d_g[:, 0]
-    y2 = np.concatenate([d_g[:, 1] @ vh[:, :yd], vh[:, yd:]], axis=1)
+    # the diagonal blocks of (D ⊕ I) V†
+    vh = _ct(vp)
+    y1 = right[:, 0]
+    y2 = np.concatenate([right[:, 1] @ vh[:, :yd], vh[:, yd:]], axis=1)
 
     # middle gate: t_g's branch r * db + b acts on the pair (|r>, |y + r>)
     # of the A side when B is |b>; every other A level is left alone

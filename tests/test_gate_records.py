@@ -284,6 +284,46 @@ def test_palettes_of_up_to_three_entries_follow_the_general_rule(names, picks, t
         assert_general_rule(palette, index)
 
 
+# palettes of three or more entries settle on a hash of each entry's words,
+# checked against the bytes; they must agree with the general rule too
+
+PLUS_ZERO_3 = np.eye(3, dtype=complex)
+MINUS_ZERO_3 = np.where(np.eye(3) == 1, 1.0, -0.0).astype(complex)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 7), min_size=3, max_size=12),
+    st.lists(st.integers(0, 11), min_size=1, max_size=16),
+    st.sampled_from([None, "in_order", "two_axes"]),
+)
+def test_longer_palettes_follow_the_general_rule(names, picks, shape):
+    """Entries drawn with repeats from a pool that holds -0.0 and +0.0
+    variants, a permutation (whose words add up as the identity's do) and
+    Haar matrices; indices with repeats, unused entries and two axes."""
+    pool = [PLUS_ZERO_3, MINUS_ZERO_3, np.eye(3, dtype=complex)[[1, 2, 0]]]
+    pool += [haar_unitary(3, s) for s in range(4)] + [-PLUS_ZERO_3]
+    palette = np.stack([pool[n].copy() for n in names])
+    index = np.array([p % len(palette) for p in picks])
+    if shape == "in_order":
+        index = np.arange(len(palette))
+    if shape == "two_axes" and len(index) % 2 == 0:
+        assert_general_rule(palette, index.reshape(2, -1), controls=(0, 1), targets=(2,))
+    else:
+        assert_general_rule(palette, index)
+
+
+def test_a_hash_collision_is_settled_by_the_bytes(monkeypatch):
+    """With every key equal, the check against the bytes finds the
+    different entries and the bytes decide."""
+    from gatedecomp import gateir
+
+    monkeypatch.setattr(gateir, "_word_weights", lambda n: np.zeros(n, dtype=np.uint64))
+    palette = np.stack([X2, I2, MINUS_ZERO, X2.copy(), PLUS_ZERO, UPPER])
+    g = assert_general_rule(palette, np.array([3, 0, 1, 2, 4, 5, 1]))
+    assert len(g.palette) == 4  # X2, I2 (= PLUS_ZERO), MINUS_ZERO, UPPER
+
+
 def test_read_only_arrays_are_kept_and_writable_ones_viewed():
     palette, index = np.stack([I2, X2]), np.array([0, 1, 1])
     g = ControlledGate((0,), (1,), palette, index)

@@ -123,6 +123,53 @@ class TestApplyCircuit:
         assert_close(m, np.kron(u, np.eye(3)), 1e-12)
 
 
+def _apply_in_order(dims, lowered, state):
+    """One gate on a (prod(dims), k) state, with the state's axes put back in
+    order after it: the kernel as it stood before the state kept the last
+    gate's axis order."""
+    controls, targets, palette, index = lowered
+    a = state.reshape(*dims, -1)
+    rest = [ax for ax in range(a.ndim) if ax not in controls and ax not in targets]
+    order = [*controls, *targets, *rest]
+    nc = math.prod(dims[ax] for ax in controls)
+    dt = math.prod(dims[ax] for ax in targets)
+    x = np.matmul(palette[index], a.transpose(order).reshape(nc, dt, -1))
+    shape = [dims[ax] for ax in order[:-1]] + [-1]
+    return x.reshape(shape).transpose(np.argsort(order)).reshape(state.shape)
+
+
+def _product_circuits():
+    from gatedecomp import compile_to_standard, decompose_perm3, decompose_sandwich
+    from gatedecomp.generators import random_permutation
+    from gatedecomp.multiparty import decompose_4party, decompose_multiparty
+    from gatedecomp.protocols import emit_backup_protocol, pp_expansion
+
+    perm = random_permutation((3, 4), 2).matrix()
+    return {
+        "sandwich": decompose_sandwich(haar_unitary(12, 1), 4, 3).circuit,
+        "multi": decompose_multiparty(haar_unitary(12, 2), (2, 3, 2)).circuit,
+        "party4": decompose_4party(haar_unitary(16, 3), (2, 2, 2, 2)).circuit,
+        "std": compile_to_standard(haar_unitary(6, 4), 2, 3).circuit,
+        "perm3": decompose_perm3(random_permutation((4, 3), 5)).circuit,
+        "backup": emit_backup_protocol(perm, pp_expansion(perm, 3, 4), 3, 4).expanded,
+    }
+
+
+@pytest.mark.parametrize("name", ["sandwich", "multi", "party4", "std", "perm3", "backup"])
+def test_product_has_the_bytes_of_the_gate_by_gate_kernel(name):
+    """The state left in each gate's axis order gives the product, and each
+    embedded gate, the bytes of putting the axes back after every gate."""
+    c = _product_circuits()[name]
+    dims = c.space.dims
+    want = np.eye(c.space.total_dim, dtype=complex)
+    for g in reversed(c.gates):
+        want = _apply_in_order(dims, gateir._lower(dims, g), want)
+    assert apply_circuit(c).tobytes() == want.tobytes()
+    eye = np.eye(c.space.total_dim, dtype=complex)
+    for g in c.gates[:4]:
+        assert gate_matrix(c.space, g).tobytes() == _apply_in_order(dims, gateir._lower(dims, g), eye).tobytes()
+
+
 class TestVerifyDecomposition:
     def test_cnot_against_itself(self):
         rep = verify_decomposition(CNOT, Circuit(bipartite_space(2, 2), (cnot_gate(),)))

@@ -277,6 +277,21 @@ class TestBatches:
         for j, f in enumerate(fams):
             assert got[j].tobytes() == _loop_completion(f, dim).tobytes()
 
+    def test_a_family_alone_a_stack_of_one_and_a_batch_agree(self):
+        """A single family takes a vector-by-vector path, a batch its rounds:
+        the same products, so the same bytes, skipped candidates included."""
+        dim = 10
+        fam = _sparse_family(dim, 4, 9)  # its own candidates are skipped
+        padded = np.ones((1, 6, dim), dtype=complex)
+        padded[0, :4] = fam
+        alone = _orthonormal_completion(fam, dim)
+        one = _orthonormal_completion(padded, dim, [4])
+        batch = _orthonormal_completion(np.concatenate([padded, padded[:, ::-1]]), dim, [4, 0])
+        assert one.shape == (1, dim, dim)
+        assert alone.tobytes() == one[0].tobytes() == batch[0].tobytes()
+        assert alone.tobytes() == _loop_completion(fam, dim).tobytes()
+        assert batch[1].tobytes() == _orthonormal_completion(np.zeros((0, dim)), dim).tobytes()
+
     def test_compress_rows_gives_the_identity_for_a_zero_block(self):
         rng = np.random.default_rng(5)
         full = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))

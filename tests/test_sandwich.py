@@ -29,8 +29,13 @@ from gatedecomp.generators import (
 from gatedecomp.matcore import CSD_SVD_MIN_DIM
 from gatedecomp import sandwich
 from gatedecomp.sandwich import (
+    _angles,
     _cossin,
+    _csd_separated,
     _csd_two_svd,
+    _fused_completion,
+    _halve,
+    _probe,
     _sandwich_gates,
     _split,
     _two_by_d_core,
@@ -503,6 +508,15 @@ def _csd_input(kind, p, seed=0):
         return _with_angles(1e-9 * rng.random(p), seed)
     if kind == "near-pi/2":
         return _with_angles(np.pi / 2 - 1e-9 * rng.random(p), seed)
+    if kind == "small":
+        # separated angles in (0, 1e-3], whose cosines crowd 1
+        return _with_angles((np.arange(p) + 0.5 + 0.4 * (rng.random(p) - 0.5)) * 1e-3 / p, seed)
+    if kind == "split":
+        # separated angles, a random number of them below pi/4: items of
+        # this kind have different split indices
+        below = int(rng.integers(0, p + 1))
+        theta = np.concatenate([np.linspace(0.1, 0.7, below), np.linspace(0.9, 1.45, p - below)])
+        return _with_angles(theta + 1e-3 * rng.random(p), seed)
     if kind == "edges":
         # separated angles, one of them 0 and one pi/2
         theta = np.linspace(0.0, np.pi / 2, p + 2)[1:-1]
@@ -536,40 +550,164 @@ def _same_arrays(a, b):
     return all(np.array_equal(x, y) for x, y in zip((a1, a2, at, a3, a4), (b1, b2, bt, b3, b4)))
 
 
+def _as_core(factors):
+    """``_two_by_d_core``'s [left, mid, right] for one item's cosine-sine factors."""
+    (u1, u2), theta, (v1h, v2h) = factors
+    return [np.stack([u1, u2]), sandwich._rotations(theta), np.stack([v1h, v2h])]
+
+
+def _same_bytes(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def _separated_factors(u, p):
+    """The separated route's factors of one matrix: the kernel with the phase rule."""
+    svd = np.linalg.svd(u[:p, :p])
+    return _csd_separated(u, p, svd, int(np.count_nonzero(svd[1] > np.sqrt(0.5))))
+
+
 @pytest.mark.parametrize(
     "kind,p",
     [(k, p) for k in CSD_KINDS for p in (1, 2, 5, CSD_SVD_MIN_DIM // 2 - 1)]
     + [(k, p) for k in CSD_KINDS for p in (CSD_SVD_MIN_DIM // 2, 40)],
 )
 def test_cossin_runs_zuncsd_below_the_crossover_and_on_unseparated_cosines(kind, p):
-    """Below CSD_SVD_MIN_DIM the step is zuncsd bit for bit; from there on it
-    is the two-SVD route bit for bit on every kind, clustered, degenerate and
-    unseparated cosines included."""
+    """Below CSD_SVD_MIN_DIM the 2 x dB core is zuncsd bit for bit on every
+    item, separated or not.  From there on an unseparated item gets the
+    two-SVD kernel's bytes without the phase rule, as before, and a
+    separated one the stacked kernel's with it.  Haar items are separated
+    and the structured kinds are not; the synthetic kinds are separated
+    only where their few angles are (p = 1 or 2).  An identity has
+    vanishing off-diagonal blocks and is already controlled from A."""
     u = _csd_input(kind, p, seed=3)
-    if 2 * p < CSD_SVD_MIN_DIM:
-        expected = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+    separated = _probe(u[None, :p, :p])[1][0]
+    if kind in ("haar", "swap", "identity", "perm", "phased"):
+        assert separated == (kind == "haar")
+    got = _two_by_d_core(u, p)
+    if kind == "identity":
+        eye = np.eye(p, dtype=complex)
+        want = [np.stack([u[:p, :p], u[p:, p:]]), np.stack([np.eye(2, dtype=complex)] * p), np.stack([eye, eye])]
+    elif 2 * p < CSD_SVD_MIN_DIM:
+        want = _as_core(scipy.linalg.cossin(u, p=p, q=p, separate=True))
+    elif separated:
+        want = _as_core(_separated_factors(u, p))
     else:
-        expected = _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p]))
-    assert _same_arrays(_cossin(u, p), expected)
+        want = _as_core(_csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
+    assert _same_bytes(got, want)
+    if 2 * p < CSD_SVD_MIN_DIM:
+        assert _same_arrays(_cossin(u, p), scipy.linalg.cossin(u, p=p, q=p, separate=True))
+    else:
+        assert _same_arrays(_cossin(u, p), _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
 
 
 @pytest.mark.parametrize("p", [CSD_SVD_MIN_DIM // 2, 40])
 def test_cossin_takes_the_two_svd_route_on_separated_cosines(p):
+    """From CSD_SVD_MIN_DIM on, a Haar item of the core takes the separated
+    route: the stacked two-SVD kernel with V1h's row maxima real, not
+    zuncsd and not the per-item ``_cossin``."""
     u = haar_unitary(2 * p, 5)
-    got = _cossin(u, p)
-    assert _same_arrays(got, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
-    assert not _same_arrays(got, scipy.linalg.cossin(u, p=p, q=p, separate=True))
+    got = _two_by_d_core(u, p)
+    assert _same_bytes(got, _as_core(_separated_factors(u, p)))
+    right = got[2]
+    for row in right[0]:
+        top = row[np.argmax(np.abs(row))]
+        assert top.real > 0 and abs(top.imag) <= 1e-15
+    assert not _same_bytes(got, _as_core(scipy.linalg.cossin(u, p=p, q=p, separate=True)))
+    assert not _same_bytes(got, _as_core(_cossin(u, p)))
 
 
 def test_cossin_falls_back_to_zuncsd_when_gesdd_fails(monkeypatch):
+    """When gesdd does not converge, the core's probe separates no item and
+    each one falls back to zuncsd through ``_cossin``."""
     p = CSD_SVD_MIN_DIM // 2
-    u = _csd_input("clustered", p, seed=3)
+    u = np.stack([_csd_input("clustered", p, seed=3), haar_unitary(2 * p, 5)])
+    want = [scipy.linalg.cossin(m, p=p, q=p, separate=True) for m in u]
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    assert _same_arrays(_cossin(u, p), scipy.linalg.cossin(u, p=p, q=p, separate=True))
+    assert _same_arrays(_cossin(u[0], p), want[0])
+    got = _two_by_d_core(u, p)
+    for j in range(2):
+        assert _same_bytes([g[j] for g in got], _as_core(want[j]))
+
+
+def test_v2h_of_items_with_different_sine_patterns():
+    """Items of one split index whose tests s >= c differ (a cosine within
+    round-off of 1/sqrt(2) can do it) each get their own V2h, as alone."""
+    p = 4
+    items = [_csd_input("haar", p, seed) for seed in (1, 2)]
+    factors = []
+    for u in items:
+        svd = np.linalg.svd(u[:p, :p])
+        factors.append(sandwich._csd_thin(u[:p, :p], u[p:, :p], *svd, int(np.count_nonzero(svd[1] > np.sqrt(0.5)))))
+    u1, u2, cos, sin = (np.stack([f[i] for f in factors]) for i in range(4))
+    sin[1] = np.where(sin[1] >= cos[1], -1.0, 2.0)  # the other pattern for item 1
+    cos[1] = np.abs(cos[1]) + 0.5
+    u12, u22 = (np.stack(b) for b in zip(*[(u[:p, p:], u[p:, p:]) for u in items]))
+    got = sandwich._csd_v2h(u1, u2, cos, sin, u12, u22)
+    assert not np.array_equal(sin[0] >= cos[0], sin[1] >= cos[1])
+    for j in range(2):
+        assert got[j].tobytes() == sandwich._csd_v2h(u1[j], u2[j], cos[j], sin[j], u12[j], u22[j]).tobytes()
+
+
+KERNEL_KINDS = CSD_KINDS + ["small", "split"]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 16, 64, 128])
+def test_separated_kernel_is_accurate_on_any_input(kind, p):
+    """The stacked kernel with the phase rule, full form: on any input, not
+    only on the separated ones the probe sends to it."""
+    u = _csd_input(kind, p)
+    factors = _separated_factors(u, p)
+    rec, unit = _csd_errors(u, p, factors)
+    assert rec <= 1e-13 and unit <= 1e-13
+    # and on a stack of one, with the same bytes
+    svd = [a[None] for a in np.linalg.svd(u[:p, :p])]
+    (u1, u2), theta, (v1h, v2h) = _csd_separated(u[None], p, svd, int(np.count_nonzero(svd[1] > np.sqrt(0.5))))
+    assert _same_arrays(factors, ((u1[0], u2[0]), theta[0], (v1h[0], v2h[0])))
+
+
+def _thin_errors(r, factors):
+    """(reconstruction, unitarity) errors of the thin split of R†, with theta's
+    round trip as the recursion takes it."""
+    u1, u2, cos, sin, v1h = factors
+    theta = _angles(sin, cos)
+    assert np.all(np.diff(theta) >= 0)
+    col = np.vstack([(u1 * np.cos(theta)) @ v1h, (u2 * np.sin(theta)) @ v1h])
+    p = len(v1h)
+    return max_abs(col - r.conj().T), max(max_abs(m @ m.conj().T - np.eye(p)) for m in (u1, u2, v1h))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 16, 64, 128])
+def test_fused_completion_kernel_is_accurate_on_any_input(kind, p):
+    """The thin form: the split of R† for the rows R = u[:p] of any input."""
+    r = _csd_input(kind, p)[:p]
+    svd = np.linalg.svd(r[:, :p])
+    n = int(np.count_nonzero(svd[1] > np.sqrt(0.5)))
+    rec, unit = _thin_errors(r, _fused_completion(r[:, :p], r[:, p:], svd, n))
+    assert rec <= 1e-13 and unit <= 1e-13
+
+
+@pytest.mark.parametrize("da,db,seed", [(3, 2, 1), (4, 3, 2), (5, 4, 3), (8, 8, 4), (16, 13, 5), (24, 9, 6)])
+def test_fused_completion_completes_the_rows(da, db, seed):
+    """W0 = (U1 ⊕ U2) CS(θ) (V1h ⊕ -I) is unitary and its first block column
+    is R†, for the rows R that a Haar input's halving step completes."""
+    yd = (da // 2) * db
+    _, x = sandwich._compress(haar_unitary(da * db, seed)[None], yd)
+    r = x[0, :yd, : 2 * yd]
+    svd, separated = _probe(r[None, :, :yd])
+    assert separated[0]
+    svd = [a[0] for a in svd]
+    u1, u2, cos, sin, v1h = _fused_completion(r[:, :yd], r[:, yd:], svd, int(np.count_nonzero(svd[1] > np.sqrt(0.5))))
+    theta = _angles(sin, cos)
+    w0 = scipy.linalg.block_diag(u1, u2) @ _cs_factor(theta) @ scipy.linalg.block_diag(v1h, -np.eye(yd))
+    assert max_abs(w0 @ w0.conj().T - np.eye(2 * yd)) <= 1e-13
+    assert max_abs(w0[:, :yd] - r.conj().T) <= 1e-14
+    assert max_abs(r @ w0 - np.eye(yd, 2 * yd)) <= 1e-13
 
 
 def test_cossin_raises_when_zuncsd_fails(monkeypatch):
@@ -639,6 +777,125 @@ def test_stack_gives_the_bytes_of_single_calls(da, db, kinds, seed):
         for g, h in zip(stacked, alone):
             assert g.shape[1:] == h.shape[1:] and len(h) == 1
             assert g[j].tobytes() == h[0].tobytes()
+
+
+def _halve_through_split(u, da, db):
+    """``_halve`` as it stood before the separated route: the Gram-Schmidt
+    completion of ``_split`` for every item, then the core on W0†."""
+    k, y = len(u), da // 2
+    yd = y * db
+    vp, w0, x = _split(u, da, db)
+    c_g, t_g, d_g = _two_by_d_core(w0.conj().transpose(0, 2, 1), yd)
+    x1 = x[:, :yd, :yd] @ c_g[:, 0]
+    x2 = np.concatenate([x[:, yd:, yd : 2 * yd] @ c_g[:, 1], x[:, yd:, 2 * yd :]], axis=2)
+    vh = vp.conj().transpose(0, 2, 1)
+    y1 = d_g[:, 0]
+    y2 = np.concatenate([d_g[:, 1] @ vh[:, :yd], vh[:, yd:]], axis=1)
+    rr = np.arange(y)[:, None] + y * np.arange(2)
+    mid = sandwich._eye_stack(k, db, da)
+    mid[:, :, rr[:, :, None], rr[:, None, :]] = t_g.reshape(k, y, db, 2, 2).transpose(0, 2, 1, 3, 4)
+    if da % 2 == 0:
+        return [np.concatenate([x1, y1, x2, y2])], mid
+    return [np.concatenate([x1, y1]), np.concatenate([x2, y2])], mid
+
+
+@pytest.mark.parametrize("kind", ["perm", "phased", "actrl", "bctrl", "identity", "product"])
+@pytest.mark.parametrize("da,db", [(3, 3), (4, 2), (5, 3), (8, 8), (12, 6), (16, 4)])
+def test_unseparated_halving_keeps_the_gram_schmidt_route(kind, da, db):
+    """Structured inputs are unseparated at every level: ``_halve`` gives them
+    the bytes of the Gram-Schmidt route, with zuncsd below the crossover
+    (2 * yd < CSD_SVD_MIN_DIM, the first three shapes) and the two-SVD
+    kernel from there on (the last three)."""
+    u = _structured(kind, da, db, 4)[None]
+    yd = (da // 2) * db
+    assert not _probe(sandwich._compress(u, yd)[1][:, :yd, :yd])[1].any()
+    children, mid = _halve(u, da, db)
+    want_children, want_mid = _halve_through_split(u, da, db)
+    assert _same_bytes(children + [mid], want_children + [want_mid])
+
+
+def _separated_split_indices(u, p):
+    """The split indices of the separated items of a (k, 2p, 2p) stack."""
+    c = np.linalg.svd(u[:, :p, :p], compute_uv=False)
+    keep = sandwich._separated(c)
+    return set(np.count_nonzero(c[keep] > np.sqrt(0.5), axis=1).tolist()), keep
+
+
+CORE_MIX = ["haar", "split", "split", "perm", "phased", "clustered", "identity", "straddle"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 16, 17, 20]),
+    kinds=st.lists(st.sampled_from(CORE_MIX), min_size=2, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_core_stack_gives_the_bytes_of_single_calls(p, kinds, seed):
+    """Items of one core stack that take different routes (zuncsd below
+    the crossover; from it on separated with several split indices,
+    unseparated, already controlled) each get the bytes they get alone."""
+    u = np.stack([_csd_input(kind, p, seed + j) for j, kind in enumerate(kinds)])
+    _assert_core_gives_single_bytes(u, p)
+
+
+def _assert_core_gives_single_bytes(u, p):
+    stacked = _two_by_d_core(u, p)
+    for j in range(len(u)):
+        assert _same_bytes([g[j] for g in stacked], _two_by_d_core(u[j], p))
+
+
+def test_core_stack_mixes_routes_and_split_indices():
+    """One fixed mix that certainly holds every route and three split indices."""
+    p = CSD_SVD_MIN_DIM // 2
+    kinds = ["split", "haar", "perm", "split", "identity", "split", "phased", "haar", "split"]
+    u = np.stack([_csd_input(kind, p, 40 + j) for j, kind in enumerate(kinds)])
+    ks, separated = _separated_split_indices(u, p)
+    assert len(ks) >= 3 and separated.any() and not separated.all()
+    _assert_core_gives_single_bytes(u, p)
+
+
+def _assert_halving_gives_single_bytes(u, da, db):
+    """Every item's children and middle gate from one level on the stack u
+    have the bytes of that level on the item alone."""
+    children, mid = _halve(u, da, db)
+    k = len(u)
+    for j in range(k):
+        alone, alone_mid = _halve(u[j][None], da, db)
+        assert mid[j].tobytes() == alone_mid[0].tobytes()
+        for c, a in zip(children, alone, strict=True):
+            for q in range(len(a)):
+                assert c[q * k + j].tobytes() == a[q].tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    da=st.integers(3, 6),
+    db=st.integers(2, 4),
+    kinds=st.lists(st.sampled_from(["haar", "haar", "phased", "actrl", "product"]), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_halving_stack_gives_the_bytes_of_single_calls(da, db, kinds, seed):
+    """One level on a stack of separated items of several split indices and
+    unseparated ones: every item's children and middle gate are its bytes
+    alone."""
+    _assert_halving_gives_single_bytes(
+        np.stack([_stack_item(kind, da, db, seed + j) for j, kind in enumerate(kinds)]), da, db
+    )
+
+
+def test_halving_stack_mixes_routes_and_split_indices():
+    """A fixed stack of Haar and structured 6 x 3 items: the level takes
+    both routes and runs at least two split-index groups."""
+    da, db = 6, 3
+    kinds = ["haar", "phased", "haar", "haar", "actrl", "haar", "haar", "product", "haar"]
+    u = np.stack([_stack_item(kind, da, db, 70 + j) for j, kind in enumerate(kinds)])
+    yd = (da // 2) * db
+    r1 = sandwich._compress(u, yd)[1][:, :yd, :yd]
+    c = np.linalg.svd(r1, compute_uv=False)
+    separated = sandwich._separated(c)
+    assert separated.any() and not separated.all()
+    assert len(set(np.count_nonzero(c[separated] > np.sqrt(0.5), axis=1).tolist())) >= 2
+    _assert_halving_gives_single_bytes(u, da, db)
 
 
 def test_single_matrix_helpers_match_their_stacks():
