@@ -20,7 +20,7 @@ import numpy as np
 
 from . import codecs, generators
 from .gateir import verify_decomposition
-from .matcore import PreconditionError, require_dense_dim
+from .matcore import RECON_TOL, PreconditionError, read_binary, require_dense_dim
 from .multiparty import decompose_4party, decompose_multiparty
 from .permdecomp import ComplexPermutation, decompose_multiparty_perm, decompose_perm3
 from .protocols import (
@@ -76,13 +76,13 @@ def build_parser() -> _Parser:
     d.add_argument("--method", choices=METHODS, required=True)
     d.add_argument("-i", "--input", required=True)
     d.add_argument("-o", "--output", required=True)
-    d.add_argument("--tol", type=float, default=1e-8)
+    d.add_argument("--tol", type=float, default=RECON_TOL)
     d.add_argument("--no-verify", action="store_true")
 
     v = sub.add_parser("verify", help="verify a circuit against a matrix file")
     v.add_argument("-u", "--unitary", required=True)
     v.add_argument("-c", "--circuit", required=True)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=float, default=RECON_TOL)
 
     s = sub.add_parser("schmidt", help="operator-Schmidt rank across a cut")
     s.add_argument("-i", "--input", required=True)
@@ -166,7 +166,7 @@ def _xor_protocol(mf, out):
     da, db = mf.dims
     if da % 2:
         raise PreconditionError("family input must have even dA")
-    u = np.round(np.real(mf.matrix)).astype(np.int64)
+    u = read_binary(mf.matrix)
     i, b = np.ogrid[: da // 2, :db]
     flags = u[2 * i * db + b, (2 * i + 1) * db + b]
     if not np.array_equal(pair_swap_family_unitary(flags), u):
@@ -201,7 +201,7 @@ def _std(mf, out):
 
 def _lemma7(mf, out):
     _perm(mf, PLAIN_PERM)
-    perm = np.round(np.real(mf.matrix)).astype(np.int64)
+    perm = read_binary(mf.matrix)
     return emit_backup_protocol(perm, pp_expansion(perm, *mf.dims), *mf.dims).expanded, mf.matrix
 
 

@@ -28,7 +28,8 @@ from .gateir import (
     TwoLevelGate,
     controlled,
 )
-from .matcore import RECON_TOL, as_matrix, checked_dims, is_unitary, max_abs
+from .matcore import EXACT_TOL, RECON_TOL, PreconditionError, as_matrix, checked_dims, is_unitary
+from .matcore import read_binary
 from .permdecomp import ComplexPermutation, table_outputs
 from .protocols import BinaryMatrix
 
@@ -237,10 +238,11 @@ def validate_matrix_kind(m: np.ndarray, dims, kind: str):
             raise CodecError(f"matrix fails unitarity validation at {RECON_TOL:g}")
         return m, None
     if kind == "permutation":
-        snapped = np.round(np.real(m))
-        if max_abs(m - snapped) > 1e-12 or ((snapped != 0) & (snapped != 1)).any():
-            raise CodecError("permutation file entries must be within 1e-12 of {0,1}")
-        m = snapped.astype(complex)
+        try:
+            read_binary(m)
+        except PreconditionError as exc:
+            raise CodecError(f"permutation file entries must be within {EXACT_TOL:g} of 0 or 1") from exc
+        m = np.round(np.real(m)).astype(complex)  # keeps -0.0, so a file saves to its own bytes
     return m, ComplexPermutation.from_matrix(m, dims)
 
 

@@ -26,10 +26,11 @@ lowered palette and index without applying them.
 Exact permutation tables (``circuit_permutation``) are paid for per circuit
 rather than per gate.  Gates are lowered in batches of ``DECODE_CHUNK``
 palette values, and the palettes of one branch size in a batch are tested
-and read as one stack, so the decode's working memory stays near 300 KB
-however long the circuit is.  Per gate, one gather spreads its table over
-the states, through an index grid built once per pair of control and target
-axes, and one more composes it with the result so far.
+and read as one stack (``matcore.read_permutations``), so the decode's
+working memory stays near 300 KB however long the circuit is.  Per gate, one
+gather spreads its table over the states, through an index grid built once
+per pair of control and target axes, and one more composes it with the
+result so far.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .matcore import (
     is_unitary,
     max_abs,
     perm_matrix,
+    read_permutations,
     require_dense_dim,
 )
 from .schmidt import matrix_rank, schmidt_rank
@@ -630,25 +632,6 @@ def apply_circuit(c: Circuit) -> np.ndarray:
 DECODE_CHUNK = 1 << 14
 
 
-def _decode(stack: np.ndarray):
-    """``(rows, vals, bad)`` of a ``(k, d, d)`` stack of branch matrices.
-
-    ``rows[p, j]`` is the row of the first nonzero in column j of entry p
-    and ``vals[p, j]`` its value.  ``bad[p]`` marks an entry that is not a
-    complex permutation.  Entry p is one exactly when every ``vals[p, j]``
-    is within 1e-12 of the unit circle (so no column is zero), it has d
-    nonzeros in all (so no column has two) and ``rows[p]`` is a permutation
-    (so no row has two).
-    """
-    k, d, _ = stack.shape
-    nonzero = stack != 0
-    rows = nonzero.argmax(axis=1)
-    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
-    bad = np.count_nonzero(nonzero.reshape(k, -1), axis=1) != d
-    bad |= (np.sort(rows, axis=1) != np.arange(d)).any(axis=1)
-    return rows, vals, bad | (np.abs(np.abs(vals) - 1.0) > 1e-12).any(axis=1)
-
-
 def _lowered_batches(c: Circuit):
     """The lowered gates of ``c`` in order, in batches of ``DECODE_CHUNK`` palette values.
 
@@ -677,7 +660,7 @@ def _lowered_batches(c: Circuit):
 
 
 def _permutation_tables(first: int, batch) -> list:
-    """``(rows, vals)`` of the palette of each lowered gate, as in ``_decode``.
+    """``(rows, vals)`` of the palette of each lowered gate, as in ``read_permutations``.
 
     The palettes of one branch size are stacked and decoded together.
     Raises CircuitError naming the first gate, counted from ``first``, with
@@ -690,7 +673,7 @@ def _permutation_tables(first: int, batch) -> list:
     bad_gates = []
     for members in by_side.values():
         palettes = [batch[j][2] for j in members]
-        rows, vals, bad = _decode(palettes[0] if len(palettes) == 1 else np.concatenate(palettes))
+        rows, vals, bad = read_permutations(palettes[0] if len(palettes) == 1 else np.concatenate(palettes))
         ends = np.cumsum([len(p) for p in palettes])
         if bad.any():  # the gate whose entries end past the first bad one
             bad_gates.append(members[np.searchsorted(ends, bad.argmax(), side="right")])

@@ -15,6 +15,11 @@ nothing for such a branch or phase.  A 2 x dB node whose off-diagonal blocks
 are at most this in every entry counts as already controlled from A, so its
 cosine-sine step is skipped and those blocks count as zero.
 
+``EXACT_TOL`` (1e-12) is what the exact readers take as 0, 1 or the unit
+circle: the permutation-file snap, reading a complex permutation (entries up
+to it are zeroed, then ``read_permutations``), and the 0/1 (``read_binary``)
+and real nonnegative inputs of the rank toolkit and the protocols.
+
 Every dense decomposition entry point checks its input with
 ``unitary_input(u, dims)``, which accepts a unitary to ``RECON_TOL`` and gives
 its polar factor once ``max|U U† - I|`` exceeds ``POLAR_TOL`` (1e-12), so that
@@ -58,6 +63,7 @@ RANK_TOL = 1e-10
 RECON_TOL = 1e-8
 POLAR_TOL = 1e-12
 IDENTITY_TOL = 1e-12
+EXACT_TOL = 1e-12
 CSD_SVD_MIN_DIM = 32
 CSD_SEPARATION = 1e-8
 MAX_DENSE_DIM = 4096
@@ -141,6 +147,46 @@ def unitary_input(m, dims) -> np.ndarray:
         w, _, vh = np.linalg.svd(a)
         a = w @ vh
     return a
+
+
+def on_unit_circle(v) -> np.ndarray:
+    """Entrywise ``| |v| - 1 | <= EXACT_TOL``; False for NaN and inf."""
+    return np.abs(np.abs(v) - 1.0) <= EXACT_TOL
+
+
+def read_permutations(stack: np.ndarray):
+    """``(rows, vals, bad)`` of a ``(k, d, d)`` stack of matrices.
+
+    ``rows[p, j]`` is the row of the first nonzero (``!= 0``) in column j of
+    entry p and ``vals[p, j]`` its value.  ``bad[p]`` marks an entry that is
+    not a complex permutation: a ``vals[p, j]`` off the unit circle (a zero
+    column), other than d nonzeros (a column with two), or ``rows[p]`` not a
+    permutation (a row with two).
+    """
+    k, d, _ = stack.shape
+    nonzero = stack != 0
+    rows = nonzero.argmax(axis=1)
+    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
+    bad = np.count_nonzero(nonzero.reshape(k, -1), axis=1) != d
+    bad |= (np.sort(rows, axis=1) != np.arange(d)).any(axis=1)
+    return rows, vals, bad | ~on_unit_circle(vals).all(axis=1)
+
+
+def read_binary(a) -> np.ndarray:
+    """``a`` as an int64 matrix; PreconditionError unless each entry is within EXACT_TOL of 0 or 1."""
+    arr = np.asarray(a)
+    if arr.ndim != 2:
+        raise PreconditionError("expected a matrix")
+    if arr.dtype.kind in "biu":
+        ints = arr.astype(np.int64)
+    else:
+        near = np.round(np.real(arr))
+        if not (np.abs(arr - near) <= EXACT_TOL).all():  # also refuses NaN and inf
+            raise PreconditionError("entries must be 0 or 1")
+        ints = near.astype(np.int64)
+    if (ints >> 1).any():
+        raise PreconditionError("entries must be 0 or 1")
+    return ints
 
 
 def perm_matrix(perm) -> np.ndarray:

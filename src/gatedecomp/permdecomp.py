@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gateir import Circuit, ControlledGate, bipartite_space, multiparty_space
-from .matcore import PreconditionError, as_matrix, checked_dims, perm_matrix
+from .matcore import EXACT_TOL, PreconditionError, as_matrix, checked_dims, on_unit_circle
+from .matcore import perm_matrix, read_permutations
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,8 @@ class ComplexPermutation:
             raise ValueError("table size does not match dims")
         if sorted(self.targets) != list(range(n)):
             raise ValueError("targets is not a bijection")
-        for p in self.phases:
-            if abs(abs(p) - 1.0) > 1e-12:
-                raise ValueError("phases must have unit modulus")
+        if not on_unit_circle(np.asarray(self.phases, dtype=complex)).all():
+            raise ValueError("phases must be finite and of unit modulus")
 
     @property
     def is_plain(self) -> bool:
@@ -56,29 +56,26 @@ class ComplexPermutation:
     def matrix(self) -> np.ndarray:
         n = len(self.targets)
         m = np.zeros((n, n), dtype=complex)
-        for col, (row, ph) in enumerate(zip(self.targets, self.phases)):
-            m[row, col] = ph
+        m[self.targets, np.arange(n)] = self.phases
         return m
 
     @classmethod
     def from_matrix(cls, m, dims) -> "ComplexPermutation":
+        """``m``'s table, entries of modulus at most EXACT_TOL read as 0; a phase of 1 is 1.0.
+
+        PreconditionError unless each column has one nonzero, on the unit
+        circle; ValueError (from the constructor) when two columns share a row.
+        """
         a = as_matrix(m)
         dims = checked_dims(dims)
         n = math.prod(dims)
         if a.shape != (n, n):
             raise ValueError(f"matrix is {a.shape}, expected {(n, n)}")
-        targets, phases = [], []
-        for col in range(n):
-            nz = np.flatnonzero(np.abs(a[:, col]) > 1e-12)
-            if nz.size != 1:
-                raise PreconditionError("matrix is not a complex permutation")
-            r = int(nz[0])
-            v = a[r, col]
-            if abs(abs(v) - 1.0) > 1e-12:
-                raise PreconditionError("nonzero entries must have unit modulus")
-            targets.append(r)
-            phases.append(1.0 if v == 1.0 else complex(v))
-        return cls(dims, tuple(targets), tuple(phases))
+        a = np.where(np.abs(a) > EXACT_TOL, a, 0)
+        (rows,), (vals,), (bad,) = read_permutations(a[None])
+        if bad and (np.count_nonzero(a) != n or not on_unit_circle(vals).all()):
+            raise PreconditionError("matrix is not a complex permutation")
+        return cls(dims, tuple(rows.tolist()), tuple(1.0 if v == 1 else v for v in vals.tolist()))
 
 
 @dataclass(frozen=True)

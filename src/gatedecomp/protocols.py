@@ -25,8 +25,8 @@ from .gateir import (
     GenericGate,
     PartySpace,
 )
-from .matcore import DEFAULT_EPS, PreconditionError, is_unitary, max_abs
-from .matcore import perm_matrix, require_square, unitary_input
+from .matcore import DEFAULT_EPS, EXACT_TOL, PreconditionError, is_unitary, max_abs
+from .matcore import perm_matrix, read_binary, require_square, unitary_input
 from .schmidt import _rank, _svd, matrix_rank, schmidt_rank
 
 
@@ -36,7 +36,7 @@ from .schmidt import _rank, _svd, matrix_rank, schmidt_rank
 
 def _check_partial_permutation(u, da: int, db: int) -> np.ndarray:
     """``u`` as an int64 0/1 matrix of side dA dB with at most one 1 per row and column."""
-    b = _binary_array(u)
+    b = read_binary(u)
     n = da * db
     if b.shape != (n, n):
         raise ValueError(f"matrix is {b.shape}, expected {(n, n)}")
@@ -503,23 +503,6 @@ def emit_transfer_protocol(u, da: int, db: int) -> TransferResult:
 # rank toolkit
 
 
-def _binary_array(a) -> np.ndarray:
-    """``a`` as an int64 matrix; PreconditionError unless each entry is within 1e-12 of 0 or 1."""
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise PreconditionError("expected a matrix")
-    if arr.dtype.kind in "biu":
-        ints = arr.astype(np.int64)
-    else:
-        near = np.round(np.real(arr))
-        if not (np.abs(arr - near) <= 1e-12).all():  # also refuses NaN and inf
-            raise PreconditionError("entries must be 0 or 1")
-        ints = near.astype(np.int64)
-    if (ints >> 1).any():
-        raise PreconditionError("entries must be 0 or 1")
-    return ints
-
-
 @dataclass(frozen=True)
 class BinaryMatrix:
     rows: int
@@ -537,7 +520,7 @@ class BinaryMatrix:
 
     @classmethod
     def from_array(cls, a) -> "BinaryMatrix":
-        ints = _binary_array(a)
+        ints = read_binary(a)
         return cls(ints.shape[0], ints.shape[1], tuple(ints.ravel().tolist()))
 
 
@@ -816,6 +799,15 @@ def _binary_rank(a: np.ndarray, rank: int, node_budget: int) -> RankReport:
     return RankReport("binary", lower, upper, tuple(upper_cert), nodes)
 
 
+def _real_nonneg(arr) -> np.ndarray:
+    """``arr`` as a float array; ValueError unless finite, real and nonnegative to EXACT_TOL."""
+    a = np.asarray(arr)
+    re = np.asarray(np.real(a), dtype=float)
+    if not ((np.abs(np.imag(a)) <= EXACT_TOL).all() and ((re >= -EXACT_TOL) & (re < np.inf)).all()):
+        raise ValueError("rank toolkit expects finite real nonnegative input")
+    return re
+
+
 def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankReport:
     """Rank analysis of a binary (or nonnegative) matrix.
 
@@ -831,40 +823,26 @@ def rank_toolkit(t, kind: str, node_budget: int = BINARY_NODE_BUDGET) -> RankRep
               the binary rank's, from one search with ``rank`` as its
               lower bound.
     """
-    if isinstance(t, BinaryMatrix):
-        arr = t.array()
-    else:
-        arr = np.asarray(t)
+    arr = t.array() if isinstance(t, BinaryMatrix) else np.asarray(t)
     if kind == "rank":
-        a = np.asarray(arr)
-        if np.iscomplexobj(a):
-            if max_abs(a.imag) > 1e-12:
-                raise ValueError("rank toolkit expects real nonnegative input")
-            a = a.real
-        a = np.asarray(a, dtype=float)
-        if (a < -1e-12).any():
-            raise ValueError("rank toolkit expects nonnegative input")
-        u, s, vh = _svd(a, compute_uv=True)
+        u, s, vh = _svd(_real_nonneg(arr), compute_uv=True)
         r = _rank(s)
         cert = tuple((s[i] * u[:, i], vh[i]) for i in range(r))
         return RankReport("rank", r, r, cert)
     if kind == "xor":
-        terms = _xor_factor(_binary_array(arr))
+        terms = _xor_factor(read_binary(arr))
         return RankReport("xor", len(terms), len(terms), tuple(terms))
     if kind == "binary":
-        b = _binary_array(arr)
+        b = read_binary(arr)
         return _binary_rank(b, matrix_rank(b), node_budget)
     if kind == "nonneg":
-        a = np.real(np.asarray(arr, dtype=float))
-        if (a < -1e-12).any():
-            raise ValueError("nonnegative rank needs nonnegative entries")
+        a = _real_nonneg(arr)
         lower = matrix_rank(a)
         try:
-            b = _binary_array(a)
+            b = read_binary(a)
         except ValueError:
-            nz_rows = int(np.sum(a.any(axis=1)))
-            nz_cols = int(np.sum(a.any(axis=0)))
-            return RankReport("nonneg", lower, min(nz_rows, nz_cols), ())
+            upper = int(min(a.any(axis=1).sum(), a.any(axis=0).sum()))  # nonzero rows or columns
+            return RankReport("nonneg", lower, upper, ())
         rep = _binary_rank(b, lower, node_budget)
         return RankReport("nonneg", lower, rep.upper, rep.certificate, rep.nodes)
     raise ValueError(f"unknown rank kind {kind!r}")
@@ -882,20 +860,13 @@ def pair_swap_family_unitary(flags) -> np.ndarray:
 
         U = sum_i [pair_i projector (x) (I - C_i) + pair_i swap (x) C_i].
     """
-    f = _binary_array(flags)
+    f = read_binary(flags)
     m, db = f.shape
-    da = 2 * m
-    u = np.zeros((da * db, da * db), dtype=np.int64)
-    for i in range(m):
-        for b in range(db):
-            r0 = (2 * i) * db + b
-            r1 = (2 * i + 1) * db + b
-            if f[i, b]:
-                u[r0, r1] = 1
-                u[r1, r0] = 1
-            else:
-                u[r0, r0] = 1
-                u[r1, r1] = 1
+    n = 2 * m * db
+    # the state (2i + s, b) goes to (2i + (s xor f[i, b]), b); the map is its own inverse
+    a_out = 2 * np.arange(m)[:, None, None] + (np.arange(2)[:, None] ^ f[:, None, :])
+    u = np.zeros((n, n), dtype=np.int64)
+    u[(a_out * db + np.arange(db)).ravel(), np.arange(n)] = 1
     return u
 
 
@@ -946,7 +917,7 @@ def analyze_pair_swap_family(flags) -> PairSwapFamilyReport:
     of T and may exceed its binary rank.  When binary rank is not computed
     exactly, its lower end is checked against the bound.
     """
-    f = _binary_array(flags)
+    f = read_binary(flags)
     m, db = f.shape
     da = 2 * m
     u = pair_swap_family_unitary(f)
@@ -1001,7 +972,7 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     of pair swaps flagged by u.  Overlapping supports cancel mod 2, which is
     exactly how the family unitary composes.
     """
-    f = _binary_array(flags)
+    f = read_binary(flags)
     m, db = f.shape
     da = 2 * m
     terms = _xor_factor(f)

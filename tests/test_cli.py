@@ -6,7 +6,8 @@ import pytest
 
 from gatedecomp import Circuit, CnotGate, bipartite_space, cli, codecs
 from gatedecomp.cli import main
-from gatedecomp.generators import haar_unitary
+from gatedecomp.generators import haar_unitary, random_permutation
+from gatedecomp.matcore import RECON_TOL
 from gatedecomp.permdecomp import ComplexPermutation
 
 
@@ -238,6 +239,51 @@ class TestUnitaryFileRule:
         self.write(haar_unitary(6, 3) * (1 + 3e-9) * (1 + 1e-7))
         assert run("decompose", "--method", "sandwich", "-i", "u.json", "-o", "c.json") == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestPermutationFileRule:
+    """A permutation file's entries are read as 0 or 1 to EXACT_TOL."""
+
+    @staticmethod
+    def write(path, m):
+        matrix = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+        with open(path, "w") as fh:
+            json.dump({"kind": "permutation", "dims": [3, 2], "matrix": matrix}, fh)
+
+    @staticmethod
+    def noisy(scale):
+        m = random_permutation((3, 2), 4).matrix()
+        signs = np.where(np.add.outer(np.arange(6), np.arange(6)) % 2, 1.0, -1.0)
+        return m + scale * signs
+
+    @pytest.mark.parametrize("method", ["perm3", "lemma7"])
+    def test_noise_within_exact_tol_gives_the_clean_files_circuit(self, in_tmp, method):
+        self.write("clean.json", self.noisy(0.0))
+        self.write("noisy.json", self.noisy(5e-13))
+        for name in ("clean", "noisy"):
+            assert run("decompose", "--method", method, "-i", f"{name}.json", "-o", f"{name}_c.json") == 0
+            assert run("verify", "-u", f"{name}.json", "-c", f"{name}_c.json") == 0
+        assert open("noisy_c.json").read() == open("clean_c.json").read()
+
+    @pytest.mark.parametrize("method", ["perm3", "lemma7"])
+    def test_noise_past_exact_tol_exits_3(self, in_tmp, capsys, method):
+        self.write("noisy.json", self.noisy(5e-12))
+        assert run("decompose", "--method", method, "-i", "noisy.json", "-o", "c.json") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_zero_entries_save_to_their_own_bytes(self, in_tmp):
+        m = random_permutation((3, 2), 4).matrix()
+        m[m == 0] = complex(-0.0, -0.0)
+        codecs.save_matrix_file("z.json", m, (3, 2), "permutation")
+        mf = codecs.load_matrix_file("z.json")
+        codecs.save_matrix_file("z_re.json", mf.matrix, mf.dims, mf.kind)
+        assert "-0.0" in open("z.json").read()
+        assert open("z_re.json").read() == open("z.json").read()
+
+    def test_tol_defaults_to_recon_tol(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["decompose", "--method", "perm3", "-i", "a", "-o", "b"]).tol == RECON_TOL
+        assert parser.parse_args(["verify", "-u", "a", "-c", "b"]).tol == RECON_TOL
 
 
 class TestIntegerFields:

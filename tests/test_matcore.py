@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedecomp import matcore
+from gatedecomp import ComplexPermutation, codecs, matcore, pp_expansion
+from gatedecomp.codecs import CodecError
 from gatedecomp.matcore import (
+    EXACT_TOL,
     PreconditionError,
     _orthonormal_completion,
     InfeasibleError,
@@ -10,7 +16,10 @@ from gatedecomp.matcore import (
     compress_rows,
     is_unitary,
     max_abs,
+    on_unit_circle,
     perm_matrix,
+    read_binary,
+    read_permutations,
     unitary_eig,
     unitary_input,
 )
@@ -319,3 +328,72 @@ class TestBatches:
             assert w[j].tobytes() == complete_isometry(rows[j]).tobytes()
         with pytest.raises(PreconditionError):
             complete_isometry(np.stack([rows[0], 2 * rows[1]]))
+
+
+class TestExactReaders:
+    def test_read_permutations_marks_each_defect(self):
+        eye = np.eye(3, dtype=complex)
+        zero_col, two_in_col, two_on_row, off_circle, nan = (eye.copy() for _ in range(5))
+        zero_col[1, 1] = 0
+        two_in_col[2, 0] = 1
+        two_on_row[:, 2] = [0, 1, 0]
+        off_circle[0, 0] = 1 + 2 * EXACT_TOL
+        nan[2, 2] = np.nan
+        phased = eye * np.exp(1j * np.array([0.3, -2.0, 1.0]))
+        stack = np.stack([eye, zero_col, two_in_col, two_on_row, off_circle, nan, phased])
+        rows, vals, bad = read_permutations(stack)
+        assert bad.tolist() == [False, True, True, True, True, True, False]
+        assert rows[6].tolist() == [0, 1, 2] and vals[6].tobytes() == np.diag(phased).tobytes()
+
+    def test_on_unit_circle_edges(self):
+        v = np.array([1.0, 1 + 0.5 * EXACT_TOL, 1 + 2 * EXACT_TOL, 1j, np.nan, np.inf, 0.0])
+        assert on_unit_circle(v).tolist() == [True, True, False, True, False, False, False]
+
+    def test_read_binary(self):
+        assert read_binary(np.array([[1, 0], [0, 1]], dtype=bool)).dtype == np.int64
+        near = np.array([[1 + 0.5 * EXACT_TOL, -0.5 * EXACT_TOL], [0.5j * EXACT_TOL, 1.0]])
+        assert read_binary(near).tolist() == [[1, 0], [0, 1]]
+        for bad in (2 * EXACT_TOL, 2j * EXACT_TOL, np.nan, np.inf, -1.0, 2.0):
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"), np.errstate(invalid="ignore"):
+                read_binary(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(PreconditionError, match="expected a matrix"):
+            read_binary(np.ones(3))
+
+
+def _permutation_and_noise(da, db, seed):
+    """A random permutation table on (da, db), its matrix, and noise of modulus in (0, 1] per entry."""
+    rng = np.random.default_rng(seed)
+    n = da * db
+    targets = rng.permutation(n)
+    direction = np.exp(2j * np.pi * rng.random((n, n)))
+    return targets, perm_matrix(targets), (1.0 - rng.random((n, n))) * direction, direction
+
+
+def _load_raw(directory, m, dims):
+    """``m`` written as a ``permutation`` file by ``json.dump``, unsnapped, and loaded back."""
+    path = str(directory / "noisy.json")
+    matrix = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    with open(path, "w") as fh:
+        json.dump({"kind": "permutation", "dims": list(dims), "matrix": matrix}, fh)
+    return codecs.load_matrix_file(path)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(da=st.integers(2, 8), db=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_three_readers_agree_at_the_exact_edge(tmp_path_factory, da, db, seed):
+    """Noise up to EXACT_TOL / 2 passes the codec, from_matrix and pp_expansion; 4 EXACT_TOL fails all."""
+    directory = tmp_path_factory.mktemp("exact")
+    targets, p, noise, direction = _permutation_and_noise(da, db, seed)
+    m = p + 0.5 * EXACT_TOL * noise
+    table = targets.tolist()
+    assert list(_load_raw(directory, m, (da, db)).value.targets) == table
+    assert list(ComplexPermutation.from_matrix(m, (da, db)).targets) == table
+    assert pp_expansion(m, da, db).reconstruct().argmax(axis=0).tolist() == table
+
+    m = p + 4 * EXACT_TOL * direction
+    with pytest.raises(CodecError):
+        _load_raw(directory, m, (da, db))
+    with pytest.raises(PreconditionError):
+        ComplexPermutation.from_matrix(m, (da, db))
+    with pytest.raises(PreconditionError):
+        pp_expansion(m, da, db)

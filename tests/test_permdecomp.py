@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gatedecomp.generators import (
     random_permutation,
     swap_permutation,
 )
+from gatedecomp.matcore import PreconditionError, as_matrix, checked_dims
 from gatedecomp.permdecomp import _perm3_stages, block_pattern
 
 
@@ -434,3 +436,95 @@ class TestComplexPermutationType:
 
         with pytest.raises(PreconditionError):
             ComplexPermutation.from_matrix(haar_unitary(4, 1), (2, 2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 0.0)])
+    def test_rejects_non_finite_phase(self, bad):
+        with pytest.raises(ValueError):
+            ComplexPermutation((2, 2), (0, 1, 2, 3), (bad, 1.0, 1.0, 1.0))
+
+
+def reference_from_matrix(m, dims):
+    """``ComplexPermutation.from_matrix`` as one pass over the columns."""
+    a = as_matrix(m)
+    dims = checked_dims(dims)
+    n = math.prod(dims)
+    if a.shape != (n, n):
+        raise ValueError(f"matrix is {a.shape}, expected {(n, n)}")
+    targets, phases = [], []
+    for col in range(n):
+        nz = np.flatnonzero(np.abs(a[:, col]) > 1e-12)
+        if nz.size != 1:
+            raise PreconditionError("matrix is not a complex permutation")
+        r = int(nz[0])
+        v = a[r, col]
+        if abs(abs(v) - 1.0) > 1e-12:
+            raise PreconditionError("nonzero entries must have unit modulus")
+        targets.append(r)
+        phases.append(1.0 if v == 1.0 else complex(v))
+    return ComplexPermutation(dims, tuple(targets), tuple(phases))
+
+
+def _phase_bits(cp):
+    return [(type(p), np.complex128(p).tobytes()) for p in cp.phases]
+
+
+def _outcome(read, m, dims):
+    """``(targets, phase bits)`` of ``read(m, dims)``, or the type of what it raised."""
+    try:
+        cp = read(m, dims)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+    return cp.targets, _phase_bits(cp)
+
+
+def _invalid_variants(m):
+    """Matrices that break a permutation ``m`` each in one way, or sit at its tolerance edge."""
+    n = m.shape[0]
+    r0, r1 = np.flatnonzero(m[:, 0])[0], np.flatnonzero(m[:, -1])[0]
+    off = np.abs(m) == 0
+    out = {}
+    out["zero column"] = m.copy()
+    out["zero column"][:, 0] = 0
+    out["two in a column"] = m.copy()
+    out["two in a column"][(r0 + 1) % n, 0] = 1
+    out["two columns on a row"] = m.copy()
+    out["two columns on a row"][:, -1] = 0
+    out["two columns on a row"][r0, -1] = 1
+    for dv in (2e-12, -2e-12, 5e-13, -5e-13):
+        out[f"modulus 1 + {dv}"] = m.copy()
+        out[f"modulus 1 + {dv}"][r1, -1] *= 1 + dv
+    for dz in (5e-13, -5e-13, 5e-13j):
+        out[f"{dz} beside the 1s"] = m + dz * off
+    return out
+
+
+class TestFromMatrixAgainstColumnLoop:
+    @pytest.mark.parametrize("da", range(1, 7))
+    @pytest.mark.parametrize("db", range(1, 7))
+    @pytest.mark.parametrize("make", [random_permutation, random_complex_permutation])
+    def test_random_permutations(self, da, db, make):
+        m = make((da, db), 10 * da + db).matrix()
+        got = _outcome(ComplexPermutation.from_matrix, m, (da, db))
+        assert got == _outcome(reference_from_matrix, m, (da, db))
+        assert isinstance(got, tuple)
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("make", [random_permutation, random_complex_permutation])
+    def test_invalid_and_edge_matrices(self, dims, make):
+        m = make(dims, 5).matrix()
+        for name, v in _invalid_variants(m).items():
+            got = _outcome(ComplexPermutation.from_matrix, v, dims)
+            assert got == _outcome(reference_from_matrix, v, dims), name
+
+    def test_variants_cover_each_outcome(self):
+        outcomes = {
+            name: _outcome(ComplexPermutation.from_matrix, v, (2, 2))
+            for name, v in _invalid_variants(random_complex_permutation((2, 2), 5).matrix()).items()
+        }
+        assert outcomes["zero column"] is PreconditionError
+        assert outcomes["two in a column"] is PreconditionError
+        assert outcomes["two columns on a row"] is ValueError
+        assert outcomes["modulus 1 + 2e-12"] is PreconditionError
+        assert outcomes["modulus 1 + -2e-12"] is PreconditionError
+        assert isinstance(outcomes["5e-13 beside the 1s"], tuple)
+        assert isinstance(outcomes["modulus 1 + 5e-13"], tuple)

@@ -399,3 +399,20 @@ class TestPairSwapFamily:
     def test_unitary_is_permutation(self):
         u = pair_swap_family_unitary(example2_flags())
         assert (u.sum(axis=0) == 1).all() and (u.sum(axis=1) == 1).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unitary_matches_the_entrywise_definition(self, seed):
+        # U = sum_i [pair_i projector (x) (I - C_i) + pair_i swap (x) C_i], written entry by entry
+        rng = np.random.default_rng(seed)
+        flags = rng.integers(0, 2, size=tuple(rng.integers(1, 6, size=2)))
+        m, db = flags.shape
+        expected = np.zeros((2 * m * db, 2 * m * db), dtype=np.int64)
+        for i in range(m):
+            for b in range(db):
+                r0, r1 = 2 * i * db + b, (2 * i + 1) * db + b
+                if flags[i, b]:
+                    expected[r0, r1] = expected[r1, r0] = 1
+                else:
+                    expected[r0, r0] = expected[r1, r1] = 1
+        u = pair_swap_family_unitary(flags)
+        assert u.dtype == np.int64 and np.array_equal(u, expected)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gatedecomp import BinaryMatrix, protocols, rank_toolkit
 from gatedecomp.generators import example2_flags
+from gatedecomp.matcore import EXACT_TOL
 from gatedecomp.protocols import BINARY_NODE_BUDGET
 
 
@@ -115,6 +116,19 @@ class TestRankValues:
             rank_toolkit(np.array([[0.5]]), "xor")
         with pytest.raises(ValueError):
             rank_toolkit(np.array([[1, 2]]), "binary")
+
+    @pytest.mark.parametrize("kind", ["rank", "nonneg"])
+    def test_real_nonnegative_edge(self, kind):
+        # an imaginary part or a negative entry up to EXACT_TOL is read as 0; above it the input is refused
+        real = rank_toolkit(np.eye(2), kind)
+        for below in (0.5j * EXACT_TOL, -0.5 * EXACT_TOL, 1 + 0.5j * EXACT_TOL):
+            rep = rank_toolkit(np.array([[1, below], [0, 1]]), kind)
+            assert (rep.lower, rep.upper) == (real.lower, real.upper)
+        for above in (2j * EXACT_TOL, -2 * EXACT_TOL, 1 + 2j * EXACT_TOL, np.nan, np.inf, complex(0, np.nan)):
+            with pytest.raises(ValueError, match="real nonnegative"):
+                rank_toolkit(np.array([[1, above], [0, 1]]), kind)
+        with pytest.raises(ValueError, match="real nonnegative"):  # once read from its real part alone
+            rank_toolkit(np.array([[1 + 1j, 0], [0, 1]]), kind)
 
     def test_nonneg_general_matrix_interval(self):
         t = np.array([[0.5, 0.5, 0.0], [0.25, 0.0, 0.75]])
