@@ -280,7 +280,11 @@ def _matrix_file_from_obj(obj, path: str) -> MatrixFile:
     n = math.prod(dims)
     if m.shape != (n, n):
         raise CodecError(f"{path}: matrix is {m.shape}, dims imply {(n, n)}")
-    return MatrixFile(obj["kind"], dims, *validate_matrix_kind(m, dims, obj["kind"]))
+    try:
+        m, value = validate_matrix_kind(m, dims, obj["kind"])
+    except CodecError as exc:
+        raise CodecError(f"{path}: {exc}") from exc
+    return MatrixFile(obj["kind"], dims, m, value)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,11 @@ def read_binary(a) -> np.ndarray:
     if arr.dtype.kind in "biu":
         ints = arr.astype(np.int64)
     else:
+        # refused before rounding: inf - round(inf) is NaN, and numpy warns on it
+        if not np.isfinite(arr).all():
+            raise PreconditionError("entries must be 0 or 1")
         near = np.round(np.real(arr))
-        if not (np.abs(arr - near) <= EXACT_TOL).all():  # also refuses NaN and inf
+        if not (np.abs(arr - near) <= EXACT_TOL).all():
             raise PreconditionError("entries must be 0 or 1")
         ints = near.astype(np.int64)
     if (ints >> 1).any():

@@ -394,7 +394,13 @@ def _merge(l1: list, l2: list, d1: int, d2: int, db: int) -> list:
 
 def _compress(u: np.ndarray, yd: int):
     """(V', u V) with V = I_yd ⊕ V': V' compresses the upper-right yd rows of
-    u onto its first yd columns, so (u V)[:yd, 2*yd:] vanishes."""
+    u onto its first yd columns, so (u V)[:yd, 2*yd:] vanishes.
+
+    V' is ``compress_rows``'s: one SVD per item and the standard-basis
+    completion of its leading right singular vectors.  ``_split`` and the
+    unseparated nodes of ``_halve`` take it; a separated node of ``_halve``
+    takes V' = I on even da and one QR on odd da instead.
+    """
     vp = compress_rows(u[..., :yd, yd:], yd)
     x = u.copy()
     x[..., yd:] = u[..., yd:] @ vp
@@ -436,6 +442,13 @@ def _fused_completion(r1: np.ndarray, r2: np.ndarray, svd, n: int):
     return u1, u2, cos, sin, v1h
 
 
+def _lower_right(d2: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """(D2 ⊕ I) V'†, the lower diagonal block of (D ⊕ I) V†, for one item or a stack."""
+    vh = _ct(vp)
+    yd = d2.shape[-1]
+    return np.concatenate([d2 @ vh[..., :yd, :], vh[..., yd:, :]], axis=-2)
+
+
 def _halve(u: np.ndarray, da: int, db: int):
     """(children, mid) of one recursion level on a (k, N, N) stack u.
 
@@ -444,12 +457,18 @@ def _halve(u: np.ndarray, da: int, db: int):
     when da is even, and [[X1; Y1], [X2; Y2]] when it is odd.  Everything
     else this level computes is dropped on return, before the recursion.
 
-    After V' (``_compress``), u V = X W† with W = W0 ⊕ I, where W0 is any
-    unitary that completes the rows R = (u V)[:yd, :2*yd].  W0† viewed as a
-    2 x (y*db) unitary has the 3-gate core W0† = C T D, with C and D block
-    diagonal, so u = X (C ⊕ I) (T ⊕ I) (D ⊕ I) V†.  The cosines of R's left
-    block R1 (``_probe``) choose W0 per item:
-    * separated, at every size: the cosine-sine step supplies the
+    V = I_yd ⊕ V' is any unitary with (u V)[:yd, 2*yd:] = 0.  Then
+    u V = X W† with W = W0 ⊕ I, where W0 is any unitary that completes the
+    rows R = (u V)[:yd, :2*yd].  W0† viewed as a 2 x (y*db) unitary has the
+    3-gate core W0† = C T D, with C and D block diagonal, so
+    u = X (C ⊕ I) (T ⊕ I) (D ⊕ I) V†.  V acts on columns yd: alone, so R's
+    left block R1 is u[:yd, :yd], bit for bit, before V' is known, and its
+    cosines (``_probe``) choose V' and W0 per item:
+    * separated, at every size: V' takes no SVD.  On even da the block
+      (u V)[:yd, 2*yd:] has no columns, so V' = I and u serves as u V with
+      no copy and no product.  On odd da V' = Q from the complete QR
+      B† = Q [R; 0] of B = u[:yd, yd:], one stacked call per split index,
+      since then B Q = [R†, 0].  The cosine-sine step supplies the
       completion.  From the thin split of R† (``_fused_completion``, one
       stack per split index; two SVDs and a QR per item, where the
       completion it replaces is a Gram-Schmidt loop over candidates),
@@ -458,34 +477,45 @@ def _halve(u: np.ndarray, da: int, db: int):
       block is the identity, and only its block X[yd:, yd:2*yd] =
       (u V)[yd:, :yd] U1 S - (u V)[yd:, yd:2*yd] U2 C is formed;
     * unseparated (permutations, phased, controlled and identity blocks):
-      ``_split``'s Gram-Schmidt completion, then ``_two_by_d_core`` on W0†.
-      Their bases make the counts pinned for structured inputs.
+      ``_split``'s route on their sub-stack, V' from ``_compress`` and the
+      Gram-Schmidt completion, then ``_two_by_d_core`` on W0†.  Their bases
+      make the counts pinned for structured inputs, and each item's bits do
+      not depend on the stack it is in.
     """
     k, big = len(u), u.shape[-1]
     y = da // 2
     yd = y * db
-    vp, x = _compress(u, yd)
     right = np.empty((k, 2, yd, yd), dtype=complex)
     t_g = np.empty((k, yd, 2, 2), dtype=complex)
     x1 = np.empty((k, yd, yd), dtype=complex)
     x2 = np.empty((k, big - yd, big - yd), dtype=complex)
-    x2[:, :, yd:] = x[:, yd:, 2 * yd :]
+    y2 = np.empty((k, big - yd, big - yd), dtype=complex)
 
-    svd, sep = _probe(x[:, :yd, :yd])
+    # V acts on columns yd: alone, so R1 = (u V)[:yd, :yd] is u's, bit for bit
+    svd, sep = _probe(u[:, :yd, :yd])
     if sep.any():
         for n, at in _split_index_groups(svd[1], np.flatnonzero(sep)):
-            rows = x[at, :yd, : 2 * yd]
+            if da % 2 == 0:
+                # V' = I: (u V)[:yd, 2*yd:] has no columns
+                x, i = u, at
+            else:
+                # B† = Q [R; 0] for B = u[:yd, yd:], so B Q = [R†, 0]: V' = Q
+                vp = np.linalg.qr(_ct(u[at, :yd, yd:]), mode="complete")[0]
+                x, i = np.concatenate([u[at, :, :yd], u[at, :, yd:] @ vp], axis=-1), Ellipsis
+            # x[i] is u V for the items at
             u1, u2, cos, sin, v1h = _fused_completion(
-                rows[..., :yd], rows[..., yd:], [a[at] for a in svd], n
+                x[i, :yd, :yd], x[i, :yd, yd : 2 * yd], [a[at] for a in svd], n
             )
             t_g[at] = _rotations(_angles(sin, cos))
             c, s = t_g[at, :, 0, 0].real[..., None, :], t_g[at, :, 1, 0].real[..., None, :]
             x1[at] = _ct(v1h)
-            x2[at, :, :yd] = (x[at, yd:, :yd] @ u1) * s - (x[at, yd:, yd : 2 * yd] @ u2) * c
+            x2[at, :, :yd] = (x[i, yd:, :yd] @ u1) * s - (x[i, yd:, yd : 2 * yd] @ u2) * c
+            x2[at, :, yd:] = x[i, yd:, 2 * yd :]
             right[at, 0], right[at, 1] = _ct(u1), -_ct(u2)
+            y2[at] = right[at, 1] if da % 2 == 0 else _lower_right(right[at, 1], vp)
     rest = np.flatnonzero(~sep)
     if rest.size:
-        xr = x[rest]
+        vp, xr = _compress(u[rest], yd)
         w0 = complete_isometry(xr[:, :yd, : 2 * yd])
         xr[:, :, : 2 * yd] = xr[:, :, : 2 * yd] @ w0
         # U11 of W0† is R1, bit for bit: W0's first yd columns are R†
@@ -493,11 +523,9 @@ def _halve(u: np.ndarray, da: int, db: int):
         c_g, t_g[rest], right[rest] = _two_by_d_core(_ct(w0), yd, rest_svd)
         x1[rest] = xr[:, :yd, :yd] @ c_g[:, 0]
         x2[rest, :, :yd] = xr[:, yd:, yd : 2 * yd] @ c_g[:, 1]
-
-    # the diagonal blocks of (D ⊕ I) V†
-    vh = _ct(vp)
+        x2[rest, :, yd:] = xr[:, yd:, 2 * yd :]
+        y2[rest] = _lower_right(right[rest, 1], vp)
     y1 = right[:, 0]
-    y2 = np.concatenate([right[:, 1] @ vh[:, :yd], vh[:, yd:]], axis=1)
 
     # middle gate: t_g's branch r * db + b acts on the pair (|r>, |y + r>)
     # of the A side when B is |b>; every other A level is left alone

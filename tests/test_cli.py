@@ -240,6 +240,13 @@ class TestUnitaryFileRule:
         assert run("decompose", "--method", "sandwich", "-i", "u.json", "-o", "c.json") == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_drift_past_the_contract_names_the_file(self, in_tmp, capsys):
+        self.write(haar_unitary(6, 3) * (1 + 1e-7))
+        path = str(in_tmp / "u.json")
+        assert run("decompose", "--method", "sandwich", "-i", path, "-o", "c.json") == 3
+        (line,) = [x for x in capsys.readouterr().err.splitlines() if x.startswith("error: ")]
+        assert path in line and "unitarity" in line
+
 
 class TestPermutationFileRule:
     """A permutation file's entries are read as 0 or 1 to EXACT_TOL."""
@@ -270,6 +277,15 @@ class TestPermutationFileRule:
         self.write("noisy.json", self.noisy(5e-12))
         assert run("decompose", "--method", method, "-i", "noisy.json", "-o", "c.json") == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_entry_past_exact_tol_names_the_file(self, in_tmp, capsys):
+        m = random_permutation((3, 2), 4).matrix()
+        m[np.flatnonzero(m[:, 0])[0], 0] = 1 - 5e-12
+        self.write("bad.json", m)
+        path = str(in_tmp / "bad.json")
+        assert run("decompose", "--method", "perm3", "-i", path, "-o", "c.json") == 3
+        (line,) = [x for x in capsys.readouterr().err.splitlines() if x.startswith("error: ")]
+        assert path in line and "of 0 or 1" in line
 
     def test_negative_zero_entries_save_to_their_own_bytes(self, in_tmp):
         m = random_permutation((3, 2), 4).matrix()

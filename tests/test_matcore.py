@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -354,10 +355,17 @@ class TestExactReaders:
         near = np.array([[1 + 0.5 * EXACT_TOL, -0.5 * EXACT_TOL], [0.5j * EXACT_TOL, 1.0]])
         assert read_binary(near).tolist() == [[1, 0], [0, 1]]
         for bad in (2 * EXACT_TOL, 2j * EXACT_TOL, np.nan, np.inf, -1.0, 2.0):
-            with pytest.raises(PreconditionError, match="entries must be 0 or 1"), np.errstate(invalid="ignore"):
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
                 read_binary(np.array([[1.0, bad], [0.0, 1.0]]))
         with pytest.raises(PreconditionError, match="expected a matrix"):
             read_binary(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)])
+    def test_read_binary_refuses_non_finite_entries_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+                read_binary(np.array([[1, bad], [0, 1]]))
 
 
 def _permutation_and_noise(da, db, seed):

@@ -898,6 +898,90 @@ def test_halving_stack_mixes_routes_and_split_indices():
     _assert_halving_gives_single_bytes(u, da, db)
 
 
+@pytest.mark.parametrize("da,db", [(8, 2), (4, 5), (5, 3), (7, 2)])
+def test_halving_stack_mixes_routes_at_even_and_odd_da(da, db):
+    """The same at even da (separated items take no V') and odd da (one
+    QR), with an identity item as well."""
+    kinds = ["haar", "phased", "haar", "haar", "actrl", "haar", "haar", "product", "haar", "identity"]
+    u = np.stack([_stack_item(kind, da, db, 70 + j) for j, kind in enumerate(kinds)])
+    yd = (da // 2) * db
+    c = np.linalg.svd(u[:, :yd, :yd], compute_uv=False)
+    separated = sandwich._separated(c)
+    assert separated.any() and not separated.all()
+    assert len(set(np.count_nonzero(c[separated] > np.sqrt(0.5), axis=1).tolist())) >= 2
+    _assert_halving_gives_single_bytes(u, da, db)
+
+
+def _count_compress_rows(monkeypatch):
+    """The shapes of the blocks that ``compress_rows`` is called on, as they come."""
+    calls = []
+    compress_rows = sandwich.compress_rows
+
+    def counting(b, t):
+        calls.append(np.shape(b))
+        return compress_rows(b, t)
+
+    monkeypatch.setattr(sandwich, "compress_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,da,db,expected",
+    [
+        ("haar", 16, 13, []),
+        # one call per level on all of its nodes, as before separated nodes
+        # skipped V'
+        ("perm", 8, 8, [(1, 32, 32), (4, 16, 16)]),
+        ("phased", 12, 6, [(1, 36, 36), (4, 18, 18), (16, 6, 12)]),
+    ],
+)
+def test_compress_rows_runs_on_unseparated_nodes_only(monkeypatch, kind, da, db, expected):
+    """Separated nodes take no SVD for V': none on even da, one QR on odd
+    da.  Structured inputs are unseparated at every level and keep it."""
+    calls = _count_compress_rows(monkeypatch)
+    u = haar_unitary(da * db, 4) if kind == "haar" else _structured(kind, da, db, 4)
+    res = decompose_sandwich(u, da, db)
+    assert calls == expected
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
+
+
+@pytest.mark.parametrize("da,db,seed", [(3, 2, 1), (3, 5, 2), (5, 3, 3), (5, 4, 4), (7, 2, 5), (7, 3, 6)])
+def test_odd_separated_halving_takes_v_prime_from_one_qr(monkeypatch, da, db, seed):
+    """On odd da a separated node's V' is the Q of the complete QR of
+    B† = u[:yd, yd:]†: unitary, and (u V)[:yd, 2*yd:] = B Q[:, yd:] vanishes."""
+    u = haar_unitary(da * db, seed)[None]
+    yd = (da // 2) * db
+    assert _probe(u[:, :yd, :yd])[1].all()
+    seen = []
+    qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        q, r = qr(a, mode=mode)
+        if a.shape[-2:] == (da * db - yd, yd):
+            seen.append((a, q))
+        return q, r
+
+    calls = _count_compress_rows(monkeypatch)
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    _halve(u, da, db)
+    assert calls == []
+    ((bh, vp),) = seen
+    assert bh.tobytes() == u[0, :yd, yd:].conj().T.tobytes()
+    assert max_abs(vp @ vp.conj().T - np.eye(da * db - yd)) <= 1e-14
+    assert max_abs(bh.conj().T @ vp[:, yd:]) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(da=st.integers(2, 9), db=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_haar_sandwich_property(da, db, seed):
+    """Haar inputs verify to 1e-12 with exactly g(da) gates, none stripped.
+    With db = 1 the input is one B-controlled gate and the rest identities."""
+    u = haar_unitary(da * db, seed)
+    res = decompose_sandwich(u, da, db)
+    assert len(res.circuit.gates) == (1 if db == 1 else sandwich_bound(da))
+    assert verify_decomposition(u, res.circuit, classify=False).max_error <= 1e-12
+
+
 def test_single_matrix_helpers_match_their_stacks():
     """A 2-D argument to the core or the split gives item 0 of the stack of one."""
     u = haar_unitary(12, 8)
