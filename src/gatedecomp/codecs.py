@@ -224,11 +224,16 @@ def _obj_to_matrix(obj, path: str) -> np.ndarray:
 
 
 def validate_matrix_kind(m: np.ndarray, dims, kind: str):
-    """Check (and for permutations, snap) the matrix against its declared kind.
+    """Check (and for permutations, snap) the matrix against its declared dims and kind.
 
-    Returns ``(matrix, value)``, ``value`` as in ``MatrixFile``.  A unitary
-    passes on the library's input rule, ``is_unitary`` to ``RECON_TOL``.
+    Returns ``(matrix, value)``, ``value`` as in ``MatrixFile``.  The dims
+    pass ``checked_dims`` and give the matrix's side, so the writer refuses
+    what the reader would.  A unitary passes on the library's input rule,
+    ``is_unitary`` to ``RECON_TOL``.
     """
+    n = math.prod(checked_dims(dims))
+    if m.shape != (n, n):
+        raise CodecError(f"matrix is {m.shape}, dims imply {(n, n)}")
     if kind not in MATRIX_KINDS:
         raise CodecError(f"unknown matrix kind {kind!r}")
     if kind == "binary":
@@ -277,9 +282,6 @@ def _matrix_file_from_obj(obj, path: str) -> MatrixFile:
             raise CodecError(f"{path}: missing field {key!r}")
     dims = checked_dims(obj["dims"])
     m = _obj_to_matrix(obj["matrix"], path)
-    n = math.prod(dims)
-    if m.shape != (n, n):
-        raise CodecError(f"{path}: matrix is {m.shape}, dims imply {(n, n)}")
     try:
         m, value = validate_matrix_kind(m, dims, obj["kind"])
     except CodecError as exc:

@@ -28,22 +28,20 @@ the completions inside it see rows orthonormal to round-off.
 Keeping the rank threshold one decade below the verification tolerance avoids
 misclassifying accumulated round-off as structure.
 
-The cosine-sine step of the sandwich recursion takes the two-SVD route on a
-``2p x 2p`` input when ``2p >= CSD_SVD_MIN_DIM`` (32, the size above which
-two SVDs beat LAPACK's ``zuncsd``), whatever its cosines; smaller inputs keep
-``zuncsd`` and its bases.
+The 2 x dB core of the sandwich recursion splits a ``2p x 2p`` node with the
+stacked two-SVD kernel, whatever its cosines, when ``2p >= CSD_SVD_MIN_DIM``
+(32, the size above which two SVDs beat LAPACK's ``zuncsd``), and with
+``zuncsd`` below it.
 
-``CSD_SEPARATION`` (1e-8) decides which route a node of the recursion takes.
-Its cosines are the singular values of its p x p block U11; they are
-*separated* when each lies more than ``CSD_SEPARATION`` from the next, from
-1 and from 0.  A separated node (Haar inputs) takes the two-SVD kernel on a
-stack of all such nodes of its level: in the halving step at every size,
-where that kernel also supplies the completion, and in the 2 x dB core from
-``CSD_SVD_MIN_DIM`` on (below it the core is ``zuncsd`` for every node).
-Any other node (permutations, phased, controlled and identity blocks, whose
-cosines sit at 0 or 1 or repeat) keeps the Gram-Schmidt completion and the
-cosine-sine step above, whose bases give those inputs their pinned gate
-counts.  The decision only routes: both routes are accurate on every input.
+``CSD_SEPARATION`` (1e-8) decides which completion a halving node takes.
+Its cosines, the singular values of its p x p block U11, are *separated*
+when each lies more than ``CSD_SEPARATION`` from the next, from 1 and from
+0.  A separated node (Haar inputs) takes the two-SVD kernel, which also
+supplies the completion, on a stack of all such nodes of its level.  Any
+other node (permutations, phased, controlled and identity blocks, whose
+cosines sit at 0 or 1 or repeat) keeps the Gram-Schmidt completion, whose
+bases give those inputs their pinned gate counts.  The decision only
+routes: both completions are accurate on every input.
 
 The dense simulator refuses spaces of more than ``MAX_DENSE_DIM`` (4096)
 basis states before allocating: one 4096 x 4096 complex matrix is 256 MiB,

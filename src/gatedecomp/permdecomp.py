@@ -41,7 +41,7 @@ class ComplexPermutation:
     phases: tuple[complex, ...]
 
     def __post_init__(self):
-        n = math.prod(self.dims)
+        n = math.prod(checked_dims(self.dims))
         if len(self.targets) != n or len(self.phases) != n:
             raise ValueError("table size does not match dims")
         if sorted(self.targets) != list(range(n)):

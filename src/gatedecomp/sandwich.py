@@ -83,7 +83,7 @@ def _is_identity(stack: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # cosine-sine step
 #
-# _cossin(u, p) splits a 2p x 2p unitary as
+# The cosine-sine split of a 2p x 2p unitary at p, p is
 #
 #     u = (U1 ⊕ U2) [[C, -S], [S, C]] (V1h ⊕ V2h),  C = diag(cos θ), S = diag(sin θ),
 #
@@ -91,12 +91,12 @@ def _is_identity(stack: np.ndarray) -> bool:
 # the p x p blocks Uij of u.  The thin split of a 2p x p isometry [U11; U21]
 # is U1, U2, θ and V1h alone.
 #
-# A node whose cosines are separated (see _probe) takes the two-SVD kernel
-# on a stack of all such nodes of one split index: in the halving step at
-# every size, where the kernel also supplies the completion (_halve), and in
-# the 2 x dB core from CSD_SVD_MIN_DIM on.  Every other cosine-sine step is
-# _cossin on one node: zuncsd below CSD_SVD_MIN_DIM and the same kernel on
-# that node alone from there on.
+# There are two kernels.  The two-SVD kernel (_csd_separated, with V1h's row
+# maxima made real) runs on a stack of all nodes of one split index: in the
+# 2 x dB core on every node from CSD_SVD_MIN_DIM on, and in the halving step
+# on the separated nodes (see _probe) at every size, where it also supplies
+# the completion (_halve).  Below CSD_SVD_MIN_DIM the 2 x dB core is LAPACK's
+# zuncsd (_csd_lapack) on one node at a time.
 
 _ZUNCSD, _ZUNCSD_LWORK = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
 
@@ -253,46 +253,13 @@ def _angles(sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
 def _csd_separated(u: np.ndarray, p: int, svd, n: int):
     """``((U1, U2), theta, (V1h, V2h))`` of the p, p split of u, a matrix or a stack.
 
-    The separated route: ``svd`` is the SVD of u's U11 blocks, whose split
+    The two-SVD kernel: ``svd`` is the SVD of u's U11 blocks, whose split
     index is n for every item, and V1h's row maxima are made real.
     """
     u1, u2, cos, sin, v1h = _csd_thin(u[..., :p, :p], u[..., p:, :p], *svd, n)
     _real_row_maxima(u1, u2, v1h)
     v2h = _csd_v2h(u1, u2, cos, sin, u[..., :p, p:], u[..., p:, p:])
     return (u1, u2), _angles(sin, cos), (v1h, v2h)
-
-
-def _csd_two_svd(u: np.ndarray, p: int, l1, c, r1h):
-    """Cosine-sine factors from the SVD U11 = L1 diag(c) R1h and one more SVD.
-
-    ``_csd_thin`` and ``_csd_v2h`` on the single matrix u, without the
-    phase rule of the separated route.
-    """
-    k = int(np.count_nonzero(c > np.sqrt(0.5)))
-    u1, u2, cos, sin, v1h = _csd_thin(u[:p, :p], u[p:, :p], l1, c, r1h, k)
-    v2h = _csd_v2h(u1, u2, cos, sin, u[:p, p:], u[p:, p:])
-    return (u1, u2), _angles(sin, cos), (v1h, v2h)
-
-
-def _cossin(u: np.ndarray, p: int, svd=None):
-    """``((U1, U2), theta, (V1h, V2h))`` of the p, p cosine-sine split of u.
-
-    From 2p >= CSD_SVD_MIN_DIM the factors come from two SVDs
-    (``_csd_two_svd``), whatever the cosines: zuncsd's bidiagonalisation is
-    level-2 BLAS and far slower there.  Below that size zuncsd is faster,
-    and on structured inputs the SVD route's bases would move which gates
-    come out as identity.  zuncsd also serves when gesdd does not converge.
-    ``svd`` is the SVD of u's U11 block when the caller has it already.
-    """
-    if 2 * p >= CSD_SVD_MIN_DIM:
-        if svd is None:
-            try:
-                svd = np.linalg.svd(u[:p, :p])
-            except LinAlgError:
-                pass  # gesdd did not converge; zuncsd below does
-        if svd is not None:
-            return _csd_two_svd(u, p, *svd)
-    return _csd_lapack(u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +287,16 @@ def _two_by_d_core(u: np.ndarray, db: int, svd=None) -> list:
     takes one of three routes:
     * already controlled from A (both off-diagonal blocks vanish): the
       diagonal blocks are the outer branches and the middle is the identity;
-    * below ``CSD_SVD_MIN_DIM``: zuncsd, one call per item, whatever the
-      cosines.  The stacked kernel's fixed cost per call is several zuncsd
-      calls at these sizes, so it gains only on stacks of many items, and
-      an item's route must not depend on its stack;
-    * from ``CSD_SVD_MIN_DIM`` on, the cosines choose (``_probe``): a
-      separated item (Haar inputs) takes the two-SVD kernel on one stack per
-      split index, with V1h's row maxima made real (``_real_row_maxima``);
-      any other item, a structured one, takes ``_cossin``, the kernel on
-      that item alone without the phase rule, whose bases make the counts
-      pinned for structured inputs.
+    * below ``CSD_SVD_MIN_DIM``, or when gesdd does not converge on the
+      stack's U11 blocks: zuncsd, one call per item.  The stacked kernel's
+      fixed cost per call is several zuncsd calls at these sizes, so it
+      gains only on stacks of many items, and an item's route must not
+      depend on its stack;
+    * every other item: the two-SVD kernel (``_csd_separated``) on one
+      stack per split index, with V1h's row maxima made real, whatever the
+      cosines.
     ``svd``, when the caller has it, is the SVD of every item's U11 block,
-    so the items need no probe of their own.
+    so the items need no SVD of their own.
     """
     if u.ndim == 2:
         return [g[0] for g in _two_by_d_core(u[None], db)]
@@ -346,21 +311,19 @@ def _two_by_d_core(u: np.ndarray, db: int, svd=None) -> list:
         right[ctrl] = np.eye(db)
     rest = np.flatnonzero(~ctrl)
     if 2 * db < CSD_SVD_MIN_DIM:
-        svd, sep = None, np.zeros(len(rest), dtype=bool)
+        svd = None
     elif svd is None:
-        svd, sep = _probe(u[rest, :db, :db])
+        svd = _probe(u[rest, :db, :db])[0]
     else:
         svd = [a[rest] for a in svd]
-        sep = _separated(svd[1])
-    if sep.any():
-        for n, at in _split_index_groups(svd[1], np.flatnonzero(sep)):
+    if svd is None:
+        for j in rest:
+            (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = _csd_lapack(u[j], db)
+    else:
+        for n, at in _split_index_groups(svd[1], np.arange(len(rest))):
             j = rest[at]
             factors = _csd_separated(u[j], db, [a[at] for a in svd], n)
             (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = factors
-    for at in np.flatnonzero(~sep):
-        j = rest[at]
-        one = None if svd is None else tuple(a[at] for a in svd)
-        (left[j, 0], left[j, 1]), theta[j], (right[j, 0], right[j, 1]) = _cossin(u[j], db, one)
     # branch b of the middle stack is the rotation by θb on A when B is |b>
     mid = _rotations(theta)
     mid[ctrl] = np.eye(2)  # +0.0 where -sin 0 gives -0.0, as np.eye has
@@ -397,9 +360,9 @@ def _compress(u: np.ndarray, yd: int):
     u onto its first yd columns, so (u V)[:yd, 2*yd:] vanishes.
 
     V' is ``compress_rows``'s: one SVD per item and the standard-basis
-    completion of its leading right singular vectors.  ``_split`` and the
-    unseparated nodes of ``_halve`` take it; a separated node of ``_halve``
-    takes V' = I on even da and one QR on odd da instead.
+    completion of its leading right singular vectors.  ``_split`` takes it,
+    for the unseparated nodes of ``_halve`` too; a separated node of
+    ``_halve`` takes V' = I on even da and one QR on odd da instead.
     """
     vp = compress_rows(u[..., :yd, yd:], yd)
     x = u.copy()
@@ -477,7 +440,7 @@ def _halve(u: np.ndarray, da: int, db: int):
       block is the identity, and only its block X[yd:, yd:2*yd] =
       (u V)[yd:, :yd] U1 S - (u V)[yd:, yd:2*yd] U2 C is formed;
     * unseparated (permutations, phased, controlled and identity blocks):
-      ``_split``'s route on their sub-stack, V' from ``_compress`` and the
+      ``_split`` on their sub-stack, V' from ``_compress`` and the
       Gram-Schmidt completion, then ``_two_by_d_core`` on W0†.  Their bases
       make the counts pinned for structured inputs, and each item's bits do
       not depend on the stack it is in.
@@ -515,9 +478,7 @@ def _halve(u: np.ndarray, da: int, db: int):
             y2[at] = right[at, 1] if da % 2 == 0 else _lower_right(right[at, 1], vp)
     rest = np.flatnonzero(~sep)
     if rest.size:
-        vp, xr = _compress(u[rest], yd)
-        w0 = complete_isometry(xr[:, :yd, : 2 * yd])
-        xr[:, :, : 2 * yd] = xr[:, :, : 2 * yd] @ w0
+        vp, w0, xr = _split(u[rest], da, db)
         # U11 of W0† is R1, bit for bit: W0's first yd columns are R†
         rest_svd = None if svd is None else [a[rest] for a in svd]
         c_g, t_g[rest], right[rest] = _two_by_d_core(_ct(w0), yd, rest_svd)

@@ -45,6 +45,14 @@ class TestGen:
         assert run("gen", "--kind", "sec6-swap-sandwich", "--dims", "2", "--seed", "3", "-o", "s.json") == 0
         assert os.path.exists("s.json.circuit.json")
 
+    @pytest.mark.parametrize(
+        "kind,dims", [("sec6-swap-sandwich", ["0"]), ("haar", ["0", "2"]), ("perm", ["2", "0"])]
+    )
+    def test_zero_dimension_exits_3_and_writes_nothing(self, in_tmp, capsys, kind, dims):
+        assert run("gen", "--kind", kind, "--dims", *dims, "-o", "z.json") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(in_tmp) == []
+
 
 ALL_METHODS = [
     ("haar", ["2", "3"], "sandwich"),

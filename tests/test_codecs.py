@@ -52,6 +52,25 @@ class TestMatrixFiles:
         with pytest.raises(CodecError, match="unitarity"):
             codecs.save_matrix_file(p, u * (1 + 1e-7), (2, 3), "unitary")
 
+    @pytest.mark.parametrize(
+        "m,dims,error",
+        [
+            (np.eye(4), (2, 3), "dims imply"),  # the reader refuses the shape
+            (np.zeros((0, 0)), (0, 2), "below 1"),  # and a dimension below 1
+            (np.eye(2), (2, 0), "below 1"),
+        ],
+    )
+    def test_save_refuses_what_the_reader_refuses(self, tmp_path, m, dims, error):
+        p = tmp_path / "u.json"
+        with pytest.raises(ValueError, match=error):
+            codecs.save_matrix_file(str(p), m, dims, "unitary")
+        assert list(tmp_path.iterdir()) == []
+        # the reader's message for the same content
+        obj = {"kind": "unitary", "dims": list(dims), "matrix": codecs._matrix_json(m)}
+        codecs.atomic_write(str(p), codecs.dumps_canonical(obj))
+        with pytest.raises(CodecError, match=f"u.json.*{error}"):
+            codecs.load_matrix_file(str(p))
+
     def test_permutation_kinds_keep_their_permutation(self, tmp_path):
         p = str(tmp_path / "p.json")
         cp = random_permutation((3, 2), 4)

@@ -164,6 +164,7 @@ class TestFourParty:
         (decompose_multiparty, (3, 2, 2), 4, 15),
         (decompose_4party, (2, 2, 2, 2), 4, 15),
         (decompose_4party, (2, 3, 2, 2), 4, 27),
+        (decompose_4party, (8, 2, 4, 2), 4, 149),
     ],
 )
 def test_pinned_permutation_gate_counts(decompose, dims, seed, expected):

@@ -424,6 +424,13 @@ class TestComplexPermutationType:
         with pytest.raises(ValueError):
             ComplexPermutation((2,), (0, 1), (1.0, 2.0))
 
+    @pytest.mark.parametrize("dims", [(0, 3), (0,), (2, -1), (3, 0, 2)])
+    def test_rejects_a_party_dimension_below_1(self, dims):
+        # a zero dimension makes the empty table a bijection
+        n = max(math.prod(dims), 0)
+        with pytest.raises(PreconditionError, match="below 1"):
+            ComplexPermutation(dims, tuple(range(n)), (1.0,) * n)
+
     def test_from_matrix_roundtrip(self):
         cp = random_complex_permutation((3, 2), 7)
         back = ComplexPermutation.from_matrix(cp.matrix(), (3, 2))

@@ -30,9 +30,8 @@ from gatedecomp.matcore import CSD_SVD_MIN_DIM
 from gatedecomp import sandwich
 from gatedecomp.sandwich import (
     _angles,
-    _cossin,
+    _csd_lapack,
     _csd_separated,
-    _csd_two_svd,
     _fused_completion,
     _halve,
     _probe,
@@ -428,7 +427,7 @@ PINNED_SANDWICH = {
     # cosine-sine steps at 2p >= CSD_SVD_MIN_DIM, which take the two-SVD
     # route on these structured inputs too
     (8, 8): {"perm": 15, "phased": 15, "actrl": 1, "product": 15, "identity": 1},
-    (16, 4): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
+    (16, 4): {"perm": 31, "phased": 31, "actrl": 1, "bctrl": 31, "product": 31, "identity": 1},
     (12, 6): {"perm": 31, "phased": 31, "actrl": 1, "product": 31, "identity": 1},
 }
 
@@ -440,6 +439,8 @@ def _structured(kind, da, db, seed):
         return random_complex_permutation((da, db), seed).matrix()
     if kind == "actrl":
         return random_controlled(da, db, seed, "A")
+    if kind == "bctrl":
+        return random_controlled(da, db, seed, "B")
     if kind == "product":
         return np.kron(haar_unitary(da, seed), haar_unitary(db, seed + 1))
     return np.eye(da * db, dtype=complex)
@@ -476,6 +477,16 @@ def _csd_errors(u, p, factors):
     unit = max(max_abs(m @ m.conj().T - np.eye(p)) for m in (u1, u2, v1h, v2h))
     # zuncsd's order, which the recursion's identity stripping relies on
     assert np.all(np.diff(theta) >= 0)
+    return rec, unit
+
+
+def _core_errors(u, p, core):
+    """(reconstruction, unitarity) errors of the core's [left, mid, right] on u."""
+    left, mid, right = core
+    rec = max_abs(scipy.linalg.block_diag(*left) @ _b_matrix(mid) @ scipy.linalg.block_diag(*right) - u)
+    unit = max(max_abs(m @ m.conj().T - np.eye(p)) for m in (*left, *right))
+    # zuncsd's order, which the recursion's identity stripping relies on
+    assert np.all(np.diff(np.arctan2(mid[:, 1, 0].real, mid[:, 0, 0].real)) >= 0)
     return rec, unit
 
 
@@ -536,11 +547,11 @@ CSD_KINDS = [
 
 @pytest.mark.parametrize("kind", CSD_KINDS)
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 16, 64, 128])
-def test_two_svd_route_is_accurate_on_any_input(kind, p):
-    # the route is stable on clustered, degenerate and edge cosines, which
-    # _cossin sends to it from the crossover on
+def test_core_is_accurate_on_any_input(kind, p):
+    # zuncsd below the crossover and the stacked kernel from it on are
+    # stable on clustered, degenerate and edge cosines
     u = _csd_input(kind, p)
-    rec, unit = _csd_errors(u, p, _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
+    rec, unit = _core_errors(u, p, _two_by_d_core(u, p))
     assert rec <= 1e-13 and unit <= 1e-13
 
 
@@ -571,14 +582,13 @@ def _separated_factors(u, p):
     [(k, p) for k in CSD_KINDS for p in (1, 2, 5, CSD_SVD_MIN_DIM // 2 - 1)]
     + [(k, p) for k in CSD_KINDS for p in (CSD_SVD_MIN_DIM // 2, 40)],
 )
-def test_cossin_runs_zuncsd_below_the_crossover_and_on_unseparated_cosines(kind, p):
+def test_core_runs_zuncsd_below_the_crossover_and_the_stacked_kernel_from_it_on(kind, p):
     """Below CSD_SVD_MIN_DIM the 2 x dB core is zuncsd bit for bit on every
-    item, separated or not.  From there on an unseparated item gets the
-    two-SVD kernel's bytes without the phase rule, as before, and a
-    separated one the stacked kernel's with it.  Haar items are separated
-    and the structured kinds are not; the synthetic kinds are separated
-    only where their few angles are (p = 1 or 2).  An identity has
-    vanishing off-diagonal blocks and is already controlled from A."""
+    item, separated or not.  From there on every item gets the stacked
+    kernel's bytes with the phase rule, separated or not.  Haar items are
+    separated and the structured kinds are not; the synthetic kinds are
+    separated only where their few angles are (p = 1 or 2).  An identity
+    has vanishing off-diagonal blocks and is already controlled from A."""
     u = _csd_input(kind, p, seed=3)
     separated = _probe(u[None, :p, :p])[1][0]
     if kind in ("haar", "swap", "identity", "perm", "phased"):
@@ -589,22 +599,16 @@ def test_cossin_runs_zuncsd_below_the_crossover_and_on_unseparated_cosines(kind,
         want = [np.stack([u[:p, :p], u[p:, p:]]), np.stack([np.eye(2, dtype=complex)] * p), np.stack([eye, eye])]
     elif 2 * p < CSD_SVD_MIN_DIM:
         want = _as_core(scipy.linalg.cossin(u, p=p, q=p, separate=True))
-    elif separated:
+    else:
         want = _as_core(_separated_factors(u, p))
-    else:
-        want = _as_core(_csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
     assert _same_bytes(got, want)
-    if 2 * p < CSD_SVD_MIN_DIM:
-        assert _same_arrays(_cossin(u, p), scipy.linalg.cossin(u, p=p, q=p, separate=True))
-    else:
-        assert _same_arrays(_cossin(u, p), _csd_two_svd(u, p, *np.linalg.svd(u[:p, :p])))
+    assert _same_arrays(_csd_lapack(u, p), scipy.linalg.cossin(u, p=p, q=p, separate=True))
 
 
 @pytest.mark.parametrize("p", [CSD_SVD_MIN_DIM // 2, 40])
 def test_cossin_takes_the_two_svd_route_on_separated_cosines(p):
-    """From CSD_SVD_MIN_DIM on, a Haar item of the core takes the separated
-    route: the stacked two-SVD kernel with V1h's row maxima real, not
-    zuncsd and not the per-item ``_cossin``."""
+    """From CSD_SVD_MIN_DIM on, a Haar item of the core takes the stacked
+    two-SVD kernel with V1h's row maxima real, not zuncsd."""
     u = haar_unitary(2 * p, 5)
     got = _two_by_d_core(u, p)
     assert _same_bytes(got, _as_core(_separated_factors(u, p)))
@@ -613,12 +617,11 @@ def test_cossin_takes_the_two_svd_route_on_separated_cosines(p):
         top = row[np.argmax(np.abs(row))]
         assert top.real > 0 and abs(top.imag) <= 1e-15
     assert not _same_bytes(got, _as_core(scipy.linalg.cossin(u, p=p, q=p, separate=True)))
-    assert not _same_bytes(got, _as_core(_cossin(u, p)))
 
 
 def test_cossin_falls_back_to_zuncsd_when_gesdd_fails(monkeypatch):
-    """When gesdd does not converge, the core's probe separates no item and
-    each one falls back to zuncsd through ``_cossin``."""
+    """When gesdd does not converge on the core's U11 blocks, each item
+    falls back to zuncsd (``_csd_lapack``)."""
     p = CSD_SVD_MIN_DIM // 2
     u = np.stack([_csd_input("clustered", p, seed=3), haar_unitary(2 * p, 5)])
     want = [scipy.linalg.cossin(m, p=p, q=p, separate=True) for m in u]
@@ -627,7 +630,7 @@ def test_cossin_falls_back_to_zuncsd_when_gesdd_fails(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    assert _same_arrays(_cossin(u[0], p), want[0])
+    assert _same_arrays(_csd_lapack(u[0], p), want[0])
     got = _two_by_d_core(u, p)
     for j in range(2):
         assert _same_bytes([g[j] for g in got], _as_core(want[j]))
@@ -710,16 +713,16 @@ def test_fused_completion_completes_the_rows(da, db, seed):
     assert max_abs(r @ w0 - np.eye(yd, 2 * yd)) <= 1e-13
 
 
-def test_cossin_raises_when_zuncsd_fails(monkeypatch):
+def test_csd_lapack_raises_when_zuncsd_fails(monkeypatch):
     u = haar_unitary(4, 1)
-    (u1, u2), theta, (v1h, v2h) = _cossin(u, 2)
+    (u1, u2), theta, (v1h, v2h) = _csd_lapack(u, 2)
 
     def failing(*args, **kwargs):
         return None, None, None, None, theta, u1, u2, v1h, v2h, 3
 
     monkeypatch.setattr(sandwich, "_ZUNCSD", failing)
     with pytest.raises(np.linalg.LinAlgError):
-        _cossin(u, 2)
+        _csd_lapack(u, 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -728,9 +731,10 @@ def test_cossin_raises_when_zuncsd_fails(monkeypatch):
     kind=st.sampled_from(CSD_KINDS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cossin_property(p, kind, seed):
+def test_core_property(p, kind, seed):
+    """The 2 x dB core on both sides of the crossover (2p = CSD_SVD_MIN_DIM)."""
     u = _csd_input(kind, p, seed)
-    rec, unit = _csd_errors(u, p, _cossin(u, p))
+    rec, unit = _core_errors(u, p, _two_by_d_core(u, p))
     assert rec <= 1e-13 and unit <= 1e-13
 
 
@@ -799,7 +803,7 @@ def _halve_through_split(u, da, db):
     return [np.concatenate([x1, y1]), np.concatenate([x2, y2])], mid
 
 
-@pytest.mark.parametrize("kind", ["perm", "phased", "actrl", "bctrl", "identity", "product"])
+@pytest.mark.parametrize("kind", ["perm", "phased", "actrl", "identity", "product"])
 @pytest.mark.parametrize("da,db", [(3, 3), (4, 2), (5, 3), (8, 8), (12, 6), (16, 4)])
 def test_unseparated_halving_keeps_the_gram_schmidt_route(kind, da, db):
     """Structured inputs are unseparated at every level: ``_halve`` gives them
@@ -812,6 +816,21 @@ def test_unseparated_halving_keeps_the_gram_schmidt_route(kind, da, db):
     children, mid = _halve(u, da, db)
     want_children, want_mid = _halve_through_split(u, da, db)
     assert _same_bytes(children + [mid], want_children + [want_mid])
+
+
+@pytest.mark.parametrize("da,db", [(3, 3), (4, 2), (5, 3), (8, 8), (12, 6), (16, 4)])
+def test_b_controlled_halving_takes_the_separated_route(da, db):
+    """A B-controlled input is structured but separated at the top level:
+    its U11 block holds the y x y corners of every branch, whose cosines
+    differ.  ``_halve`` gives it the separated route, and the level
+    rebuilds it: u = (X1 ⊕ X2) mid (Y1 ⊕ Y2)."""
+    u = _structured("bctrl", da, db, 4)[None]
+    yd = (da // 2) * db
+    assert _probe(u[:, :yd, :yd])[1].all()
+    children, mid = _halve(u, da, db)
+    x1, y1, x2, y2 = [m for c in children for m in c]
+    rebuilt = scipy.linalg.block_diag(x1, x2) @ _b_matrix(mid[0]) @ scipy.linalg.block_diag(y1, y2)
+    assert max_abs(rebuilt - u[0]) <= 1e-13
 
 
 def _separated_split_indices(u, p):
@@ -832,8 +851,9 @@ CORE_MIX = ["haar", "split", "split", "perm", "phased", "clustered", "identity",
 )
 def test_core_stack_gives_the_bytes_of_single_calls(p, kinds, seed):
     """Items of one core stack that take different routes (zuncsd below
-    the crossover; from it on separated with several split indices,
-    unseparated, already controlled) each get the bytes they get alone."""
+    the crossover; from it on the stacked kernel, separated or not, with
+    several split indices, or already controlled) each get the bytes they
+    get alone."""
     u = np.stack([_csd_input(kind, p, seed + j) for j, kind in enumerate(kinds)])
     _assert_core_gives_single_bytes(u, p)
 
@@ -845,7 +865,8 @@ def _assert_core_gives_single_bytes(u, p):
 
 
 def test_core_stack_mixes_routes_and_split_indices():
-    """One fixed mix that certainly holds every route and three split indices."""
+    """One fixed mix that certainly holds separated, unseparated and
+    already controlled items, and three split indices."""
     p = CSD_SVD_MIN_DIM // 2
     kinds = ["split", "haar", "perm", "split", "identity", "split", "phased", "haar", "split"]
     u = np.stack([_csd_input(kind, p, 40 + j) for j, kind in enumerate(kinds)])

@@ -11,7 +11,7 @@ The first 95 circuits are the set of sandwich, block-controlled, 2 x dB,
 multiparty, 4-party, backup-protocol and XOR-protocol outputs; the next 17
 add the permutation, CNOT-type, standard-gate and swap-sandwich producers.
 The last ones add the transfer and two-term CNOT protocols, and structured
-inputs whose cosine-sine steps reach the two-SVD route (2p >= 32).  The
+inputs whose 2 x dB cores take the stacked two-SVD kernel (2p >= 32).  The
 dense circuits depend on the BLAS build, so compare HASHES files made on one
 machine.  The last line printed is the file count and a hash over all files.
 """
