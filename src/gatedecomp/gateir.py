@@ -133,6 +133,36 @@ def multiparty_space(dims) -> PartySpace:
 
 # ---------------------------------------------------------------------------
 # gate records
+#
+# A controlled gate record is checked by the predicates below and kept in
+# canonical form.  ``ControlledGate(...)`` runs them on one record;
+# ``controlled_stack`` runs the same predicates once on a stack of records
+# that share their axes, and names the first record of the stack that one
+# of them refuses.
+
+
+def _check_palette_shape(shape: tuple) -> None:
+    """Refuse a palette shape other than (k, d, d) with d >= 1."""
+    if len(shape) != 3 or shape[1] != shape[2] or not shape[1]:
+        raise CircuitError(f"palette has shape {shape}, expected (k, d, d)")
+
+
+def _check_finite(palette: np.ndarray) -> None:
+    """Refuse a palette, or a stack of palettes, with an entry that is not finite."""
+    if not np.isfinite(palette).all():
+        raise CircuitError("branch entries must be finite")
+
+
+def _check_index_shape(index: np.ndarray, controls: tuple) -> None:
+    """Refuse a control index without one axis per control axis, or with no entry."""
+    if index.ndim != len(controls) or not index.size:
+        raise CircuitError(f"control index of shape {index.shape} for controls {controls}")
+
+
+def _check_index_range(lo, hi, k: int) -> None:
+    """Refuse a control index whose least entry ``lo`` or greatest ``hi`` names no palette entry."""
+    if lo < 0 or hi >= k:
+        raise CircuitError("control index names no palette entry")
 
 
 def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
@@ -140,8 +170,7 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
 
     ``flat`` is ``index`` as a row-major list.  One or two entries, the
     palettes of most records, are settled by a few comparisons; more take
-    one vectorised pass over the entries' bytes (``_same_entries``) and one
-    pass over the index.
+    the grouping of ``_same_entries`` and one pass over the index.
     """
     # equal means equal bytes: np.array_equal would also merge -0.0 with 0.0,
     # and the merged entry would change the bytes of the circuit file
@@ -170,24 +199,102 @@ def _word_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _same_entries(palette: np.ndarray) -> list:
-    """For each entry of a (k, d, d) stack, the first entry with the same bytes.
+def _entry_keys(palettes: np.ndarray):
+    """``(words, keys)`` of the (d, d) entries of a palette, or of a stack of them.
 
-    Each entry's key is a weighted sum of its 64-bit words, modulo 2**64, so
-    entries with equal bytes have equal keys.  Entries are grouped by key,
-    and one comparison of every entry with its group's first checks that
-    each group holds one entry's bytes; if two different entries shared a
-    key, the bytes themselves are the keys.
+    ``words`` holds each entry's 64-bit words and ``keys`` their weighted
+    sum, modulo 2**64, so entries with equal bytes have equal keys.
     """
-    k = len(palette)
-    words = np.ascontiguousarray(palette).reshape(k, -1).view(np.uint64)
+    words = np.ascontiguousarray(palettes).reshape(palettes.shape[:-2] + (-1,)).view(np.uint64)
+    return words, words @ _word_weights(words.shape[-1])
+
+
+def _same_bytes(words: np.ndarray) -> list:
+    """For each entry of one palette's (k, w) words, the first entry with the same bytes."""
     seen: dict = {}
-    keys = (words @ _word_weights(words.shape[1])).tolist()
-    same = [seen.setdefault(key, j) for j, key in enumerate(keys)]
-    if len(seen) < k and not (words == words[same]).all():
-        seen = {}
-        same = [seen.setdefault(w.tobytes(), j) for j, w in enumerate(words)]
+    return [seen.setdefault(w.tobytes(), j) for j, w in enumerate(words)]
+
+
+def _same_entries(palette: np.ndarray) -> list:
+    """For each entry of a (k, d, d) palette, the first entry with the same bytes.
+
+    Entries are grouped by key (``_entry_keys``), and one comparison of
+    every entry with its group's first checks that each group holds one
+    entry's bytes; if two different entries shared a key, the bytes
+    themselves are the keys.
+    """
+    words, keys = _entry_keys(palette)
+    seen: dict = {}
+    same = [seen.setdefault(key, j) for j, key in enumerate(keys.tolist())]
+    if len(seen) < len(same) and not (words == words[same]).all():
+        same = _same_bytes(words)
     return same
+
+
+def _stacked_same_entries(palettes: np.ndarray):
+    """``_same_entries`` of every palette of a (u, k, d, d) stack, as a (u, k) array.
+
+    None when no two entries of a palette share a key, so each entry is
+    its own first.  One stable sort per palette groups its entries by key,
+    and one comparison of every entry with the first of its group confirms
+    the groups; a palette where two different entries share a key is
+    grouped by its bytes.
+    """
+    u, k = palettes.shape[:2]
+    words, keys = _entry_keys(palettes)
+    rows = np.arange(u)[:, None]
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = keys[rows, order]
+    starts = np.ones((u, k), dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    if starts.all():
+        return None
+    # in sorted order, each entry's group starts at the last start at or before it
+    group = np.maximum.accumulate(np.where(starts, np.arange(k), 0), axis=1)
+    same = np.empty_like(order)
+    same[rows, order] = order[rows, group]
+    # only an entry grouped with an earlier one needs comparing with it
+    at, col = np.nonzero(same != np.arange(k))
+    clashes = at[(words[at, col] != words[at, same[at, col]]).any(axis=1)]
+    for i in np.unique(clashes).tolist():
+        same[i] = _same_bytes(words[i])
+    return same
+
+
+def _stack_canonical(palettes: np.ndarray, which: np.ndarray, index: np.ndarray) -> list:
+    """The canonical ``(palette, index)`` of each gate of a stack; None where it is the gate's own.
+
+    Gate j has palette ``palettes[which[j]]`` from a (u, k, d, d) stack and
+    index ``index[j]``.  Its pair is canonical when the first entries with
+    its entries' bytes (``_stacked_same_entries``), read in index order,
+    are 0 at first and each one at most one past the largest before it, up
+    to k - 1: then no entry is merged or unused, and they come in first-use
+    order.  The other gates are put in canonical form together, and their
+    palettes and indices are read-only slices of one new stack each.
+    """
+    n, k = len(index), palettes.shape[1]
+    same = _stacked_same_entries(palettes)
+    used = index.reshape(n, -1) if same is None else same[which[:, None], index.reshape(n, -1)]
+    top = np.maximum.accumulate(used, axis=1)
+    canonical = (used[:, 0] == 0) & (top[:, -1] == k - 1) & (used[:, 1:] <= top[:, :-1] + 1).all(axis=1)
+    forms: list = [None] * n
+    rows = np.flatnonzero(~canonical)
+    if not rows.size:
+        return forms
+    # entry e of the r-th such gate is key r * k + e; keys in first-use order
+    keys = (np.arange(len(rows))[:, None] * k + used[rows]).ravel()
+    distinct, first = np.unique(keys, return_index=True)
+    kept = distinct[np.argsort(first)]
+    gate = kept // k
+    sizes = np.bincount(gate, minlength=len(rows))
+    ends = np.cumsum(sizes)
+    rank = np.zeros(len(rows) * k, dtype=np.intp)
+    rank[kept] = np.arange(len(kept)) - (ends - sizes)[gate]
+    new_index = _read_only(rank[keys].reshape((len(rows),) + index.shape[1:]))
+    new_palettes = _read_only(palettes[which[rows][gate], kept % k])
+    for r, (i, end, size) in enumerate(zip(rows.tolist(), ends.tolist(), sizes.tolist())):
+        forms[i] = new_palettes[end - size : end], new_index[r]
+    return forms
 
 
 def _equal_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -295,7 +402,9 @@ class ControlledGate:
     entries are pairwise distinct (entries with equal bytes are merged), every
     entry is used, and entries come in order of first use in row-major control
     order, so ``palette[0]`` is the branch of the all-zero control tuple.
-    Both arrays are read-only.
+    Both arrays are read-only.  Records come singly, from this constructor,
+    or as a checked stack from ``controlled_stack``; the same predicates
+    check them and the same invariants hold either way.
     """
 
     controls: tuple[int, ...]
@@ -309,15 +418,11 @@ class ControlledGate:
         controls, targets = _control_target_axes(self.controls, self.targets)
         palette = np.asarray(self.palette, dtype=complex)
         index = np.asarray(self.index, dtype=np.intp)
-        if palette.ndim != 3 or palette.shape[1] != palette.shape[2] or not palette.shape[1]:
-            raise CircuitError(f"palette has shape {palette.shape}, expected (k, d, d)")
-        if not np.isfinite(palette).all():
-            raise CircuitError("branch entries must be finite")
-        if index.ndim != len(controls) or not index.size:
-            raise CircuitError(f"control index of shape {index.shape} for controls {controls}")
+        _check_palette_shape(palette.shape)
+        _check_finite(palette)
+        _check_index_shape(index, controls)
         flat = index.reshape(-1).tolist()  # Python min and max beat numpy's on a few entries
-        if min(flat) < 0 or max(flat) >= len(palette):
-            raise CircuitError("control index names no palette entry")
+        _check_index_range(min(flat), max(flat), len(palette))
         palette, index = _canonical_palette(palette, index, flat)
         _set(self, controls, targets, _read_only(palette), _read_only(index))
 
@@ -356,6 +461,90 @@ def controlled(controls, targets, branches: dict) -> ControlledGate:
     for j, key in enumerate(keys):
         index[key] = j
     return ControlledGate(controls, targets, np.stack(mats), index)
+
+
+def controlled_stack(controls, targets, palettes, indices) -> list[ControlledGate]:
+    """n ControlledGate records on one pair of axis lists, checked as one stack.
+
+    ``palettes`` holds the n gates' palettes: an (n, k, d, d) array, or a
+    sequence of n (k, d, d) arrays of one shape, in which one array may
+    serve several gates.  ``indices`` holds their control indices: an array
+    with one leading axis over the gates, or a sequence of arrays of one
+    shape.  Each predicate of ``ControlledGate`` runs once on the whole
+    stack; when one refuses it, the CircuitError names the first gate it
+    refuses.  The canonical forms come from one hashed grouping of all
+    entries, confirmed against their bytes (``_stack_canonical``).  A gate
+    whose pair is canonical holds the given arrays, or read-only views of
+    them, and gates given one palette array share one palette.
+    """
+    controls, targets = _control_target_axes(controls, targets)
+    if isinstance(palettes, np.ndarray):
+        # one read-only view of the stack, whose items are read-only views
+        held = _read_only(np.asarray(palettes, dtype=complex))
+        which = list(range(len(held)))
+        _at(0, _check_palette_shape, held.shape[1:])
+    else:
+        slots: dict[int, int] = {}  # id of a given array -> its place in the stack
+        held, which = [], []
+        for j, p in enumerate(palettes):
+            if id(p) not in slots:
+                slots[id(p)] = len(held)
+                held.append(_read_only(np.asarray(p, dtype=complex)))
+                _at(j, _check_palette_shape, held[-1].shape)
+                if held[-1].shape != held[0].shape:
+                    raise CircuitError(f"stack gate {j}: palette has shape {held[-1].shape}, the stack's {held[0].shape}")
+            which.append(slots[id(p)])
+    n = len(which)
+    index = _read_only(_stacked_indices(indices))
+    if len(index) != n:
+        raise CircuitError(f"{n} palettes for {len(index)} control indices")
+    if n < 2:  # no stack to share the work: the record is built alone
+        return [_at(0, ControlledGate, controls, targets, held[0], index[0])] if n else []
+    stack = held if isinstance(held, np.ndarray) else np.stack(held)
+    try:
+        _check_finite(stack)
+    except CircuitError:
+        _refuse_first(n, lambda j: _check_finite(held[which[j]]))
+    _at(0, _check_index_shape, index[0], controls)
+    k = stack.shape[1]
+    try:
+        _check_index_range(index.min(), index.max(), k)
+    except CircuitError:
+        _refuse_first(n, lambda j: _check_index_range(index[j].min(), index[j].max(), k))
+    axes = {"controls": controls, "targets": targets}
+    records = []
+    for j, form in enumerate(_stack_canonical(stack, np.array(which), index)):
+        palette, idx = form or (held[which[j]], index[j])
+        g = object.__new__(ControlledGate)
+        vars(g).update(axes, palette=palette, index=idx)
+        records.append(g)
+    return records
+
+
+def _stacked_indices(indices) -> np.ndarray:
+    """Control indices as one integer array over the gates; a sequence must hold one shape."""
+    if isinstance(indices, np.ndarray):
+        return np.asarray(indices, dtype=np.intp)
+    arrays = [np.asarray(i, dtype=np.intp) for i in indices]
+    for j, a in enumerate(arrays):
+        if a.shape != arrays[0].shape:
+            raise CircuitError(f"stack gate {j}: control index has shape {a.shape}, the stack's {arrays[0].shape}")
+    return np.stack(arrays) if arrays else np.empty(0, dtype=np.intp)
+
+
+def _at(j: int, check, *args):
+    """``check(*args)`` for gate j of a stack, naming j when it refuses."""
+    try:
+        return check(*args)
+    except CircuitError as exc:
+        raise CircuitError(f"stack gate {j}: {exc}") from None
+
+
+def _refuse_first(n: int, check) -> None:
+    """Raise for the first gate j of n for which ``check(j)`` raises, naming j."""
+    for j in range(n):
+        _at(j, check, j)
+    raise AssertionError("a stack check refused the stack but none of its gates")
 
 
 @dataclass(frozen=True, eq=False)

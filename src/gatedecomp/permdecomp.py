@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, ControlledGate, bipartite_space, multiparty_space
+from .gateir import Circuit, ControlledGate, bipartite_space, controlled_stack, multiparty_space
 from .matcore import EXACT_TOL, PreconditionError, as_matrix, checked_dims, on_unit_circle
 from .matcore import perm_matrix, read_permutations
 
@@ -273,20 +273,24 @@ def _perm_gate(controls, targets, tables: np.ndarray, phases=None) -> Controlled
     ``tables`` has shape ctrl_dims + (d,): the branch for control values k
     sends target level j to ``tables[k][j]``.  ``phases``, of the same shape,
     multiplies branch k on the right by ``diag(phases[k])``.  Without phases
-    each distinct table is turned into one palette entry.
+    each distinct table is turned into one palette entry, in order of
+    first use, so the palette is canonical as built.
     """
     d = tables.shape[-1]
     rows = tables.reshape(-1, d)
     if phases is None:
-        rows, index = np.unique(rows, axis=0, return_inverse=True)
-        palette = perm_matrix(rows)
+        rows, first, index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        palette, index = perm_matrix(rows[order]), rank[index.reshape(-1)]
     else:
         index = np.arange(len(rows))
         # a product, not phases written in place: the circuit files hold the
         # -0.0 entries that the product writes
         pairs = zip(rows, phases.reshape(-1, d))
         palette = np.stack([perm_matrix(t) @ np.diag(p) for t, p in pairs])
-    return ControlledGate(controls, targets, palette, index.reshape(tables.shape[:-1]))
+    return controlled_stack(controls, targets, palette[None], index.reshape((1,) + tables.shape[:-1]))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,9 +21,9 @@ from .gateir import (
     Ancilla,
     Circuit,
     CnotGate,
-    ControlledGate,
     GenericGate,
     PartySpace,
+    controlled_stack,
 )
 from .matcore import DEFAULT_EPS, EXACT_TOL, PreconditionError, is_unitary, max_abs
 from .matcore import perm_matrix, read_binary, require_square, unitary_input
@@ -161,9 +161,12 @@ _FLAG_PALETTE = _frozen(_with_identity(_X))
 _BOTH = _frozen(np.arange(2))
 
 
-def _flag_apply(copy, targets, palette) -> ControlledGate:
-    """The gate applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes."""
-    return ControlledGate((copy.target_axis,), targets, palette, _BOTH)
+def _flag_applies(copy, targets, palettes) -> list:
+    """The gates applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes.
+
+    One gate per given palette, built as one stack.
+    """
+    return controlled_stack((copy.target_axis,), targets, palettes, [_BOTH] * len(palettes))
 
 
 def _flag_palindrome(flag, copy, apply):
@@ -171,7 +174,7 @@ def _flag_palindrome(flag, copy, apply):
 
     The gate ``flag`` flips the flag qubit where the second term applies;
     the CNOT ``copy`` copies it to the other side's flag qubit, on which
-    ``apply`` (a ``_flag_apply`` gate) is controlled; the copy and the flag
+    ``apply`` (a ``_flag_applies`` gate) is controlled; the copy and the flag
     are then undone.  The list is a palindrome, so product order and
     application order agree.  Records are immutable, so one ``copy`` serves
     every gate of a circuit, and one ``apply`` every gate of its palette.
@@ -202,7 +205,7 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
     )
     v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
     copy = CnotGate(2, (0, 1), 3, (0, 1))
-    gates = _flag_palindrome(v_flag, copy, _flag_apply(copy, (1,), np.stack([v1, v2])))
+    gates = _flag_palindrome(v_flag, copy, _flag_applies(copy, (1,), [np.stack([v1, v2])])[0])
     return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
@@ -331,7 +334,8 @@ def _absorb_final_flip(specs: list) -> list:
 def _records(specs: list, da: int, db: int) -> list:
     """One ControlledGate per ``_term_gates`` triple, in the order given.
 
-    Each side's palettes and 0/1 control indices are written as one stack.
+    Each side's palettes and 0/1 control indices are written as one stack,
+    and its records are built as one ``controlled_stack``.
     A gate active on the all-zero control tuple takes its tables as
     [branch, identity] and the complement as its index: that is the
     record's canonical form, so it keeps the stack's palette as is, and the
@@ -360,8 +364,9 @@ def _records(specs: list, da: int, db: int) -> list:
             slot_of.append(slots[key])
         palettes = list(_frozen(perm_matrix(np.stack(tables))))
         index = _frozen(index.reshape((len(picks),) + dims))
-        for j, (i, k) in enumerate(zip(picks, slot_of)):
-            out[i] = ControlledGate(controls, targets, palettes[k], index[j])
+        records = controlled_stack(controls, targets, [palettes[k] for k in slot_of], index)
+        for i, g in zip(picks, records):
+            out[i] = g
     return out
 
 
@@ -415,21 +420,28 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
         (0,): ((0,), (1, 4), 2, CnotGate(2, (0, 1), 3, (0, 1))),
         (1, 2): ((1, 4), (0,), 3, CnotGate(3, (0, 1), 2, (0, 1))),
     }
-    out = []
-    n_two_term = 0
-    applies: dict[int, ControlledGate] = {}  # by id of the palette, which prod_gates keep alive
+    # per side: the single-valued gates, the two-term gates, and the distinct
+    # palettes of the two-term gates by id, which prod_gates keep alive
+    singles: dict = {side: [] for side in sides}
+    pairs: dict = {side: [] for side in sides}
+    applies: dict = {side: {} for side in sides}
     for g in prod_gates:
-        controls, targets, flag_axis, copy = sides[g.controls]
-        if len(g.palette) == 1:
-            # single-valued gate: apply directly (local to one side)
-            out.append(ControlledGate(controls, targets, g.palette, g.index))
-            continue
-        n_two_term += 1
-        apply = applies.get(id(g.palette))
-        if apply is None:
-            apply = applies[id(g.palette)] = _flag_apply(copy, targets, g.palette)
-        flag = ControlledGate(controls, (flag_axis,), _FLAG_PALETTE, g.index)
-        out.extend(_flag_palindrome(flag, copy, apply))
+        if len(g.palette) == 1:  # single-valued gate: applied directly (local to one side)
+            singles[g.controls].append(g)
+        else:
+            pairs[g.controls].append(g)
+            applies[g.controls].setdefault(id(g.palette), g.palette)
+    built = {}  # id of a base gate -> what replaces it: one record, or the flag palindrome
+    for side, (controls, targets, flag_axis, copy) in sides.items():
+        gates = singles[side]
+        records = controlled_stack(controls, targets, [g.palette for g in gates], [g.index for g in gates])
+        built.update((id(g), [r]) for g, r in zip(gates, records))
+        gates = pairs[side]
+        apply = dict(zip(applies[side], _flag_applies(copy, targets, list(applies[side].values()))))
+        flags = controlled_stack(controls, (flag_axis,), [_FLAG_PALETTE] * len(gates), [g.index for g in gates])
+        built.update((id(g), _flag_palindrome(f, copy, apply[id(g.palette)])) for g, f in zip(gates, flags))
+    out = [r for g in prod_gates for r in built[id(g)]]
+    n_two_term = sum(len(g) for g in pairs.values())
     circuit = Circuit(space, tuple(out)).with_ebit_estimate(float(n_two_term))
     return circuit, n_two_term
 
@@ -981,9 +993,9 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         return perm_matrix((np.arange(da).reshape(m, 2) ^ u_vec[:, None]).ravel())
 
     palettes = [_with_identity(pair_swaps(u_vec)) for u_vec, _ in terms]
-    base_gates = [ControlledGate((1,), (0,), p, v_vec) for p, (_, v_vec) in zip(palettes, terms)]
+    v_vecs = [v_vec for _, v_vec in terms]
     space = PartySpace(parties=(("A", da), ("B", db)))
-    base = Circuit(space, tuple(base_gates))
+    base = Circuit(space, tuple(controlled_stack((1,), (0,), palettes, v_vecs)))
 
     # expand with one flag qubit per side: b marks the selected columns
     xspace = PartySpace(
@@ -992,8 +1004,8 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     )
     xgates = []
     copy = CnotGate(3, (0, 1), 2, (0, 1))
-    for p, (_, v_vec) in zip(palettes, terms):
-        flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
-        xgates.extend(_flag_palindrome(flag, copy, _flag_apply(copy, (0,), p)))
+    flags = controlled_stack((1,), (3,), [_FLAG_PALETTE] * len(terms), v_vecs)
+    for flag, apply in zip(flags, _flag_applies(copy, (0,), palettes)):
+        xgates.extend(_flag_palindrome(flag, copy, apply))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

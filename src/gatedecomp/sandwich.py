@@ -18,6 +18,7 @@ after identity gates are stripped.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .gateir import (
     LocalGate,
     bipartite_space,
     controlled,
+    controlled_stack,
 )
 from .matcore import (
     CSD_SEPARATION,
@@ -76,8 +78,19 @@ def _eye_stack(*shape: int) -> np.ndarray:
     return out
 
 
-def _is_identity(stack: np.ndarray) -> bool:
-    return max_abs(stack - np.eye(stack.shape[-1])) <= IDENTITY_TOL
+def _is_identity(stacks: np.ndarray) -> np.ndarray:
+    """Which gates of a (n, k, d, d) stack have every entry within ``IDENTITY_TOL`` of the identity's.
+
+    A gate whose first branch has a real part off by more is settled by
+    that alone; the rest are measured whole.
+    """
+    eye = np.eye(stacks.shape[-1])
+    maybe = np.abs(stacks[:, 0].real - eye).max(axis=(1, 2)) <= IDENTITY_TOL
+    out = np.zeros(len(stacks), dtype=bool)
+    if maybe.any():
+        dev = np.abs(stacks[maybe] - eye).reshape(np.count_nonzero(maybe), -1)
+        out[maybe] = dev.max(axis=1) <= IDENTITY_TOL
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +564,33 @@ def _controlled_records(spec: list):
 
     ``spec`` lists ``(controls, target, stack)`` in product order, where
     ``stack`` has shape ``ctrl_dims + (d, d)``: one axis per control axis,
-    then the branch on the target.  When every gate is an identity, an exact
-    identity in the place of the first is kept, so no circuit is empty.
+    then the branch on the target.  The gates of one (controls, target,
+    shape) are tested for the identity as one stack and built as one
+    ``controlled_stack``.  When every gate is an identity, an exact identity
+    in the place of the first is kept, so no circuit is empty.
     """
-    kept = [i for i, (_, _, s) in enumerate(spec) if not _is_identity(s)]
-    if not kept:
+    groups: dict = {}
+    for i, (c, t, s) in enumerate(spec):
+        groups.setdefault((c, t, s.shape), []).append(i)
+    records = {}
+    for (c, t, shape), members in groups.items():
+        stack = np.stack([spec[i][2] for i in members]).reshape((len(members), -1) + shape[-2:])
+        keep = ~_is_identity(stack)
+        if not keep.all():
+            stack, members = stack[keep], [i for i, k in zip(members, keep.tolist()) if k]
+        records.update(zip(members, _stack_records(c, t, shape, stack)))
+    if not records:
         c, t, s = spec[0]
-        spec, kept = [(c, t, _eye_stack(*s.shape[:-1]))], [0]
-    records = []
-    for i in kept:
-        c, t, s = spec[i]
-        palette = s.reshape(-1, *s.shape[-2:])
-        records.append(ControlledGate(c, (t,), palette, np.arange(len(palette)).reshape(s.shape[:-2])))
-    return records, kept
+        records[0] = _stack_records(c, t, s.shape, _eye_stack(1, math.prod(s.shape[:-2]), s.shape[-1]))[0]
+    kept = sorted(records)
+    return [records[i] for i in kept], kept
+
+
+def _stack_records(controls, target: int, shape: tuple, stack: np.ndarray) -> list:
+    """Records of a (n, k, d, d) stack of gates whose k branches run over control dims ``shape[:-2]``."""
+    ctrl_dims = shape[:-2]
+    index = np.broadcast_to(np.arange(stack.shape[1]).reshape(ctrl_dims), (len(stack),) + ctrl_dims)
+    return controlled_stack(controls, (target,), stack, index)
 
 
 def decompose_sandwich(u, da: int, db: int) -> SandwichResult:
@@ -695,7 +722,7 @@ def decompose_2xd_aform(u, db: int) -> Circuit:
     diag = np.stack([np.diag(phase), np.diag(phase.conj())])
     # every rotation [[cos θ, -sin θ], [sin θ, cos θ]] is W diag(e^{iθ}, e^{-iθ}) W†
     w = np.array([[1, 1], [-1j, 1j]]) / np.sqrt(2)
-    cc = [ControlledGate((0,), (1,), g, np.arange(2)) for g in (left, diag, right)]
+    cc = controlled_stack((0,), (1,), np.stack([left, diag, right]), np.broadcast_to(np.arange(2), (3, 2)))
     gates = (cc[0], LocalGate(0, w), cc[1], LocalGate(0, w.conj().T), cc[2])
     return Circuit(bipartite_space(2, db), gates)
 
