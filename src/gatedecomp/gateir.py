@@ -148,8 +148,12 @@ def _check_palette_shape(shape: tuple) -> None:
 
 
 def _check_finite(palette: np.ndarray) -> None:
-    """Refuse a palette, or a stack of palettes, with an entry that is not finite."""
-    if not np.isfinite(palette).all():
+    """Refuse a palette, or a stack of palettes, with an entry that is not finite.
+
+    A finite sum settles it, as no inf or nan entry leaves the sum finite;
+    a sum that overflows is settled entry by entry.
+    """
+    if not math.isfinite(abs(palette.sum())) and not np.isfinite(palette).all():
         raise CircuitError("branch entries must be finite")
 
 
@@ -199,14 +203,14 @@ def _word_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _entry_keys(palettes: np.ndarray):
-    """``(words, keys)`` of the (d, d) entries of a palette, or of a stack of them.
+def _entry_keys(entries: np.ndarray):
+    """``(words, keys)`` of a (N, d, d) stack of entries.
 
     ``words`` holds each entry's 64-bit words and ``keys`` their weighted
     sum, modulo 2**64, so entries with equal bytes have equal keys.
     """
-    words = np.ascontiguousarray(palettes).reshape(palettes.shape[:-2] + (-1,)).view(np.uint64)
-    return words, words @ _word_weights(words.shape[-1])
+    words = np.ascontiguousarray(entries).reshape(len(entries), -1).view(np.uint64)
+    return words, words @ _word_weights(words.shape[1])
 
 
 def _same_bytes(words: np.ndarray) -> list:
@@ -241,7 +245,8 @@ def _stacked_same_entries(palettes: np.ndarray):
     grouped by its bytes.
     """
     u, k = palettes.shape[:2]
-    words, keys = _entry_keys(palettes)
+    words, keys = _entry_keys(palettes.reshape((u * k,) + palettes.shape[2:]))
+    words, keys = words.reshape(u, k, -1), keys.reshape(u, k)
     rows = np.arange(u)[:, None]
     order = np.argsort(keys, axis=1, kind="stable")
     ordered = keys[rows, order]
