@@ -11,6 +11,7 @@ given.  The default seed comes from the SANDWICH_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -19,8 +20,8 @@ import sys
 import numpy as np
 
 from . import codecs, generators
-from .gateir import verify_decomposition
-from .matcore import RECON_TOL, PreconditionError, read_binary, require_dense_dim
+from .gateir import Circuit, ControlledGate, multiparty_space, verify_decomposition
+from .matcore import RECON_TOL, PreconditionError, read_binary, require_dense_dim, unitary_input
 from .multiparty import decompose_4party, decompose_multiparty
 from .permdecomp import ComplexPermutation, decompose_multiparty_perm, decompose_perm3
 from .protocols import (
@@ -182,11 +183,36 @@ def _aform(mf, out):
 
 
 def _multi(mf, out):
-    if mf.kind not in PERM_KINDS:
-        return decompose_multiparty(mf.matrix, mf.dims).circuit, mf.matrix
-    if len(mf.dims) == 2:
-        return decompose_perm3(mf.value).circuit, mf.matrix
-    return decompose_multiparty_perm(mf.value), mf.matrix
+    """The generalized sandwich form of a unitary file, the exact form of a permutation file.
+
+    Parties of dimension 1 carry no state, so both routes drop them before
+    routing (the row-major matrix is the same), decompose on the other
+    parties, with the bound of those dims, and put the gates back on the
+    file's axes.  When one party is left, the matrix is one gate on it,
+    controlled from no party.
+    """
+    axes = tuple(i for i, d in enumerate(mf.dims) if d > 1) or (0,)
+    dims = tuple(mf.dims[i] for i in axes)
+    if len(dims) == 1:
+        gate = ControlledGate((), (0,), unitary_input(mf.matrix, dims)[None], np.zeros((), dtype=np.intp))
+        circuit = Circuit(multiparty_space(dims), (gate,))
+    elif mf.kind not in PERM_KINDS:
+        circuit = decompose_multiparty(mf.matrix, dims).circuit
+    else:
+        cp = mf.value if dims == mf.dims else dataclasses.replace(mf.value, dims=dims)
+        circuit = decompose_perm3(cp).circuit if len(dims) == 2 else decompose_multiparty_perm(cp)
+    return _on_axes(circuit, mf.dims, axes), mf.matrix
+
+
+def _on_axes(circuit: Circuit, dims: tuple, axes: tuple) -> Circuit:
+    """A circuit of controlled gates on the parties ``axes`` of ``dims``, moved to those axes."""
+    if axes == tuple(range(len(dims))):
+        return circuit
+    gates = [
+        ControlledGate(tuple(axes[a] for a in g.controls), tuple(axes[a] for a in g.targets), g.palette, g.index)
+        for g in circuit.gates
+    ]
+    return Circuit(multiparty_space(dims), tuple(gates))
 
 
 def _std_cnot(mf, out):

@@ -8,6 +8,7 @@ from gatedecomp import Circuit, CnotGate, bipartite_space, cli, codecs
 from gatedecomp.cli import main
 from gatedecomp.generators import haar_unitary, random_permutation
 from gatedecomp.matcore import RECON_TOL
+from gatedecomp.multiparty import multiparty_bound
 from gatedecomp.permdecomp import ComplexPermutation
 
 
@@ -308,6 +309,47 @@ class TestPermutationFileRule:
         parser = cli.build_parser()
         assert parser.parse_args(["decompose", "--method", "perm3", "-i", "a", "-o", "b"]).tol == RECON_TOL
         assert parser.parse_args(["verify", "-u", "a", "-c", "b"]).tol == RECON_TOL
+
+
+class TestUnitParties:
+    """``--method multi`` drops parties of dimension 1 before routing, on unitary
+    and permutation files alike, and puts the gates back on the file's axes."""
+
+    @pytest.mark.parametrize("dims", [(1, 4), (4, 1), (1, 2, 2), (2, 2, 1, 2), (1, 3, 1, 2), (1, 1)])
+    @pytest.mark.parametrize("kind", ["haar", "perm"])
+    def test_multi_decomposes_and_verifies(self, in_tmp, kind, dims):
+        assert run("gen", "--kind", kind, "--dims", *map(str, dims), "--seed", "3", "-o", "u.json") == 0
+        assert run("decompose", "--method", "multi", "-i", "u.json", "-o", "c.json") == 0
+        assert run("verify", "-u", "u.json", "-c", "c.json") == 0
+        circuit = codecs.load_circuit_file("c.json")
+        assert circuit.space.party_dims == dims
+        kept = [i for i, d in enumerate(dims) if d > 1] or [0]
+        reduced = tuple(dims[i] for i in kept)
+        assert 1 <= len(circuit.gates) <= multiparty_bound(reduced)
+        for g in circuit.gates:
+            assert set(g.controls) | set(g.targets) <= set(kept)
+
+    @pytest.mark.parametrize("kind", ["haar", "perm"])
+    def test_unit_parties_leave_the_gates_of_the_other_parties(self, in_tmp, kind):
+        # the same matrix on (2, 3) and on (2, 1, 3): one circuit, its axes renumbered
+        assert run("gen", "--kind", kind, "--dims", "2", "3", "--seed", "4", "-o", "u.json") == 0
+        mf = codecs.load_matrix_file("u.json")
+        codecs.save_matrix_file("u1.json", mf.matrix, (2, 1, 3), mf.kind)
+        assert run("decompose", "--method", "multi", "-i", "u.json", "-o", "c.json") == 0
+        assert run("decompose", "--method", "multi", "-i", "u1.json", "-o", "c1.json") == 0
+        plain, lifted = codecs.load_circuit_file("c.json"), codecs.load_circuit_file("c1.json")
+        moved = {0: 0, 1: 2}
+        assert len(plain.gates) == len(lifted.gates)
+        for g, h in zip(plain.gates, lifted.gates):
+            assert tuple(moved[a] for a in g.controls) == h.controls
+            assert tuple(moved[a] for a in g.targets) == h.targets
+            assert g.palette.tobytes() == h.palette.tobytes() and np.array_equal(g.index, h.index)
+
+    @pytest.mark.parametrize("kind", ["haar", "perm"])
+    def test_party4_refuses_a_unit_party(self, in_tmp, kind):
+        # the 4-party cut needs four parties of dimension 2 or more
+        assert run("gen", "--kind", kind, "--dims", "1", "2", "2", "2", "--seed", "3", "-o", "u.json") == 0
+        assert run("decompose", "--method", "party4", "-i", "u.json", "-o", "c.json") == 3
 
 
 class TestIntegerFields:

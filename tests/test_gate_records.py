@@ -28,7 +28,7 @@ from gatedecomp import (
     controlled,
     multiparty_space,
 )
-from gatedecomp.gateir import GATE_KINDS, CircuitError
+from gatedecomp.gateir import GATE_KINDS, CircuitError, controlled_stack
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -454,3 +454,242 @@ def test_every_constructed_record_round_trips_to_the_same_bytes(gates):
 def test_kind_names_are_the_classes_in_gate_count_order():
     assert GATE_KINDS == ("ControlledComputational", "Local", "TwoLevelStandard", "CNOT", "GenericBipartite")
     assert GATE_KINDS == tuple(cls.kind for cls in (ControlledGate, LocalGate, TwoLevelGate, CnotGate, GenericGate))
+
+
+# ---------------------------------------------------------------------------
+# records built as checked stacks: the same records as built one by one
+
+
+def per_record(controls, targets, palettes, indices):
+    """``controlled_stack`` done one record at a time, by the constructor."""
+    return [ControlledGate(controls, targets, p, i) for p, i in zip(palettes, indices, strict=True)]
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, h in zip(got, want):
+        assert type(g) is type(h)
+        if not isinstance(g, ControlledGate):
+            assert codecs.dumps_canonical(codecs.circuit_to_obj(Circuit(SPACE_OF[type(g)], (g,)))) == \
+                codecs.dumps_canonical(codecs.circuit_to_obj(Circuit(SPACE_OF[type(h)], (h,))))
+            continue
+        assert (g.controls, g.targets) == (h.controls, h.targets)
+        assert g.palette.shape == h.palette.shape and g.palette.tobytes() == h.palette.tobytes()
+        assert g.index.shape == h.index.shape and g.index.dtype == h.index.dtype
+        assert g.index.tobytes() == h.index.tobytes()
+        assert_canonical(g)
+
+
+# a space that holds every non-controlled gate the protocols emit
+SPACE_OF = {k: multiparty_space((16, 16, 2, 2, 2)) for k in (CnotGate, GenericGate, LocalGate, TwoLevelGate)}
+
+
+def _identity_block(n, seed):
+    """The identity with a Haar block on its last third: many gates strip to the identity."""
+    u = np.eye(n, dtype=complex)
+    m = max(2, n // 3)
+    u[n - m :, n - m :] = haar_unitary(m, seed)
+    return u
+
+
+def _dense_input(kind, n, dims, seed):
+    if kind == "haar":
+        return haar_unitary(n, seed)
+    if kind == "perm":
+        return random_permutation(dims, seed).matrix()
+    if kind == "phased":
+        return random_complex_permutation(dims, seed).matrix()
+    if kind == "identity_block":
+        return _identity_block(n, seed)
+    da = dims[0]
+    return random_controlled(da, n // da, seed, "A" if kind == "ctrlA" else "B")
+
+
+DENSE_SHAPES = {
+    "sandwich": [(2, 3), (3, 2), (4, 2), (5, 3), (3, 3)],
+    "multi": [(2, 2, 2), (2, 3, 2), (3, 2, 2)],
+    "party4": [(2, 2, 2, 2), (2, 3, 2, 2)],
+}
+
+
+def _dense_circuit(method, u, dims):
+    if method == "sandwich":
+        return decompose_sandwich(u, *dims).circuit
+    if method == "multi":
+        return decompose_multiparty(u, dims).circuit
+    return decompose_4party(u, dims).circuit
+
+
+def _both_ways(build):
+    """``build()`` with records built as stacks, and with every stack built record by record."""
+    from gatedecomp import permdecomp, protocols, sandwich
+
+    stacked = build()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (sandwich, protocols, permdecomp):
+            mp.setattr(module, "controlled_stack", per_record)
+        single = build()
+    return stacked, single
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(DENSE_SHAPES)),
+    st.data(),
+    st.sampled_from(["haar", "perm", "phased", "ctrlA", "ctrlB", "identity_block"]),
+    st.integers(0, 10**6),
+)
+def test_dense_producers_build_the_records_of_one_by_one(method, data, kind, seed):
+    dims = data.draw(st.sampled_from(DENSE_SHAPES[method]))
+    u = _dense_input(kind, math.prod(dims), dims, seed)
+    stacked, single = _both_ways(lambda: _dense_circuit(method, u, dims))
+    assert_same_records(stacked.gates, single.gates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6), st.booleans())
+def test_protocols_and_perm3_build_the_records_of_one_by_one(da, db, seed, phased):
+    cp = (random_complex_permutation if phased else random_permutation)((da, db), seed)
+    stacked, single = _both_ways(lambda: decompose_perm3(cp).circuit)
+    assert_same_records(stacked.gates, single.gates)
+    stacked, single = _both_ways(lambda: decompose_multiparty_perm(random_permutation((2, da, db), seed)))
+    assert_same_records(stacked.gates, single.gates)
+    stacked, single = _both_ways(lambda: _backup(da, db, seed))
+    assert_same_records(stacked.base.gates, single.base.gates)
+    assert_same_records(stacked.expanded.gates, single.expanded.gates)
+    flags = np.random.default_rng(seed).integers(0, 2, size=(da, db))
+    stacked, single = _both_ways(lambda: emit_xor_protocol(flags))
+    assert_same_records(stacked.base.gates, single.base.gates)
+    assert_same_records(stacked.expanded.gates, single.expanded.gates)
+
+
+def test_the_aform_builds_the_records_of_one_by_one():
+    stacked, single = _both_ways(lambda: decompose_2xd_aform(haar_unitary(6, 21), 3))
+    assert_same_records(stacked.gates, single.gates)
+
+
+POOL_2 = [I2, X2, PLUS_ZERO, MINUS_ZERO, UPPER, MINUS_ZERO_DIAGONAL]
+POOL_3 = [PLUS_ZERO_3, MINUS_ZERO_3, np.eye(3, dtype=complex)[[1, 2, 0]], -PLUS_ZERO_3]
+POOL_3 += [haar_unitary(3, s) for s in range(3)]
+
+
+@st.composite
+def _stack(draw):
+    """n gates' palettes of k entries drawn with repeats from a pool with -0.0 and +0.0
+    variants, and indices with unused entries, over one or two control axes."""
+    pool = draw(st.sampled_from([POOL_2, POOL_3]))
+    n, k = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 5, 12]))
+    shape = draw(st.sampled_from([(2,), (3,), (2, 3), (4, 4)]))
+    palettes = np.stack([
+        np.stack([pool[draw(st.integers(0, len(pool) - 1))].copy() for _ in range(k)]) for _ in range(n)
+    ])
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n * math.prod(shape), max_size=n * math.prod(shape)))
+    index = np.array(picks).reshape((n,) + shape)
+    if draw(st.booleans()):  # in order: the canonical form when every entry is distinct
+        index = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape) % k, index.shape)
+    return palettes, index
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_stack(), st.booleans())
+def test_a_stack_builds_the_records_of_one_by_one(stack, as_list):
+    palettes, index = stack
+    controls = tuple(range(index.ndim - 1))
+    targets = (index.ndim - 1,)
+    want = per_record(controls, targets, palettes, index)
+    if as_list:
+        # gates 0 and 1 given one array, as the protocols give a shared palette
+        palettes = [palettes[0] if j == 1 else palettes[j] for j in range(len(palettes))]
+        index = list(index)
+        want = per_record(controls, targets, palettes, index)
+    assert_same_records(controlled_stack(controls, targets, palettes, index), want)
+
+
+def test_a_hash_collision_in_a_stack_is_settled_by_the_bytes(monkeypatch):
+    from gatedecomp import gateir
+
+    monkeypatch.setattr(gateir, "_word_weights", lambda n: np.zeros(n, dtype=np.uint64))
+    palettes = np.stack([
+        np.stack([X2, I2, MINUS_ZERO, X2.copy(), PLUS_ZERO, UPPER]),
+        np.stack([UPPER, MINUS_ZERO, PLUS_ZERO, I2, X2, X2.copy()]),
+        np.stack([I2, X2, MINUS_ZERO, PLUS_ZERO, UPPER, MINUS_ZERO_DIAGONAL]),
+    ])
+    index = np.array([[3, 0, 1, 2, 4, 5, 1], [0, 1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 4, 5, 5]])
+    got = controlled_stack((0,), (1,), palettes, index)
+    assert_same_records(got, per_record((0,), (1,), palettes, index))
+    assert len(got[0].palette) == 4  # X2, I2 (= PLUS_ZERO), MINUS_ZERO, UPPER
+
+
+def test_a_canonical_gate_holds_the_given_arrays_and_shared_palettes_stay_shared():
+    shared = np.stack([I2, X2])
+    shared.flags.writeable = False
+    other = np.stack([X2, UPPER])
+    index = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
+    a, b, c = controlled_stack((0,), (1,), [shared, shared, other], index)
+    assert a.palette is shared and b.palette is shared
+    assert c.palette.tobytes() == np.stack([UPPER, X2]).tobytes() and c.index.tolist() == [0, 1, 1]
+    assert not c.palette.flags.writeable and not a.index.flags.writeable
+    stack = np.stack([shared, other])  # writable: the records hold read-only views of it
+    d, e = controlled_stack((0,), (1,), stack, index[:2])
+    assert d.palette.base is not None and not d.palette.flags.writeable and stack.flags.writeable
+    assert np.shares_memory(d.palette, stack) and np.shares_memory(e.palette, stack)
+
+
+def test_an_empty_stack_has_no_records():
+    assert controlled_stack((0,), (1,), [], []) == []
+
+
+# a stack given as one array has one branch shape, so a wrong one comes in a list
+FAULTS = [(f, a) for f in ("nan", "inf", "index_above", "index_below") for a in (False, True)]
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("fault,as_list", FAULTS + [("branch_shape", True)])
+def test_a_malformed_gate_in_a_stack_is_refused_by_position(fault, as_list, j):
+    palettes = [np.stack([I2, X2]) for _ in range(4)]
+    indices = [np.array([0, 1, 1]) for _ in range(4)]
+    if fault in ("nan", "inf"):
+        palettes[j][1, 0, 1] = np.nan if fault == "nan" else np.inf
+    elif fault == "index_above":
+        indices[j] = np.array([0, 2, 1])
+    elif fault == "index_below":
+        indices[j] = np.array([0, -1, 1])
+    else:
+        palettes[j] = np.ones((2, 2, 3))
+    with pytest.raises(CircuitError) as single:
+        ControlledGate((0,), (1,), palettes[j], indices[j])
+    given = palettes if as_list else np.stack(palettes)
+    with pytest.raises(CircuitError, match=f"^stack gate {j}: ") as stacked:
+        controlled_stack((0,), (1,), given, indices if as_list else np.stack(indices))
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == f"stack gate {j}: {single.value}"
+
+
+def test_a_stack_refuses_what_one_record_refuses_about_axes_and_shapes():
+    with pytest.raises(CircuitError, match="overlap"):
+        controlled_stack((0,), (0,), np.stack([I2[None]] * 2), np.zeros((2, 2), int))
+    with pytest.raises(CircuitError, match="^stack gate 0: control index of shape"):
+        controlled_stack((0, 1), (2,), np.stack([I2[None]] * 2), np.zeros((2, 2), int))
+    with pytest.raises(CircuitError, match="^stack gate 1: palette has shape"):
+        controlled_stack((0,), (1,), [np.stack([I2]), np.eye(3)[None]], np.zeros((2, 2), int))
+    with pytest.raises(CircuitError, match="^stack gate 1: control index has shape"):
+        controlled_stack((0,), (1,), [I2[None]] * 2, [np.zeros(2, int), np.zeros(3, int)])
+    with pytest.raises(CircuitError, match="2 palettes for 3 control indices"):
+        controlled_stack((0,), (1,), [I2[None]] * 2, np.zeros((3, 2), int))
+
+
+def test_expansion_makes_one_apply_gate_per_shared_palette():
+    res = _backup(5, 4, 13)
+    two_term = [g for g in res.base.gates if len(g.palette) == 2]
+    assert len({id(g.palette) for g in two_term}) < len(two_term)  # some gates share a palette
+    # the expanded gates are [flag, copy, apply, copy, flag] per two-term gate, one gate otherwise
+    applies, at = [], 0
+    for g in res.base.gates:
+        if len(g.palette) == 2:
+            applies.append(res.expanded.gates[at + 2])
+            assert applies[-1].palette is g.palette
+            at += 5
+        else:
+            at += 1
+    assert at == len(res.expanded.gates)
+    assert len({id(a) for a in applies}) == len({id(g.palette) for g in two_term})
