@@ -267,30 +267,34 @@ def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
     return sigma1, tau2, sigma3
 
 
-def _perm_gate(controls, targets, tables: np.ndarray, phases=None) -> ControlledGate:
-    """Controlled (complex) permutation built from its permutation tables.
+def _perm_palette(tables: np.ndarray, phases=None) -> np.ndarray:
+    """The (k, d, d) branches of a controlled (complex) permutation, one per control tuple.
 
     ``tables`` has shape ctrl_dims + (d,): the branch for control values k
     sends target level j to ``tables[k][j]``.  ``phases``, of the same shape,
-    multiplies branch k on the right by ``diag(phases[k])``.  Without phases
-    each distinct table is turned into one palette entry, in order of
-    first use, so the palette is canonical as built.
+    multiplies branch k on the right by ``diag(phases[k])``.
     """
     d = tables.shape[-1]
     rows = tables.reshape(-1, d)
     if phases is None:
-        rows, first, index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        palette, index = perm_matrix(rows[order]), rank[index.reshape(-1)]
-    else:
-        index = np.arange(len(rows))
-        # a product, not phases written in place: the circuit files hold the
-        # -0.0 entries that the product writes
-        pairs = zip(rows, phases.reshape(-1, d))
-        palette = np.stack([perm_matrix(t) @ np.diag(p) for t, p in pairs])
-    return controlled_stack(controls, targets, palette[None], index.reshape((1,) + tables.shape[:-1]))[0]
+        return perm_matrix(rows)
+    # a product, not phases written in place: the circuit files hold the
+    # -0.0 entries that the product writes
+    return np.stack([perm_matrix(t) @ np.diag(p) for t, p in zip(rows, phases.reshape(-1, d))])
+
+
+def _perm_gates(controls, targets, stages) -> list[ControlledGate]:
+    """Controlled (complex) permutations on one pair of axis lists, built as one stack.
+
+    ``stages`` lists ``(tables, phases)`` pairs of one tables shape (see
+    ``_perm_palette``; phases may be None).  Each gate's palette holds the
+    branch of every control tuple, and the stack's canonical form merges
+    the equal ones.
+    """
+    ctrl_dims = stages[0][0].shape[:-1]
+    palettes = np.stack([_perm_palette(tables, phases) for tables, phases in stages])
+    index = np.broadcast_to(np.arange(math.prod(ctrl_dims)).reshape(ctrl_dims), (len(stages),) + ctrl_dims)
+    return controlled_stack(controls, targets, palettes, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,12 +315,9 @@ def decompose_perm3(cp: ComplexPermutation) -> PermSandwich:
     out_a, out_b = np.divmod(np.asarray(cp.targets, dtype=np.int64).reshape(da, db), db)
     sigma1, tau2, sigma3 = _perm3_stages(out_a, out_b, da, db)
     phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(da, db)
-    gates = (
-        _perm_gate((0,), (1,), sigma1),
-        _perm_gate((1,), (0,), tau2),
-        _perm_gate((0,), (1,), sigma3, phases),
-    )
-    return PermSandwich(Circuit(bipartite_space(da, db), gates), sigma1, tau2, sigma3)
+    first, last = _perm_gates((0,), (1,), [(sigma1, None), (sigma3, phases)])
+    (middle,) = _perm_gates((1,), (0,), [(tau2, None)])
+    return PermSandwich(Circuit(bipartite_space(da, db), (first, middle, last)), sigma1, tau2, sigma3)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +440,15 @@ def decompose_multiparty_perm(cp: ComplexPermutation) -> Circuit:
 
     # the final gate is controlled from the head parties and targets the last
     phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(dims)
-    records = []
-    for idx, (controls, tables) in enumerate(gates_spec):
+    stages = [(tables, None) for _, tables in gates_spec]
+    stages[-1] = (stages[-1][0], phases)
+    # the gates controlled from one set of parties (the first and the last) are one stack
+    groups: dict = {}
+    for i, (controls, _) in enumerate(gates_spec):
+        groups.setdefault(controls, []).append(i)
+    records: list = [None] * len(gates_spec)
+    for controls, members in groups.items():
         (target_axis,) = tuple(sorted(set(range(n)) - set(controls)))
-        last = phases if idx == len(gates_spec) - 1 else None
-        records.append(_perm_gate(controls, (target_axis,), tables, last))
+        for i, g in zip(members, _perm_gates(controls, (target_axis,), [stages[i] for i in members])):
+            records[i] = g
     return Circuit(multiparty_space(dims), tuple(records))

@@ -552,7 +552,8 @@ def test_protocols_and_perm3_build_the_records_of_one_by_one(da, db, seed, phase
     cp = (random_complex_permutation if phased else random_permutation)((da, db), seed)
     stacked, single = _both_ways(lambda: decompose_perm3(cp).circuit)
     assert_same_records(stacked.gates, single.gates)
-    stacked, single = _both_ways(lambda: decompose_multiparty_perm(random_permutation((2, da, db), seed)))
+    mcp = (random_complex_permutation if phased else random_permutation)((2, da, db), seed)
+    stacked, single = _both_ways(lambda: decompose_multiparty_perm(mcp))
     assert_same_records(stacked.gates, single.gates)
     stacked, single = _both_ways(lambda: _backup(da, db, seed))
     assert_same_records(stacked.base.gates, single.base.gates)
