@@ -27,7 +27,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .gateir import (
     Circuit,
-    ControlledGate,
     GenericGate,
     LocalGate,
     bipartite_space,
