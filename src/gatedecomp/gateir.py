@@ -17,8 +17,11 @@ the control dimensions, names the palette entry of every control tuple.
 Every gate kind is a computational-basis controlled gate, so each record is
 lowered to one form, ``(controls, targets, palette, index)``:
 ``palette[index[i]]`` is the branch for the i-th control tuple in row-major
-order.  Lowering is also where a gate's structure is checked against the
-space.  One kernel applies a lowered gate to a block of state columns by a
+order.  A controlled gate record comes singly, from ``ControlledGate``, or
+as a checked stack from ``controlled_stack``, which checks n gates on one
+pair of axis lists in one pass with the constructor's own predicates; the
+same invariants hold either way.  Lowering is also where a gate's structure
+is checked against the space.  One kernel applies a lowered gate to a block of state columns by a
 batched matmul over the (controls, targets, rest) regrouping of the state;
 dense simulation and gate embedding use it.  Classification reads the
 lowered palette and index without applying them.
@@ -198,7 +201,7 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
 @functools.lru_cache(maxsize=64)
 def _word_weights(n: int) -> np.ndarray:
     """n fixed odd 64-bit weights: the key of an entry is its words' weighted sum."""
-    weights = np.random.default_rng(n).integers(0, 2**63, size=n, dtype=np.uint64) * 2 + 1
+    weights = np.random.default_rng(n).bit_generator.random_raw(n) | np.uint64(1)
     weights.flags.writeable = False  # one array serves every caller
     return weights
 

@@ -267,32 +267,24 @@ def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
     return sigma1, tau2, sigma3
 
 
-def _perm_palette(tables: np.ndarray, phases=None) -> np.ndarray:
-    """The (k, d, d) branches of a controlled (complex) permutation, one per control tuple.
-
-    ``tables`` has shape ctrl_dims + (d,): the branch for control values k
-    sends target level j to ``tables[k][j]``.  ``phases``, of the same shape,
-    multiplies branch k on the right by ``diag(phases[k])``.
-    """
-    d = tables.shape[-1]
-    rows = tables.reshape(-1, d)
-    if phases is None:
-        return perm_matrix(rows)
-    # a product, not phases written in place: the circuit files hold the
-    # -0.0 entries that the product writes
-    return np.stack([perm_matrix(t) @ np.diag(p) for t, p in zip(rows, phases.reshape(-1, d))])
-
-
 def _perm_gates(controls, targets, stages) -> list[ControlledGate]:
     """Controlled (complex) permutations on one pair of axis lists, built as one stack.
 
-    ``stages`` lists ``(tables, phases)`` pairs of one tables shape (see
-    ``_perm_palette``; phases may be None).  Each gate's palette holds the
-    branch of every control tuple, and the stack's canonical form merges
-    the equal ones.
+    ``stages`` lists ``(tables, phases)`` pairs.  ``tables`` has shape
+    ctrl_dims + (d,), the same for every stage: the branch for control
+    values k sends target level j to ``tables[k][j]``.  ``phases``, None or
+    of the same shape, multiplies branch k on the right by
+    ``diag(phases[k])``.  Each gate's palette holds the branch of every
+    control tuple, and the stack's canonical form merges the equal ones.
     """
-    ctrl_dims = stages[0][0].shape[:-1]
-    palettes = np.stack([_perm_palette(tables, phases) for tables, phases in stages])
+    ctrl_dims, d = stages[0][0].shape[:-1], stages[0][0].shape[-1]
+    palettes = perm_matrix(np.stack([tables.reshape(-1, d) for tables, _ in stages]))
+    for j, (tables, phases) in enumerate(stages):
+        if phases is not None:
+            # a product, not phases written in place: the circuit files hold
+            # the -0.0 entries that the product writes
+            for r, (t, p) in enumerate(zip(tables.reshape(-1, d), phases.reshape(-1, d))):
+                palettes[j, r] = perm_matrix(t) @ np.diag(p)
     index = np.broadcast_to(np.arange(math.prod(ctrl_dims)).reshape(ctrl_dims), (len(stages),) + ctrl_dims)
     return controlled_stack(controls, targets, palettes, index)
 
