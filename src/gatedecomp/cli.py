@@ -208,10 +208,10 @@ def _on_axes(circuit: Circuit, dims: tuple, axes: tuple) -> Circuit:
     """A circuit of controlled gates on the parties ``axes`` of ``dims``, moved to those axes."""
     if axes == tuple(range(len(dims))):
         return circuit
-    gates = [
-        ControlledGate(tuple(axes[a] for a in g.controls), tuple(axes[a] for a in g.targets), g.palette, g.index)
-        for g in circuit.gates
-    ]
+    def moved(ax):
+        return tuple(axes[a] for a in ax)
+
+    gates = [ControlledGate(moved(g.controls), moved(g.targets), g.palette, g.index) for g in circuit.gates]
     return Circuit(multiparty_space(dims), tuple(gates))
 
 

@@ -471,6 +471,12 @@ def controlled(controls, targets, branches: dict) -> ControlledGate:
     return ControlledGate(controls, targets, np.stack(mats), index)
 
 
+# a stack of fewer gates is built one record at a time: its one-pass checks
+# and grouping cost a fixed 30-40 us, about four records' worth (2 cores,
+# one OpenBLAS thread), so they gain from about ten gates on
+STACK_MIN_GATES = 10
+
+
 def controlled_stack(controls, targets, palettes, indices) -> list[ControlledGate]:
     """n ControlledGate records on one pair of axis lists, checked as one stack.
 
@@ -483,7 +489,9 @@ def controlled_stack(controls, targets, palettes, indices) -> list[ControlledGat
     refuses.  The canonical forms come from one hashed grouping of all
     entries, confirmed against their bytes (``_stack_canonical``).  A gate
     whose pair is canonical holds the given arrays, or read-only views of
-    them, and gates given one palette array share one palette.
+    them, and gates given one palette array share one palette.  Fewer than
+    ``STACK_MIN_GATES`` gates are built by ``ControlledGate`` one at a
+    time, and a refused one is named the same way.
     """
     controls, targets = _control_target_axes(controls, targets)
     if isinstance(palettes, np.ndarray):
@@ -500,15 +508,17 @@ def controlled_stack(controls, targets, palettes, indices) -> list[ControlledGat
                 held.append(_read_only(np.asarray(p, dtype=complex)))
                 _at(j, _check_palette_shape, held[-1].shape)
                 if held[-1].shape != held[0].shape:
-                    raise CircuitError(f"stack gate {j}: palette has shape {held[-1].shape}, the stack's {held[0].shape}")
+                    shapes = f"{held[-1].shape}, the stack's {held[0].shape}"
+                    raise CircuitError(f"stack gate {j}: palette has shape {shapes}")
             which.append(slots[id(p)])
     n = len(which)
-    index = _read_only(_stacked_indices(indices))
+    index = _gate_indices(indices)
     if len(index) != n:
         raise CircuitError(f"{n} palettes for {len(index)} control indices")
-    if n < 2:  # no stack to share the work: the record is built alone
-        return [_at(0, ControlledGate, controls, targets, held[0], index[0])] if n else []
+    if n < STACK_MIN_GATES:
+        return [_at(j, ControlledGate, controls, targets, held[which[j]], index[j]) for j in range(n)]
     stack = held if isinstance(held, np.ndarray) else np.stack(held)
+    index = _read_only(np.asarray(index, dtype=np.intp))
     try:
         _check_finite(stack)
     except CircuitError:
@@ -529,15 +539,16 @@ def controlled_stack(controls, targets, palettes, indices) -> list[ControlledGat
     return records
 
 
-def _stacked_indices(indices) -> np.ndarray:
-    """Control indices as one integer array over the gates; a sequence must hold one shape."""
+def _gate_indices(indices):
+    """The gates' control indices: an integer array over them, or a list of arrays of one shape."""
     if isinstance(indices, np.ndarray):
         return np.asarray(indices, dtype=np.intp)
     arrays = [np.asarray(i, dtype=np.intp) for i in indices]
     for j, a in enumerate(arrays):
         if a.shape != arrays[0].shape:
-            raise CircuitError(f"stack gate {j}: control index has shape {a.shape}, the stack's {arrays[0].shape}")
-    return np.stack(arrays) if arrays else np.empty(0, dtype=np.intp)
+            shapes = f"{a.shape}, the stack's {arrays[0].shape}"
+            raise CircuitError(f"stack gate {j}: control index has shape {shapes}")
+    return arrays
 
 
 def _at(j: int, check, *args):

@@ -21,6 +21,7 @@ from .gateir import (
     Ancilla,
     Circuit,
     CnotGate,
+    ControlledGate,
     GenericGate,
     PartySpace,
     controlled_stack,
@@ -161,12 +162,9 @@ _FLAG_PALETTE = _frozen(_with_identity(_X))
 _BOTH = _frozen(np.arange(2))
 
 
-def _flag_applies(copy, targets, palettes) -> list:
-    """The gates applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes.
-
-    One gate per given palette, built as one stack.
-    """
-    return controlled_stack((copy.target_axis,), targets, palettes, [_BOTH] * len(palettes))
+def _flag_apply(copy, targets, palette) -> ControlledGate:
+    """The gate applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes."""
+    return ControlledGate((copy.target_axis,), targets, palette, _BOTH)
 
 
 def _flag_palindrome(flag, copy, apply):
@@ -174,7 +172,7 @@ def _flag_palindrome(flag, copy, apply):
 
     The gate ``flag`` flips the flag qubit where the second term applies;
     the CNOT ``copy`` copies it to the other side's flag qubit, on which
-    ``apply`` (a ``_flag_applies`` gate) is controlled; the copy and the flag
+    ``apply`` (a ``_flag_apply`` gate) is controlled; the copy and the flag
     are then undone.  The list is a palindrome, so product order and
     application order agree.  Records are immutable, so one ``copy`` serves
     every gate of a circuit, and one ``apply`` every gate of its palette.
@@ -205,7 +203,7 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
     )
     v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
     copy = CnotGate(2, (0, 1), 3, (0, 1))
-    gates = _flag_palindrome(v_flag, copy, _flag_applies(copy, (1,), [np.stack([v1, v2])])[0])
+    gates = _flag_palindrome(v_flag, copy, _flag_apply(copy, (1,), np.stack([v1, v2])))
     return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
@@ -437,8 +435,11 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
         records = controlled_stack(controls, targets, [g.palette for g in gates], [g.index for g in gates])
         built.update((id(g), [r]) for g, r in zip(gates, records))
         gates = pairs[side]
-        apply = dict(zip(applies[side], _flag_applies(copy, targets, list(applies[side].values()))))
-        flags = controlled_stack(controls, (flag_axis,), [_FLAG_PALETTE] * len(gates), [g.index for g in gates])
+        palettes = list(applies[side].values())
+        records = controlled_stack((copy.target_axis,), targets, palettes, [_BOTH] * len(palettes))
+        apply = dict(zip(applies[side], records))
+        indices = [g.index for g in gates]
+        flags = controlled_stack(controls, (flag_axis,), [_FLAG_PALETTE] * len(gates), indices)
         built.update((id(g), _flag_palindrome(f, copy, apply[id(g.palette)])) for g, f in zip(gates, flags))
     out = [r for g in prod_gates for r in built[id(g)]]
     n_two_term = sum(len(g) for g in pairs.values())
@@ -993,9 +994,9 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
         return perm_matrix((np.arange(da).reshape(m, 2) ^ u_vec[:, None]).ravel())
 
     palettes = [_with_identity(pair_swaps(u_vec)) for u_vec, _ in terms]
-    v_vecs = [v_vec for _, v_vec in terms]
+    base_gates = [ControlledGate((1,), (0,), p, v_vec) for p, (_, v_vec) in zip(palettes, terms)]
     space = PartySpace(parties=(("A", da), ("B", db)))
-    base = Circuit(space, tuple(controlled_stack((1,), (0,), palettes, v_vecs)))
+    base = Circuit(space, tuple(base_gates))
 
     # expand with one flag qubit per side: b marks the selected columns
     xspace = PartySpace(
@@ -1004,8 +1005,8 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     )
     xgates = []
     copy = CnotGate(3, (0, 1), 2, (0, 1))
-    flags = controlled_stack((1,), (3,), [_FLAG_PALETTE] * len(terms), v_vecs)
-    for flag, apply in zip(flags, _flag_applies(copy, (0,), palettes)):
-        xgates.extend(_flag_palindrome(flag, copy, apply))
+    for p, (_, v_vec) in zip(palettes, terms):
+        flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
+        xgates.extend(_flag_palindrome(flag, copy, _flag_apply(copy, (0,), p)))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

@@ -28,7 +28,7 @@ from gatedecomp import (
     controlled,
     multiparty_space,
 )
-from gatedecomp.gateir import GATE_KINDS, CircuitError, controlled_stack
+from gatedecomp.gateir import GATE_KINDS, STACK_MIN_GATES, CircuitError, controlled_stack
 from gatedecomp.generators import (
     example2_flags,
     haar_unitary,
@@ -579,7 +579,9 @@ def _stack(draw):
     """n gates' palettes of k entries drawn with repeats from a pool with -0.0 and +0.0
     variants, and indices with unused entries, over one or two control axes."""
     pool = draw(st.sampled_from([POOL_2, POOL_3]))
-    n, k = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 5, 12]))
+    # below STACK_MIN_GATES the gates are built one at a time, from it on as one stack
+    n = draw(st.sampled_from([1, 3, STACK_MIN_GATES - 1, STACK_MIN_GATES, STACK_MIN_GATES + 3]))
+    k = draw(st.sampled_from([1, 2, 3, 5, 12]))
     shape = draw(st.sampled_from([(2,), (3,), (2, 3), (4, 4)]))
     palettes = np.stack([
         np.stack([pool[draw(st.integers(0, len(pool) - 1))].copy() for _ in range(k)]) for _ in range(n)
@@ -614,26 +616,33 @@ def test_a_hash_collision_in_a_stack_is_settled_by_the_bytes(monkeypatch):
         np.stack([X2, I2, MINUS_ZERO, X2.copy(), PLUS_ZERO, UPPER]),
         np.stack([UPPER, MINUS_ZERO, PLUS_ZERO, I2, X2, X2.copy()]),
         np.stack([I2, X2, MINUS_ZERO, PLUS_ZERO, UPPER, MINUS_ZERO_DIAGONAL]),
-    ])
-    index = np.array([[3, 0, 1, 2, 4, 5, 1], [0, 1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 4, 5, 5]])
+    ] * 4)
+    index = np.array([[3, 0, 1, 2, 4, 5, 1], [0, 1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 4, 5, 5]] * 4)
+    assert len(palettes) >= STACK_MIN_GATES
     got = controlled_stack((0,), (1,), palettes, index)
     assert_same_records(got, per_record((0,), (1,), palettes, index))
     assert len(got[0].palette) == 4  # X2, I2 (= PLUS_ZERO), MINUS_ZERO, UPPER
 
 
-def test_a_canonical_gate_holds_the_given_arrays_and_shared_palettes_stay_shared():
+@pytest.mark.parametrize("repeat", [1, STACK_MIN_GATES])
+def test_a_canonical_gate_holds_the_given_arrays_and_shared_palettes_stay_shared(repeat):
     shared = np.stack([I2, X2])
     shared.flags.writeable = False
-    other = np.stack([X2, UPPER])
-    index = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
-    a, b, c = controlled_stack((0,), (1,), [shared, shared, other], index)
-    assert a.palette is shared and b.palette is shared
-    assert c.palette.tobytes() == np.stack([UPPER, X2]).tobytes() and c.index.tolist() == [0, 1, 1]
-    assert not c.palette.flags.writeable and not a.index.flags.writeable
-    stack = np.stack([shared, other])  # writable: the records hold read-only views of it
-    d, e = controlled_stack((0,), (1,), stack, index[:2])
-    assert d.palette.base is not None and not d.palette.flags.writeable and stack.flags.writeable
-    assert np.shares_memory(d.palette, stack) and np.shares_memory(e.palette, stack)
+    writable, other = np.stack([X2, I2]), np.stack([X2, UPPER])
+    index = np.array([[0, 1, 1], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0]] * repeat)
+    got = controlled_stack((0,), (1,), [shared, shared, writable, writable, other] * repeat, index)
+    a, b, c, d, e = got[:5]
+    assert all(g.palette is shared for g in got[0::5] + got[1::5])
+    # one read-only view of the writable array serves every gate given it
+    assert c.palette is d.palette and np.shares_memory(c.palette, writable)
+    assert all(g.palette is c.palette for g in got[2::5] + got[3::5])
+    assert not c.palette.flags.writeable and writable.flags.writeable
+    assert e.palette.tobytes() == np.stack([UPPER, X2]).tobytes() and e.index.tolist() == [0, 1, 1]
+    assert not e.palette.flags.writeable and not a.index.flags.writeable
+    stack = np.stack([shared, other] * repeat)  # writable: the records hold read-only views of it
+    views = controlled_stack((0,), (1,), stack, np.tile([0, 1, 1], (len(stack), 1)))
+    assert all(not g.palette.flags.writeable and np.shares_memory(g.palette, stack) for g in views)
+    assert stack.flags.writeable
 
 
 def test_an_empty_stack_has_no_records():
@@ -644,11 +653,12 @@ def test_an_empty_stack_has_no_records():
 FAULTS = [(f, a) for f in ("nan", "inf", "index_above", "index_below") for a in (False, True)]
 
 
+@pytest.mark.parametrize("n", [4, STACK_MIN_GATES + 2])
 @pytest.mark.parametrize("j", [0, 2])
 @pytest.mark.parametrize("fault,as_list", FAULTS + [("branch_shape", True)])
-def test_a_malformed_gate_in_a_stack_is_refused_by_position(fault, as_list, j):
-    palettes = [np.stack([I2, X2]) for _ in range(4)]
-    indices = [np.array([0, 1, 1]) for _ in range(4)]
+def test_a_malformed_gate_in_a_stack_is_refused_by_position(fault, as_list, j, n):
+    palettes = [np.stack([I2, X2]) for _ in range(n)]
+    indices = [np.array([0, 1, 1]) for _ in range(n)]
     if fault in ("nan", "inf"):
         palettes[j][1, 0, 1] = np.nan if fault == "nan" else np.inf
     elif fault == "index_above":
@@ -666,17 +676,18 @@ def test_a_malformed_gate_in_a_stack_is_refused_by_position(fault, as_list, j):
     assert str(stacked.value) == f"stack gate {j}: {single.value}"
 
 
-def test_a_stack_refuses_what_one_record_refuses_about_axes_and_shapes():
+@pytest.mark.parametrize("n", [2, STACK_MIN_GATES])
+def test_a_stack_refuses_what_one_record_refuses_about_axes_and_shapes(n):
     with pytest.raises(CircuitError, match="overlap"):
-        controlled_stack((0,), (0,), np.stack([I2[None]] * 2), np.zeros((2, 2), int))
+        controlled_stack((0,), (0,), np.stack([I2[None]] * n), np.zeros((n, 2), int))
     with pytest.raises(CircuitError, match="^stack gate 0: control index of shape"):
-        controlled_stack((0, 1), (2,), np.stack([I2[None]] * 2), np.zeros((2, 2), int))
+        controlled_stack((0, 1), (2,), np.stack([I2[None]] * n), np.zeros((n, 2), int))
     with pytest.raises(CircuitError, match="^stack gate 1: palette has shape"):
-        controlled_stack((0,), (1,), [np.stack([I2]), np.eye(3)[None]], np.zeros((2, 2), int))
+        controlled_stack((0,), (1,), [np.stack([I2])] + [np.eye(3)[None]] * (n - 1), np.zeros((n, 2), int))
     with pytest.raises(CircuitError, match="^stack gate 1: control index has shape"):
-        controlled_stack((0,), (1,), [I2[None]] * 2, [np.zeros(2, int), np.zeros(3, int)])
-    with pytest.raises(CircuitError, match="2 palettes for 3 control indices"):
-        controlled_stack((0,), (1,), [I2[None]] * 2, np.zeros((3, 2), int))
+        controlled_stack((0,), (1,), [I2[None]] * n, [np.zeros(2, int)] + [np.zeros(3, int)] * (n - 1))
+    with pytest.raises(CircuitError, match=f"{n} palettes for {n + 1} control indices"):
+        controlled_stack((0,), (1,), [I2[None]] * n, np.zeros((n + 1, 2), int))
 
 
 def test_expansion_makes_one_apply_gate_per_shared_palette():
