@@ -177,7 +177,8 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
 
     ``flat`` is ``index`` as a row-major list.  One or two entries, the
     palettes of most records, are settled by a few comparisons; more take
-    the grouping of ``_same_entries`` and one pass over the index.
+    the grouping of ``_stacked_same_entries``, as a stack of one palette,
+    and one pass over the index.
     """
     # equal means equal bytes: np.array_equal would also merge -0.0 with 0.0,
     # and the merged entry would change the bytes of the circuit file
@@ -188,7 +189,8 @@ def _canonical_palette(palette: np.ndarray, index: np.ndarray, flat: list):
         if 1 - first not in flat or _equal_bytes(palette[0], palette[1]):
             return palette[first : first + 1], np.zeros_like(index)
         return (palette, index) if first == 0 else (palette[[1, 0]], 1 - index)
-    same = _same_entries(palette)
+    same = _stacked_same_entries(palette[None])
+    same = list(range(len(palette))) if same is None else same[0].tolist()
     rank: dict[int, int] = {}  # kept entry -> its new position, in first-use order
     for j in flat:
         rank.setdefault(same[j], len(rank))
@@ -206,66 +208,36 @@ def _word_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _entry_keys(entries: np.ndarray):
-    """``(words, keys)`` of a (N, d, d) stack of entries.
-
-    ``words`` holds each entry's 64-bit words and ``keys`` their weighted
-    sum, modulo 2**64, so entries with equal bytes have equal keys.
-    """
-    words = np.ascontiguousarray(entries).reshape(len(entries), -1).view(np.uint64)
-    return words, words @ _word_weights(words.shape[1])
-
-
-def _same_bytes(words: np.ndarray) -> list:
-    """For each entry of one palette's (k, w) words, the first entry with the same bytes."""
-    seen: dict = {}
-    return [seen.setdefault(w.tobytes(), j) for j, w in enumerate(words)]
-
-
-def _same_entries(palette: np.ndarray) -> list:
-    """For each entry of a (k, d, d) palette, the first entry with the same bytes.
-
-    Entries are grouped by key (``_entry_keys``), and one comparison of
-    every entry with its group's first checks that each group holds one
-    entry's bytes; if two different entries shared a key, the bytes
-    themselves are the keys.
-    """
-    words, keys = _entry_keys(palette)
-    seen: dict = {}
-    same = [seen.setdefault(key, j) for j, key in enumerate(keys.tolist())]
-    if len(seen) < len(same) and not (words == words[same]).all():
-        same = _same_bytes(words)
-    return same
-
-
 def _stacked_same_entries(palettes: np.ndarray):
-    """``_same_entries`` of every palette of a (u, k, d, d) stack, as a (u, k) array.
+    """For each entry of every palette of a (u, k, d, d) stack, the first entry of its palette with the same bytes.
 
-    None when no two entries of a palette share a key, so each entry is
-    its own first.  One stable sort per palette groups its entries by key,
-    and one comparison of every entry with the first of its group confirms
-    the groups; a palette where two different entries share a key is
-    grouped by its bytes.
+    A (u, k) array, or None when no palette holds two entries with one
+    key, so each entry is its own first.  An entry's key is the weighted
+    sum of its 64-bit words, modulo 2**64, so entries with equal bytes have
+    equal keys.  One stable sort per palette groups its entries by key, and
+    one comparison of every entry with its group's first confirms the
+    groups; a palette where two different entries share a key is grouped
+    by its bytes.
     """
     u, k = palettes.shape[:2]
-    words, keys = _entry_keys(palettes.reshape((u * k,) + palettes.shape[2:]))
-    words, keys = words.reshape(u, k, -1), keys.reshape(u, k)
-    rows = np.arange(u)[:, None]
-    order = np.argsort(keys, axis=1, kind="stable")
-    ordered = keys[rows, order]
-    starts = np.ones((u, k), dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    words = np.ascontiguousarray(palettes).reshape(u, k, -1).view(np.uint64)
+    keys = words.dot(_word_weights(words.shape[2]))
+    if u == 1 and len(set(keys[0].tolist())) == k:  # a set settles one palette sooner than a sort
+        return None
+    ordered = np.sort(keys, axis=1)
+    starts = ordered[:, 1:] != ordered[:, :-1]
     if starts.all():
         return None
+    order = np.argsort(keys, axis=1, kind="stable")
     # in sorted order, each entry's group starts at the last start at or before it
-    group = np.maximum.accumulate(np.where(starts, np.arange(k), 0), axis=1)
+    group = np.zeros((u, k), dtype=np.intp)
+    np.maximum.accumulate(np.where(starts, np.arange(1, k), 0), axis=1, out=group[:, 1:])
+    rows = np.arange(u)[:, None]
     same = np.empty_like(order)
     same[rows, order] = order[rows, group]
-    # only an entry grouped with an earlier one needs comparing with it
-    at, col = np.nonzero(same != np.arange(k))
-    clashes = at[(words[at, col] != words[at, same[at, col]]).any(axis=1)]
-    for i in np.unique(clashes).tolist():
-        same[i] = _same_bytes(words[i])
+    for i in np.flatnonzero((words != words[rows, same]).any(axis=(1, 2))).tolist():
+        seen: dict = {}
+        same[i] = [seen.setdefault(w.tobytes(), j) for j, w in enumerate(words[i])]
     return same
 
 

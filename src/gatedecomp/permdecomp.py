@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateir import Circuit, ControlledGate, bipartite_space, controlled_stack, multiparty_space
+from .gateir import Circuit, ControlledGate, bipartite_space, multiparty_space
 from .matcore import EXACT_TOL, PreconditionError, as_matrix, checked_dims, on_unit_circle
 from .matcore import perm_matrix, read_permutations
 
@@ -267,26 +267,26 @@ def _perm3_stages(out_a: np.ndarray, out_b: np.ndarray, da: int, db: int):
     return sigma1, tau2, sigma3
 
 
-def _perm_gates(controls, targets, stages) -> list[ControlledGate]:
-    """Controlled (complex) permutations on one pair of axis lists, built as one stack.
+def _perm_gate(controls, targets, tables: np.ndarray, phases=None) -> ControlledGate:
+    """Controlled (complex) permutation built from its permutation tables.
 
-    ``stages`` lists ``(tables, phases)`` pairs.  ``tables`` has shape
-    ctrl_dims + (d,), the same for every stage: the branch for control
-    values k sends target level j to ``tables[k][j]``.  ``phases``, None or
-    of the same shape, multiplies branch k on the right by
-    ``diag(phases[k])``.  Each gate's palette holds the branch of every
-    control tuple, and the stack's canonical form merges the equal ones.
+    ``tables`` has shape ctrl_dims + (d,): the branch for control values k
+    sends target level j to ``tables[k][j]``.  ``phases``, of the same shape,
+    multiplies branch k on the right by ``diag(phases[k])``.  Without phases
+    each distinct table is turned into one palette entry.
     """
-    ctrl_dims, d = stages[0][0].shape[:-1], stages[0][0].shape[-1]
-    palettes = perm_matrix(np.stack([tables.reshape(-1, d) for tables, _ in stages]))
-    for j, (tables, phases) in enumerate(stages):
-        if phases is not None:
-            # a product, not phases written in place: the circuit files hold
-            # the -0.0 entries that the product writes
-            for r, (t, p) in enumerate(zip(tables.reshape(-1, d), phases.reshape(-1, d))):
-                palettes[j, r] = perm_matrix(t) @ np.diag(p)
-    index = np.broadcast_to(np.arange(math.prod(ctrl_dims)).reshape(ctrl_dims), (len(stages),) + ctrl_dims)
-    return controlled_stack(controls, targets, palettes, index)
+    d = tables.shape[-1]
+    rows = tables.reshape(-1, d)
+    if phases is None:
+        rows, index = np.unique(rows, axis=0, return_inverse=True)
+        palette = perm_matrix(rows)
+    else:
+        index = np.arange(len(rows))
+        # a product, not phases written in place: the circuit files hold the
+        # -0.0 entries that the product writes
+        pairs = zip(rows, phases.reshape(-1, d))
+        palette = np.stack([perm_matrix(t) @ np.diag(p) for t, p in pairs])
+    return ControlledGate(controls, targets, palette, index.reshape(tables.shape[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +307,12 @@ def decompose_perm3(cp: ComplexPermutation) -> PermSandwich:
     out_a, out_b = np.divmod(np.asarray(cp.targets, dtype=np.int64).reshape(da, db), db)
     sigma1, tau2, sigma3 = _perm3_stages(out_a, out_b, da, db)
     phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(da, db)
-    first, last = _perm_gates((0,), (1,), [(sigma1, None), (sigma3, phases)])
-    (middle,) = _perm_gates((1,), (0,), [(tau2, None)])
-    return PermSandwich(Circuit(bipartite_space(da, db), (first, middle, last)), sigma1, tau2, sigma3)
+    gates = (
+        _perm_gate((0,), (1,), sigma1),
+        _perm_gate((1,), (0,), tau2),
+        _perm_gate((0,), (1,), sigma3, phases),
+    )
+    return PermSandwich(Circuit(bipartite_space(da, db), gates), sigma1, tau2, sigma3)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +435,9 @@ def decompose_multiparty_perm(cp: ComplexPermutation) -> Circuit:
 
     # the final gate is controlled from the head parties and targets the last
     phases = None if cp.is_plain else np.asarray(cp.phases, dtype=complex).reshape(dims)
-    stages = [(tables, None) for _, tables in gates_spec]
-    stages[-1] = (stages[-1][0], phases)
-    # the gates controlled from one set of parties (the first and the last) are one stack
-    groups: dict = {}
-    for i, (controls, _) in enumerate(gates_spec):
-        groups.setdefault(controls, []).append(i)
-    records: list = [None] * len(gates_spec)
-    for controls, members in groups.items():
+    records = []
+    for idx, (controls, tables) in enumerate(gates_spec):
         (target_axis,) = tuple(sorted(set(range(n)) - set(controls)))
-        for i, g in zip(members, _perm_gates(controls, (target_axis,), [stages[i] for i in members])):
-            records[i] = g
+        last = phases if idx == len(gates_spec) - 1 else None
+        records.append(_perm_gate(controls, (target_axis,), tables, last))
     return Circuit(multiparty_space(dims), tuple(records))

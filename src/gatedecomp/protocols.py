@@ -162,9 +162,9 @@ _FLAG_PALETTE = _frozen(_with_identity(_X))
 _BOTH = _frozen(np.arange(2))
 
 
-def _flag_apply(copy, targets, palette) -> ControlledGate:
-    """The gate applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes."""
-    return ControlledGate((copy.target_axis,), targets, palette, _BOTH)
+def _flag_apply(copy, targets, palettes) -> list[ControlledGate]:
+    """For each palette, the gate applying ``palette[f]`` on ``targets`` for the value f of the flag ``copy`` writes."""
+    return controlled_stack((copy.target_axis,), targets, palettes, [_BOTH] * len(palettes))
 
 
 def _flag_palindrome(flag, copy, apply):
@@ -203,7 +203,8 @@ def emit_two_term_cnot(p1, v1, p2, v2) -> Circuit:
     )
     v_flag = GenericGate((0, 2), np.kron(p1, np.eye(2)) + np.kron(p2, _X), cut=1)
     copy = CnotGate(2, (0, 1), 3, (0, 1))
-    gates = _flag_palindrome(v_flag, copy, _flag_apply(copy, (1,), np.stack([v1, v2])))
+    (apply,) = _flag_apply(copy, (1,), [np.stack([v1, v2])])
+    gates = _flag_palindrome(v_flag, copy, apply)
     return Circuit(space, tuple(gates)).with_ebit_estimate(1.0)
 
 
@@ -435,9 +436,7 @@ def _expand_two_term_gates(prod_gates, da: int, db: int) -> tuple[Circuit, int]:
         records = controlled_stack(controls, targets, [g.palette for g in gates], [g.index for g in gates])
         built.update((id(g), [r]) for g, r in zip(gates, records))
         gates = pairs[side]
-        palettes = list(applies[side].values())
-        records = controlled_stack((copy.target_axis,), targets, palettes, [_BOTH] * len(palettes))
-        apply = dict(zip(applies[side], records))
+        apply = dict(zip(applies[side], _flag_apply(copy, targets, list(applies[side].values()))))
         indices = [g.index for g in gates]
         flags = controlled_stack(controls, (flag_axis,), [_FLAG_PALETTE] * len(gates), indices)
         built.update((id(g), _flag_palindrome(f, copy, apply[id(g.palette)])) for g, f in zip(gates, flags))
@@ -1005,8 +1004,8 @@ def emit_xor_protocol(flags) -> XorProtocolResult:
     )
     xgates = []
     copy = CnotGate(3, (0, 1), 2, (0, 1))
-    for p, (_, v_vec) in zip(palettes, terms):
+    for apply, (_, v_vec) in zip(_flag_apply(copy, (0,), palettes), terms):
         flag = ControlledGate((1,), (3,), _FLAG_PALETTE, v_vec)
-        xgates.extend(_flag_palindrome(flag, copy, _flag_apply(copy, (0,), p)))
+        xgates.extend(_flag_palindrome(flag, copy, apply))
     expanded = Circuit(xspace, tuple(xgates)).with_ebit_estimate(float(len(terms)))
     return XorProtocolResult(base, expanded, len(terms), 2 * len(terms), tuple(terms))

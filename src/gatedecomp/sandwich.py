@@ -27,6 +27,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .gateir import (
     Circuit,
+    ControlledGate,
     GenericGate,
     LocalGate,
     bipartite_space,
@@ -721,7 +722,7 @@ def decompose_2xd_aform(u, db: int) -> Circuit:
     diag = np.stack([np.diag(phase), np.diag(phase.conj())])
     # every rotation [[cos θ, -sin θ], [sin θ, cos θ]] is W diag(e^{iθ}, e^{-iθ}) W†
     w = np.array([[1, 1], [-1j, 1j]]) / np.sqrt(2)
-    cc = controlled_stack((0,), (1,), np.stack([left, diag, right]), np.broadcast_to(np.arange(2), (3, 2)))
+    cc = [ControlledGate((0,), (1,), g, np.arange(2)) for g in (left, diag, right)]
     gates = (cc[0], LocalGate(0, w), cc[1], LocalGate(0, w.conj().T), cc[2])
     return Circuit(bipartite_space(2, db), gates)
 

@@ -522,11 +522,11 @@ def _dense_circuit(method, u, dims):
 
 def _both_ways(build):
     """``build()`` with records built as stacks, and with every stack built record by record."""
-    from gatedecomp import permdecomp, protocols, sandwich
+    from gatedecomp import protocols, sandwich
 
     stacked = build()
     with pytest.MonkeyPatch.context() as mp:
-        for module in (sandwich, protocols, permdecomp):
+        for module in (sandwich, protocols):
             mp.setattr(module, "controlled_stack", per_record)
         single = build()
     return stacked, single
@@ -547,14 +547,8 @@ def test_dense_producers_build_the_records_of_one_by_one(method, data, kind, see
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6), st.booleans())
-def test_protocols_and_perm3_build_the_records_of_one_by_one(da, db, seed, phased):
-    cp = (random_complex_permutation if phased else random_permutation)((da, db), seed)
-    stacked, single = _both_ways(lambda: decompose_perm3(cp).circuit)
-    assert_same_records(stacked.gates, single.gates)
-    mcp = (random_complex_permutation if phased else random_permutation)((2, da, db), seed)
-    stacked, single = _both_ways(lambda: decompose_multiparty_perm(mcp))
-    assert_same_records(stacked.gates, single.gates)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6))
+def test_protocols_build_the_records_of_one_by_one(da, db, seed):
     stacked, single = _both_ways(lambda: _backup(da, db, seed))
     assert_same_records(stacked.base.gates, single.base.gates)
     assert_same_records(stacked.expanded.gates, single.expanded.gates)
@@ -562,11 +556,6 @@ def test_protocols_and_perm3_build_the_records_of_one_by_one(da, db, seed, phase
     stacked, single = _both_ways(lambda: emit_xor_protocol(flags))
     assert_same_records(stacked.base.gates, single.base.gates)
     assert_same_records(stacked.expanded.gates, single.expanded.gates)
-
-
-def test_the_aform_builds_the_records_of_one_by_one():
-    stacked, single = _both_ways(lambda: decompose_2xd_aform(haar_unitary(6, 21), 3))
-    assert_same_records(stacked.gates, single.gates)
 
 
 POOL_2 = [I2, X2, PLUS_ZERO, MINUS_ZERO, UPPER, MINUS_ZERO_DIAGONAL]
